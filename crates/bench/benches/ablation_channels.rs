@@ -11,7 +11,7 @@ use ldpc_bench::announce;
 use ldpc_channel::{AwgnChannel, BscChannel, RayleighChannel};
 use ldpc_core::codes::small::demo_code;
 use ldpc_core::{
-    Decoder, FixedConfig, FixedDecoder, GallagerBDecoder, MinSumConfig, MinSumDecoder,
+    BlockDecoder, FixedConfig, FixedDecoder, GallagerBDecoder, MinSumConfig, MinSumDecoder,
     SelfCorrectedMinSumDecoder, WeightedBitFlipDecoder,
 };
 
@@ -21,7 +21,7 @@ type ChannelFn = Box<dyn FnMut(u64) -> Vec<f32>>;
 /// Frame error count of `decoder` over `frames` all-zero transmissions
 /// drawn by `make_llrs`.
 fn fer(
-    decoder: &mut dyn Decoder,
+    decoder: &mut dyn BlockDecoder,
     mut make_llrs: impl FnMut(u64) -> Vec<f32>,
     frames: u64,
     iters: u32,
@@ -29,8 +29,8 @@ fn fer(
     let mut errors = 0u64;
     for f in 0..frames {
         let llrs = make_llrs(f);
-        let out = decoder.decode(&llrs, iters);
-        if !out.hard_decision.is_zero() {
+        let out = decoder.decode_block(&llrs, iters);
+        if !out[0].hard_decision.is_zero() {
             errors += 1;
         }
     }

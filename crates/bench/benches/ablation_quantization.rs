@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config};
 use ldpc_core::codes::small::demo_code;
-use ldpc_core::{Decoder, FixedConfig, FixedDecoder, PerFrame};
+use ldpc_core::{FixedConfig, FixedDecoder};
 use ldpc_hwsim::{render_table, ArchConfig, CodeDims, MemoryPlan};
 use ldpc_sim::run_point_blocks;
 
@@ -25,7 +25,7 @@ fn regenerate_a1() {
             // A custom quantization width is outside the spec grammar, so
             // this drives the engine's explicit-factory door directly.
             let point = run_point_blocks(&code, None, &bench_mc_config(3.5, 18), move || {
-                PerFrame::new(FixedDecoder::new(demo_code(), fixed))
+                FixedDecoder::new(demo_code(), fixed)
             });
             // Memory cost of this width on the real C2 low-cost decoder.
             let plan = MemoryPlan::new(

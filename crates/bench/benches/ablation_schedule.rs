@@ -8,28 +8,21 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config};
 use ldpc_core::codes::small::demo_code;
-use ldpc_core::{Decoder, DecoderSpec, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder};
+use ldpc_core::{DecoderSpec, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder};
 use ldpc_hwsim::render_table;
-use ldpc_sim::run_point_spec;
+use ldpc_sim::run_point_blocks;
 
 fn regenerate_a3() {
     announce("A3", "schedule ablation (flooding vs serial)");
     let code = demo_code();
+    let nms = DecoderSpec::parse("nms").unwrap();
+    let serial = DecoderSpec::parse("layered").unwrap();
     let rows: Vec<Vec<String>> = [2.5f64, 3.5, 4.5]
         .iter()
         .map(|&ebn0| {
-            let flood = run_point_spec(
-                &code,
-                None,
-                &bench_mc_config(ebn0, 50),
-                &DecoderSpec::parse("nms").unwrap(),
-            );
-            let layered = run_point_spec(
-                &code,
-                None,
-                &bench_mc_config(ebn0, 50),
-                &DecoderSpec::parse("layered").unwrap(),
-            );
+            let cfg = bench_mc_config(ebn0, 50);
+            let flood = run_point_blocks(&code, None, &cfg, || nms.build(&code));
+            let layered = run_point_blocks(&code, None, &cfg, || serial.build(&code));
             vec![
                 format!("{ebn0:.1}"),
                 format!("{:.1}", flood.avg_iterations()),

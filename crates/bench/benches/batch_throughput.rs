@@ -12,8 +12,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldpc_bench::{announce, frames_per_sec, noisy_frames};
 use ldpc_core::codes::{ccsds_c2, small::demo_code};
 use ldpc_core::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, FixedConfig, FixedDecoder,
-    MinSumConfig, MinSumDecoder,
+    BatchFixedDecoder, BatchMinSumDecoder, BlockDecoder, FixedConfig, FixedDecoder, MinSumConfig,
+    MinSumDecoder,
 };
 
 const ITERS: u32 = 10;
@@ -29,17 +29,14 @@ fn regenerate_a5() {
     let llrs = noisy_frames(&code, total, 4.0, 11);
     let cfg = MinSumConfig::normalized(4.0 / 3.0).with_early_stop(false);
     let mut per_frame = MinSumDecoder::new(code.clone(), cfg.clone());
-    let reference = decode_frames(&mut per_frame, &llrs, ITERS);
+    let reference = per_frame.decode_block(&llrs, ITERS);
     let base = frames_per_sec(total, || {
-        let _ = decode_frames(&mut per_frame, &llrs, ITERS);
+        let _ = per_frame.decode_block(&llrs, ITERS);
     });
     let mut batched = BatchMinSumDecoder::new(code.clone(), cfg, 8);
     let mut out = Vec::new();
     let fps = frames_per_sec(total, || {
-        out = llrs
-            .chunks(8 * code.n())
-            .flat_map(|block| batched.decode_batch(block, ITERS))
-            .collect();
+        out = batched.decode_block(&llrs, ITERS);
     });
     assert_eq!(out, reference, "batched output diverged from per-frame");
     println!("  demo code, min-sum   : per-frame {base:>8.0} fr/s, batch 8 {fps:>8.0} fr/s = {:.2}x (bit-identical)", fps / base);
@@ -50,17 +47,14 @@ fn regenerate_a5() {
     let llrs = noisy_frames(&c2, total, 4.0, 12);
     let fcfg = FixedConfig::default().with_early_stop(false);
     let mut per_frame = FixedDecoder::new(c2.clone(), fcfg);
-    let reference = decode_frames(&mut per_frame, &llrs, ITERS);
+    let reference = per_frame.decode_block(&llrs, ITERS);
     let base = frames_per_sec(total, || {
-        let _ = decode_frames(&mut per_frame, &llrs, ITERS);
+        let _ = per_frame.decode_block(&llrs, ITERS);
     });
     let mut batched = BatchFixedDecoder::new(c2.clone(), fcfg, 8);
     let mut out = Vec::new();
     let fps = frames_per_sec(total, || {
-        out = llrs
-            .chunks(8 * c2.n())
-            .flat_map(|block| batched.decode_batch(block, ITERS))
-            .collect();
+        out = batched.decode_block(&llrs, ITERS);
     });
     assert_eq!(out, reference, "batched output diverged from per-frame");
     println!("  CCSDS C2, fixed-point: per-frame {base:>8.1} fr/s, batch 8 {fps:>8.1} fr/s = {:.2}x (bit-identical)", fps / base);
@@ -77,7 +71,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(8));
     group.bench_function("per_frame_minsum_8x", |b| {
         let mut dec = MinSumDecoder::new(code.clone(), cfg.clone());
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs8), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs8), ITERS))
     });
     group.bench_function("batch8_minsum", |b| {
         let mut dec = BatchMinSumDecoder::new(code.clone(), cfg.clone(), 8);
@@ -93,7 +87,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(8));
     group.bench_function("per_frame_fixed_8x", |b| {
         let mut dec = FixedDecoder::new(c2.clone(), fcfg);
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs8), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs8), ITERS))
     });
     group.bench_function("batch8_fixed", |b| {
         let mut dec = BatchFixedDecoder::new(c2.clone(), fcfg, 8);

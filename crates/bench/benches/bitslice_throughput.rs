@@ -13,9 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldpc_bench::{announce, frames_per_sec, noisy_frames};
 use ldpc_core::codes::{ccsds_c2, small::demo_code};
-use ldpc_core::{
-    decode_frames, BatchDecoder, BitsliceGallagerBDecoder, GallagerBDecoder, LdpcCode,
-};
+use ldpc_core::{BitsliceGallagerBDecoder, BlockDecoder, GallagerBDecoder, LdpcCode};
 use std::sync::Arc;
 
 const ITERS: u32 = 10;
@@ -24,17 +22,14 @@ const THRESHOLD: usize = 3;
 fn compare(label: &str, code: &Arc<LdpcCode>, total: usize, ebn0: f64, seed: u64) -> f64 {
     let llrs = noisy_frames(code, total, ebn0, seed);
     let mut scalar = GallagerBDecoder::new(code.clone(), THRESHOLD);
-    let reference = decode_frames(&mut scalar, &llrs, ITERS);
+    let reference = scalar.decode_block(&llrs, ITERS);
     let base = frames_per_sec(total, || {
-        let _ = decode_frames(&mut scalar, &llrs, ITERS);
+        let _ = scalar.decode_block(&llrs, ITERS);
     });
     let mut sliced = BitsliceGallagerBDecoder::new(code.clone(), THRESHOLD);
     let mut out = Vec::new();
     let fps = frames_per_sec(total, || {
-        out = llrs
-            .chunks(64 * code.n())
-            .flat_map(|block| sliced.decode_batch(block, ITERS))
-            .collect();
+        out = sliced.decode_block(&llrs, ITERS);
     });
     assert_eq!(out, reference, "bit-sliced output diverged from scalar");
     let speedup = fps / base;
@@ -63,7 +58,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(64));
     group.bench_function("scalar_gallager_b_64x", |b| {
         let mut dec = GallagerBDecoder::new(code.clone(), THRESHOLD);
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs64), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs64), ITERS))
     });
     group.bench_function("bitslice_word_64", |b| {
         let mut dec = BitsliceGallagerBDecoder::new(code.clone(), THRESHOLD);
@@ -78,7 +73,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(64));
     group.bench_function("scalar_gallager_b_64x", |b| {
         let mut dec = GallagerBDecoder::new(c2.clone(), THRESHOLD);
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs64), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs64), ITERS))
     });
     group.bench_function("bitslice_word_64", |b| {
         let mut dec = BitsliceGallagerBDecoder::new(c2.clone(), THRESHOLD);

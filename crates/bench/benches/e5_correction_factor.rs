@@ -12,7 +12,7 @@ use ldpc_core::codes::small::demo_code;
 use ldpc_core::decoder::{fine_alpha_schedule, mean_matching_alpha, nearest_hardware_scaling};
 use ldpc_core::DecoderSpec;
 use ldpc_hwsim::render_table;
-use ldpc_sim::run_point_spec;
+use ldpc_sim::run_point_blocks;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +30,8 @@ fn regenerate_e5() {
             } else {
                 DecoderSpec::parse(&format!("nms:{alpha}")).unwrap()
             };
-            let point = run_point_spec(&code, None, &bench_mc_config(3.0, 18), &spec);
+            let point =
+                run_point_blocks(&code, None, &bench_mc_config(3.0, 18), || spec.build(&code));
             vec![
                 format!("{alpha:.3}"),
                 format!("{:.2e}", point.ber()),
@@ -49,18 +50,12 @@ fn regenerate_e5() {
     );
 
     // --- E5: 18 scaled iterations vs 50 plain iterations. ---
-    let plain = run_point_spec(
-        &code,
-        None,
-        &bench_mc_config(3.0, 50),
-        &DecoderSpec::parse("ms").unwrap(),
+    let (ms, nms) = (
+        DecoderSpec::parse("ms").unwrap(),
+        DecoderSpec::parse("nms").unwrap(),
     );
-    let scaled = run_point_spec(
-        &code,
-        None,
-        &bench_mc_config(3.0, 18),
-        &DecoderSpec::parse("nms").unwrap(),
-    );
+    let plain = run_point_blocks(&code, None, &bench_mc_config(3.0, 50), || ms.build(&code));
+    let scaled = run_point_blocks(&code, None, &bench_mc_config(3.0, 18), || nms.build(&code));
     println!(
         "{}",
         render_table(

@@ -2,10 +2,10 @@
 //! stack, demonstrating the genericity claim across CCSDS recommendations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ldpc_ar4ja::{Ar4jaCode, Ar4jaRate};
 use ldpc_bench::announce;
 use ldpc_channel::{bpsk_modulate, AwgnChannel};
-use ldpc_core::{Decoder, MinSumConfig, MinSumDecoder};
+use ldpc_core::codes::ar4ja::{Ar4jaCode, Ar4jaRate};
+use ldpc_core::{MinSumConfig, MinSumDecoder};
 use ldpc_hwsim::{render_table, ArchConfig, CodeDims, ResourceEstimate, ThroughputModel};
 
 fn frame_error_rate(rate: Ar4jaRate, m: usize, ebn0_db: f64, frames: usize) -> (f64, f64) {

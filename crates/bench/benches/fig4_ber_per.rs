@@ -9,10 +9,29 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config, c2_mc_config};
-use ldpc_core::codes::{ccsds_c2, small::demo_code};
+use ldpc_core::codes::small::demo_code;
 use ldpc_core::DecoderSpec;
 use ldpc_hwsim::render_table;
-use ldpc_sim::{run_curve_spec, run_point_spec};
+use ldpc_sim::{
+    run_point_blocks, run_sweep, sweep_grid, MonteCarloConfig, PointResult, Scenario, SweepConfig,
+};
+
+/// The waterfall of `scenario` over `points`: one whole-budget chunk of
+/// `mc.max_frames` frames per point, no error target.
+fn curve(scenario: &str, points: &[f64], mc: &MonteCarloConfig) -> Vec<PointResult> {
+    let units = sweep_grid(&[Scenario::parse(scenario).unwrap()], points, mc.seed);
+    let cfg = SweepConfig {
+        max_frames: mc.max_frames,
+        target_frame_errors: 0,
+        chunk_frames: mc.max_frames,
+        max_iterations: mc.max_iterations,
+        threads: mc.threads,
+        cache_dir: None,
+        progress_frames: None,
+    };
+    let results = run_sweep(&units, &cfg).expect("registry code builds");
+    results.iter().map(|r| r.point).collect()
+}
 
 fn regenerate_fig4() {
     announce(
@@ -21,10 +40,8 @@ fn regenerate_fig4() {
     );
 
     // Demo-code waterfall: same QC structure, 1/33 block length.
-    let code = demo_code();
     let points = [1.5, 2.5, 3.5, 4.5, 5.5];
-    let fixed = DecoderSpec::parse("fixed").unwrap();
-    let results = run_curve_spec(&code, None, &points, &bench_mc_config(0.0, 18), &fixed);
+    let results = curve("demo / awgn / fixed", &points, &bench_mc_config(0.0, 18));
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|p| {
@@ -47,9 +64,8 @@ fn regenerate_fig4() {
     );
 
     // C2 anchor points near the waterfall knee.
-    let c2 = ccsds_c2::code();
     let c2_points = [3.6, 4.0];
-    let c2_results = run_curve_spec(&c2, None, &c2_points, &c2_mc_config(0.0, 18), &fixed);
+    let c2_results = curve("c2 / awgn / fixed", &c2_points, &c2_mc_config(0.0, 18));
     let rows: Vec<Vec<String>> = c2_results
         .iter()
         .map(|p| {
@@ -76,6 +92,7 @@ fn regenerate_fig4() {
 fn bench(c: &mut Criterion) {
     regenerate_fig4();
     let code = demo_code();
+    let fixed = DecoderSpec::parse("fixed").unwrap();
     let mut group = c.benchmark_group("fig4");
     group.sample_size(10);
     group.bench_function("mc_point_demo_3p5db", |b| {
@@ -83,7 +100,7 @@ fn bench(c: &mut Criterion) {
             let mut cfg = bench_mc_config(3.5, 18);
             cfg.max_frames = 200;
             cfg.target_frame_errors = 0;
-            run_point_spec(&code, None, &cfg, &DecoderSpec::parse("fixed").unwrap())
+            run_point_blocks(&code, None, &cfg, || fixed.build(&code))
         })
     });
     group.finish();

@@ -14,8 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldpc_bench::{announce, frames_per_sec, noisy_frames};
 use ldpc_core::codes::{ccsds_c2, small::demo_code};
 use ldpc_core::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, FixedConfig, FixedDecoder, PackedFixedDecoder,
-    PACK_LANES,
+    BatchFixedDecoder, BlockDecoder, FixedConfig, FixedDecoder, PackedFixedDecoder, PACK_LANES,
 };
 
 const ITERS: u32 = 18;
@@ -25,13 +24,6 @@ struct A10Numbers {
     fixed_fps: f64,
     batch_fps: f64,
     packed_fps: f64,
-}
-
-/// Decodes `llrs` through a batch decoder in full-width chunks.
-fn decode_packed<D: BatchDecoder>(dec: &mut D, llrs: &[f32]) {
-    for chunk in llrs.chunks(dec.capacity() * dec.n()) {
-        let _ = dec.decode_batch(chunk, ITERS);
-    }
 }
 
 fn regenerate_a10() -> A10Numbers {
@@ -50,7 +42,7 @@ fn regenerate_a10() -> A10Numbers {
 
     // Correctness gate before any timing: every packed lane must be
     // bit-exact against the scalar decoder run frame by frame.
-    let reference = decode_frames(&mut fixed, &llrs, ITERS);
+    let reference = fixed.decode_block(&llrs, ITERS);
     let n = c2.n();
     for (chunk_idx, chunk) in llrs.chunks(PACK_LANES * n).enumerate() {
         for (f, out) in packed.decode_batch(chunk, ITERS).iter().enumerate() {
@@ -63,10 +55,14 @@ fn regenerate_a10() -> A10Numbers {
     }
 
     let fixed_fps = frames_per_sec(total, || {
-        let _ = decode_frames(&mut fixed, &llrs, ITERS);
+        let _ = fixed.decode_block(&llrs, ITERS);
     });
-    let batch_fps = frames_per_sec(total, || decode_packed(&mut batch, &llrs));
-    let packed_fps = frames_per_sec(total, || decode_packed(&mut packed, &llrs));
+    let batch_fps = frames_per_sec(total, || {
+        let _ = batch.decode_block(&llrs, ITERS);
+    });
+    let packed_fps = frames_per_sec(total, || {
+        let _ = packed.decode_block(&llrs, ITERS);
+    });
 
     println!(
         "  simd mirror: {}",
@@ -128,7 +124,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(PACK_LANES as u64));
     group.bench_function("fixed_scalar_8x", |b| {
         let mut dec = FixedDecoder::new(code.clone(), cfg);
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs8), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs8), ITERS))
     });
     group.bench_function("fixed_pack8_8x", |b| {
         let mut dec = PackedFixedDecoder::new(code.clone(), cfg);

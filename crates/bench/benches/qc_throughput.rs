@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldpc_bench::{announce, frames_per_sec, noisy_frames};
 use ldpc_core::codes::{ccsds_c2, small::demo_code};
-use ldpc_core::{decode_frames, FixedConfig, FixedDecoder, LayeredMinSumDecoder, QcLayeredDecoder};
+use ldpc_core::{BlockDecoder, FixedConfig, FixedDecoder, LayeredMinSumDecoder, QcLayeredDecoder};
 use ldpc_hwsim::MessageBankLayout;
 
 const ITERS: u32 = 18;
@@ -41,9 +41,9 @@ fn regenerate_a9() -> A9Numbers {
 
     // One warm-up decode per datapath; the QC and serial schedules must
     // land on the same codewords wherever both report convergence.
-    let reference = decode_frames(&mut layered, &llrs, ITERS);
-    let _ = decode_frames(&mut fixed, &llrs, ITERS);
-    let qc_out = decode_frames(&mut qc, &llrs, ITERS);
+    let reference = layered.decode_block(&llrs, ITERS);
+    let _ = fixed.decode_block(&llrs, ITERS);
+    let qc_out = qc.decode_block(&llrs, ITERS);
     let mut agreements = 0usize;
     for (f, (a, b)) in qc_out.iter().zip(&reference).enumerate() {
         if a.converged && b.converged {
@@ -57,13 +57,13 @@ fn regenerate_a9() -> A9Numbers {
     assert!(agreements > 0, "no frame converged under both schedules");
 
     let layered_fps = frames_per_sec(total, || {
-        let _ = decode_frames(&mut layered, &llrs, ITERS);
+        let _ = layered.decode_block(&llrs, ITERS);
     });
     let fixed_fps = frames_per_sec(total, || {
-        let _ = decode_frames(&mut fixed, &llrs, ITERS);
+        let _ = fixed.decode_block(&llrs, ITERS);
     });
     let qc_fps = frames_per_sec(total, || {
-        let _ = decode_frames(&mut qc, &llrs, ITERS);
+        let _ = qc.decode_block(&llrs, ITERS);
     });
 
     println!("  layered    (serial)  : {layered_fps:>8.1} fr/s");
@@ -133,11 +133,11 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(8));
     group.bench_function("layered_serial_8x", |b| {
         let mut dec = LayeredMinSumDecoder::new(code.clone(), ALPHA).with_early_stop(false);
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs8), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs8), ITERS))
     });
     group.bench_function("qc_layered_8x", |b| {
         let mut dec = QcLayeredDecoder::new(code.clone(), ALPHA).with_early_stop(false);
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs8), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs8), ITERS))
     });
     group.finish();
 
@@ -148,7 +148,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(4));
     group.bench_function("qc_layered_4x", |b| {
         let mut dec = QcLayeredDecoder::new(c2.clone(), ALPHA).with_early_stop(false);
-        b.iter(|| decode_frames(&mut dec, std::hint::black_box(&llrs4), ITERS))
+        b.iter(|| dec.decode_block(std::hint::black_box(&llrs4), ITERS))
     });
     group.finish();
 }

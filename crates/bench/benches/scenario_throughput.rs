@@ -4,14 +4,14 @@
 //! Where A7 sweeps the decoder registry over a fixed AWGN workload, this
 //! target sweeps *scenarios*: every registered channel model
 //! ([`ChannelSpec::all_channels`]) crossed with a representative decoder
-//! spread, end to end through [`run_point_scenario`] — frame generation,
+//! spread, end to end through [`run_point_scenario_with`] — frame generation,
 //! channel transit, LLR expansion, and decoding included. Registering a
 //! new channel model adds a column here automatically.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldpc_bench::{announce, frames_per_sec};
 use ldpc_channel::ChannelSpec;
-use ldpc_sim::{run_point_scenario, MonteCarloConfig, Scenario, Transmission};
+use ldpc_sim::{run_point_scenario_with, MonteCarloConfig, Scenario, Transmission};
 
 const ITERS: u32 = 10;
 const FRAMES: u64 = 512;
@@ -42,9 +42,10 @@ fn regenerate_a8() {
         for decoder in DECODERS {
             let scenario = Scenario::parse(&format!("demo / {channel} / {decoder}"))
                 .unwrap_or_else(|e| panic!("demo / {channel} / {decoder}: {e}"));
+            let handle = scenario.build_code().expect("code builds");
             let mut per = 0.0;
             let fps = frames_per_sec(FRAMES as usize, || {
-                let point = run_point_scenario(&scenario, &mc_config()).expect("code builds");
+                let point = run_point_scenario_with(&handle, &scenario, &mc_config());
                 assert_eq!(point.frames, FRAMES, "{scenario}: dropped frames");
                 per = point.per();
             });
@@ -67,12 +68,13 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(64));
     for channel in ChannelSpec::all_channels() {
         let scenario = Scenario::parse(&format!("demo / {channel} / fixed")).unwrap();
+        let handle = scenario.build_code().unwrap();
         let cfg = MonteCarloConfig {
             max_frames: 64,
             ..mc_config()
         };
         group.bench_function(channel.to_string(), |b| {
-            b.iter(|| run_point_scenario(std::hint::black_box(&scenario), &cfg).unwrap())
+            b.iter(|| run_point_scenario_with(&handle, std::hint::black_box(&scenario), &cfg))
         });
     }
     group.finish();

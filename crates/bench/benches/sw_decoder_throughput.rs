@@ -9,7 +9,7 @@ use ldpc_bench::announce;
 use ldpc_channel::AwgnChannel;
 use ldpc_core::codes::ccsds_c2;
 use ldpc_core::{
-    Decoder, FixedConfig, FixedDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder,
+    BlockDecoder, FixedConfig, FixedDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder,
     SumProductDecoder,
 };
 
@@ -26,7 +26,7 @@ fn regenerate_a4() {
     );
     let code = ccsds_c2::code();
     let llrs = noisy_llrs(3);
-    let mut decoders: Vec<Box<dyn Decoder>> = vec![
+    let mut decoders: Vec<Box<dyn BlockDecoder>> = vec![
         Box::new(SumProductDecoder::new(code.clone()).with_early_stop(false)),
         Box::new(MinSumDecoder::new(
             code.clone(),
@@ -42,7 +42,7 @@ fn regenerate_a4() {
         let start = std::time::Instant::now();
         let reps = 5;
         for _ in 0..reps {
-            let _ = dec.decode(&llrs, 18);
+            let _ = dec.decode_block(&llrs, 18);
         }
         let secs = start.elapsed().as_secs_f64() / reps as f64;
         let mbps = ccsds_c2::K_INFO as f64 / secs / 1e6;

@@ -29,6 +29,15 @@ pub enum ArgError {
     },
     /// Unexpected positional argument.
     UnexpectedPositional(String),
+    /// The subcommand does not exist.
+    UnknownCommand(String),
+    /// The subcommand has no such option.
+    UnknownOption {
+        /// The subcommand.
+        command: String,
+        /// Option name.
+        option: String,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -40,15 +49,86 @@ impl fmt::Display for ArgError {
                 write!(f, "invalid value {value:?} for --{option}")
             }
             Self::UnexpectedPositional(arg) => write!(f, "unexpected argument {arg:?}"),
+            Self::UnknownCommand(command) => {
+                write!(f, "unknown command {command:?} (try `ldpc-tool help`)")
+            }
+            Self::UnknownOption { command, option } => {
+                write!(f, "unknown option --{option} for {command}")?;
+                let owners: Vec<&str> = COMMANDS
+                    .iter()
+                    .filter(|(_, values, flags)| {
+                        values.contains(&option.as_str()) || flags.contains(&option.as_str())
+                    })
+                    .map(|(name, ..)| *name)
+                    .collect();
+                if !owners.is_empty() {
+                    write!(f, " (an option of {})", owners.join(", "))?;
+                }
+                let accepted: Vec<String> = COMMANDS
+                    .iter()
+                    .filter(|(name, ..)| name == command)
+                    .flat_map(|(_, values, flags)| values.iter().chain(flags.iter()))
+                    .map(|name| format!("--{name}"))
+                    .collect();
+                if accepted.is_empty() {
+                    write!(f, "; {command} takes no options")
+                } else {
+                    write!(f, "; {command} accepts {}", accepted.join(", "))
+                }
+            }
         }
     }
 }
 
 impl Error for ArgError {}
 
-/// Options that never take a value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "random", "zeros", "help", "c2", "demo", "hard", "bitslice", "adaptive", "resume",
+/// Every subcommand with the options that take a value and the boolean
+/// flags it accepts. `--help` / `-h` is accepted everywhere; anything
+/// else is rejected by name, so a typo never silently runs the default.
+const COMMANDS: &[(&str, &[&str], &[&str])] = &[
+    ("help", &[], &[]),
+    ("info", &[], &[]),
+    ("encode", &["seed"], &["random", "zeros"]),
+    (
+        "simulate",
+        &[
+            "code", "channel", "decoder", "ebn0", "frames", "iters", "threads", "seed",
+        ],
+        &["demo", "c2"],
+    ),
+    (
+        "sweep",
+        &[
+            "codes",
+            "channels",
+            "decoders",
+            "ebn0s",
+            "ebn0",
+            "frames",
+            "iters",
+            "threads",
+            "seed",
+            "target-errors",
+            "chunk-frames",
+            "cache-dir",
+            "json",
+        ],
+        &["demo", "c2", "adaptive", "resume"],
+    ),
+    (
+        "serve",
+        &[
+            "port",
+            "addr",
+            "max-wait-us",
+            "workers",
+            "iters",
+            "queue-frames",
+        ],
+        &[],
+    ),
+    ("plan", &["mbps", "iters", "clock"], &[]),
+    ("tables", &[], &[]),
 ];
 
 impl ParsedArgs {
@@ -66,19 +146,28 @@ impl ParsedArgs {
         if command.starts_with('-') {
             return Err(ArgError::MissingCommand);
         }
+        let Some(&(_, values, boolean)) = COMMANDS.iter().find(|(name, ..)| *name == command)
+        else {
+            return Err(ArgError::UnknownCommand(command));
+        };
         let mut options = HashMap::new();
         let mut flags = Vec::new();
         while let Some(arg) = it.next() {
             if arg == "-h" {
                 flags.push("help".to_owned());
             } else if let Some(name) = arg.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&name) {
+                if name == "help" || boolean.contains(&name) {
                     flags.push(name.to_owned());
-                } else {
+                } else if values.contains(&name) {
                     let value = it
                         .next()
                         .ok_or_else(|| ArgError::MissingValue(name.to_owned()))?;
                     options.insert(name.to_owned(), value);
+                } else {
+                    return Err(ArgError::UnknownOption {
+                        command,
+                        option: name.to_owned(),
+                    });
                 }
             } else {
                 return Err(ArgError::UnexpectedPositional(arg));
@@ -127,11 +216,11 @@ mod tests {
 
     #[test]
     fn parses_command_options_and_flags() {
-        let a = parse(&["simulate", "--ebn0", "4.0", "--random", "--frames", "10"]).unwrap();
+        let a = parse(&["simulate", "--ebn0", "4.0", "--demo", "--frames", "10"]).unwrap();
         assert_eq!(a.command, "simulate");
         assert_eq!(a.get("ebn0"), Some("4.0"));
-        assert!(a.flag("random"));
-        assert!(!a.flag("zeros"));
+        assert!(a.flag("demo"));
+        assert!(!a.flag("c2"));
         assert_eq!(a.get_or("frames", 0u64).unwrap(), 10);
         assert_eq!(a.get_or("iters", 18u32).unwrap(), 18); // default
     }
@@ -189,6 +278,11 @@ mod tests {
                 value: "y".into(),
             },
             ArgError::UnexpectedPositional("z".into()),
+            ArgError::UnknownCommand("w".into()),
+            ArgError::UnknownOption {
+                command: "info".into(),
+                option: "v".into(),
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

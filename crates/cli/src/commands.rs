@@ -12,8 +12,8 @@ use ldpc_hwsim::{
     ThroughputModel,
 };
 use ldpc_sim::{
-    run_curve_scenario_with, run_point_scenario, run_sweep, split_spec_list, sweep_grid,
-    MonteCarloConfig, Scenario, SweepConfig, SweepUnitResult, Transmission,
+    run_point_scenario_with, run_sweep, split_spec_list, sweep_grid, MonteCarloConfig, Scenario,
+    SweepConfig, SweepUnitResult, Transmission,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         "serve" => cmd_serve(args),
         "plan" => cmd_plan(args),
         "tables" => Ok(cmd_tables()),
-        other => Err(format!("unknown command {other:?} (try `ldpc-tool help`)").into()),
+        other => Err(ArgError::UnknownCommand(other.to_owned()).into()),
     }
 }
 
@@ -64,7 +64,9 @@ COMMANDS:
         [--threads N] [--seed N]
                             grid sweep: one long-format CSV over every
                             code x channel x decoder x Eb/N0 combination,
-                            all through the one Monte-Carlo engine
+                            all through the one Monte-Carlo engine; grid
+                            points run in parallel (one worker each), so
+                            the CSV does not depend on --threads
   sweep ... --adaptive [--target-errors K] [--chunk-frames N]
         [--resume] [--cache-dir DIR] [--json PATH]
                             adaptive sweep: chunks of every grid point are
@@ -110,8 +112,8 @@ DECODER SPECS (simulate --decoder / sweep --decoders):
             gallager-b:t=2 | nms:1.25@batch=8 | gallager-b@bitslice
   modifiers: @batch=N (lockstep frame batching: ms, nms, oms, fixed)
              @bitslice (64 frames per u64 word: gallager-b)
-  deprecated flags --batch N, --hard, --bitslice, --threshold N still
-  map onto the matching spec
+             @pack=8 (the paper's 8 frames per memory word, as SWAR
+             i8 lanes: fixed)
 
 The full grammar and copy-pasteable recipes live in docs/scenarios.md.
 ",
@@ -180,10 +182,10 @@ fn cmd_encode(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
 
 /// The shared Monte-Carlo configuration of `simulate` and `sweep`,
 /// parsed from the common flags (`--frames/--iters/--seed/--threads`).
-/// One definition, so a sweep row always reproduces a simulate run with
-/// the same flags at point index 0. `ebn0_db` is left at 0.0 — the
-/// caller sets it (simulate) or `run_curve_scenario` derives it per
-/// point (sweep). The frame default is sized to the smallest code in
+/// One definition, so a sweep row always reproduces a single-threaded
+/// simulate run with the same flags at point index 0. `ebn0_db` is left
+/// at 0.0 — the caller sets it (simulate) or the sweep grid derives it
+/// per point (sweep). The frame default is sized to the smallest code in
 /// play: 2000 frames for demo-only runs, 50 once a full-scale code is
 /// involved.
 fn mc_config_from_args(
@@ -220,15 +222,6 @@ fn mc_config_from_args(
 }
 
 fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    for plural in ["codes", "channels", "decoders"] {
-        if args.get(plural).is_some() {
-            return Err(format!(
-                "--{plural} belongs to sweep; simulate takes the singular --{}",
-                &plural[..plural.len() - 1]
-            )
-            .into());
-        }
-    }
     let channel = match args.get("channel") {
         Some(raw) => raw.parse::<ChannelSpec>()?,
         None => ChannelSpec::awgn(),
@@ -236,116 +229,34 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let scenario = Scenario {
         code: resolve_code_spec(args)?,
         channel,
-        decoder: resolve_decoder_spec(args)?,
+        decoder: DecoderSpec::parse(args.get("decoder").unwrap_or("fixed"))?,
     };
     let cfg = MonteCarloConfig {
         ebn0_db: args.get_or("ebn0", 4.0)?,
         ..mc_config_from_args(args, std::slice::from_ref(&scenario.code))?
     };
-    let point = run_point_scenario(&scenario, &cfg)?;
+    let point = run_point_scenario_with(&scenario.build_code()?, &scenario, &cfg);
     Ok(format!(
         "{CSV_HEADER}\n{}\n",
         scenario_csv_row(&scenario, &point)
     ))
 }
 
-/// Resolves the decoder specification from `--decoder SPEC`, mapping the
-/// deprecated `--batch` / `--hard` / `--bitslice` / `--threshold` flags
-/// onto the equivalent spec (with a note on stderr).
-fn resolve_decoder_spec(args: &ParsedArgs) -> Result<DecoderSpec, Box<dyn Error>> {
-    // Legacy hard-decision flags. `--bitslice` / `--threshold` without
-    // `--hard` stay rejected: a forgotten --hard must not silently run
-    // the soft decoder.
-    if args.flag("hard") || args.flag("bitslice") || args.get("threshold").is_some() {
-        if !args.flag("hard") {
-            return Err(if args.flag("bitslice") {
-                "--bitslice packs the hard-decision decoder; add --hard \
-                 (or use --decoder gallager-b@bitslice)"
-                    .into()
-            } else {
-                "--threshold configures the hard-decision decoder; add --hard \
-                 (or use --decoder gallager-b:t=N)"
-                    .into()
-            });
-        }
-        if args.get("decoder").is_some() {
-            return Err("--hard selects the Gallager-B decoder; drop --decoder \
-                        (or use --decoder gallager-b:t=N[@bitslice] alone)"
-                .into());
-        }
-        if args.get_or("batch", 1usize)? != 1 {
-            return Err(
-                "--batch applies to the soft decoders; use --bitslice for 64-wide hard decoding"
-                    .into(),
-            );
-        }
-        let threshold: usize = args.get_or("threshold", 3usize)?;
-        if threshold == 0 {
-            return Err(Box::new(ArgError::InvalidValue {
-                option: "threshold".into(),
-                value: "0".into(),
-            }));
-        }
-        let mut spec = DecoderSpec::parse(&format!("gallager-b:t={threshold}"))?;
-        if args.flag("bitslice") {
-            spec = spec.with_bitslice()?;
-        }
-        eprintln!("note: --hard/--bitslice/--threshold are deprecated; use --decoder {spec}");
-        return Ok(spec);
-    }
-    let raw: String = args.get_or("decoder", "fixed".to_owned())?;
-    let mut spec = DecoderSpec::parse(&raw)?;
-    // Legacy `--batch N`: map onto @batch=N (N = 1 keeps the scalar
-    // decoder, matching the historical per-frame behaviour bit for bit).
-    let batch: usize = args.get_or("batch", 1usize)?;
-    match batch {
-        0 => {
-            return Err(Box::new(ArgError::InvalidValue {
-                option: "batch".into(),
-                value: "0".into(),
-            }))
-        }
-        1 => {}
-        n => {
-            if spec.batch.is_some() || spec.bitslice || spec.pack.is_some() {
-                return Err(format!(
-                    "--batch {n} conflicts with the modifiers in --decoder {spec}; \
-                     put the batch in the spec"
-                )
-                .into());
-            }
-            spec = spec.with_batch(n)?;
-            eprintln!("note: --batch is deprecated; use --decoder {spec}");
-        }
-    }
-    Ok(spec)
-}
-
+/// `sweep`: every code × channel × decoder × Eb/N0 point through the
+/// orchestrator (`ldpc_sim::run_sweep`), which runs grid points in
+/// parallel and merges each point's counts independently of the thread
+/// count.
+///
+/// Without `--adaptive` each point is one chunk of `--frames` frames
+/// with no error target — the same engine call, seed included, as a
+/// single-threaded `simulate` at that point — and the CSV has the 8
+/// shared columns. `--adaptive` chunks every point, stops each at
+/// `--target-errors`, and with `--resume` / `--cache-dir` keeps a
+/// content-addressed chunk cache that makes re-runs incremental; its
+/// rows extend the 8 columns (identical prefix, pinned by tests) with
+/// the error count, the Wilson 95 % PER interval, and the stop rule.
+/// `--json PATH` additionally writes the machine-readable result set.
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    // The legacy simulate decoder flags have no sweep mapping: decoder
-    // choice is exactly the --decoders list. Reject them rather than
-    // silently running a different decoder than the caller asked for.
-    for legacy in ["hard", "bitslice"] {
-        if args.flag(legacy) {
-            return Err(format!("--{legacy} does not apply to sweep; put the decoder in --decoders (e.g. gallager-b:t=N@bitslice)").into());
-        }
-    }
-    for legacy in ["threshold", "batch"] {
-        if args.get(legacy).is_some() {
-            return Err(format!("--{legacy} does not apply to sweep; put it in the --decoders specs (e.g. gallager-b:t=2, nms@batch=8)").into());
-        }
-    }
-    for (singular, plural) in [
-        ("decoder", "--decoders"),
-        ("code", "--codes"),
-        ("channel", "--channels"),
-    ] {
-        if args.get(singular).is_some() {
-            return Err(
-                format!("--{singular} does not apply to sweep; list the spec in {plural}").into(),
-            );
-        }
-    }
     let decoders: Vec<DecoderSpec> = split_spec_list(
         args.get("decoders")
             .ok_or("sweep requires --decoders <spec,spec,...> (try `ldpc-tool help`)")?,
@@ -395,78 +306,38 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
                 .into());
             }
         }
-        let mut out = format!("{CSV_HEADER}\n");
-        for code in &codes {
-            // Each code is built once for the whole grid (an AR4JA lift or a
-            // shortened view's encoder is not free), then shared across every
-            // channel × decoder × Eb/N0 combination.
-            let handle = code.build()?;
-            for channel in &channels {
-                for decoder in &decoders {
-                    // One engine, one seed derivation: every scenario sweeps
-                    // the same Eb/N0 points through run_curve_scenario_with,
-                    // so a sweep row reproduces a simulate run with the same
-                    // flags at the same point index.
-                    let scenario = Scenario {
-                        code: *code,
-                        channel: *channel,
-                        decoder: decoder.clone(),
-                    };
-                    for point in run_curve_scenario_with(&handle, &scenario, &ebn0s, &base) {
-                        out.push_str(&scenario_csv_row(&scenario, &point));
-                        out.push('\n');
-                    }
-                }
-            }
-        }
-        return Ok(out);
     }
-    cmd_sweep_adaptive(args, &codes, &channels, &decoders, &ebn0s, &base)
-}
-
-/// The adaptive/resumable sweep path: the same grid and seed derivation
-/// as the legacy sweep, orchestrated through `ldpc_sim::run_sweep` —
-/// chunked work stealing across points, per-point stopping at
-/// `--target-errors`, and (with `--resume` / `--cache-dir`) a
-/// content-addressed chunk cache that makes re-runs incremental.
-///
-/// The CSV goes to stdout like every other command; rows extend the
-/// legacy 8 columns (identical prefix, pinned by tests) with the error
-/// count, the Wilson 95 % PER interval, and the resume accounting.
-/// `--json PATH` additionally writes the machine-readable result set.
-fn cmd_sweep_adaptive(
-    args: &ParsedArgs,
-    codes: &[CodeSpec],
-    channels: &[ChannelSpec],
-    decoders: &[DecoderSpec],
-    ebn0s: &[f64],
-    base: &MonteCarloConfig,
-) -> Result<String, Box<dyn Error>> {
-    let chunk_frames: u64 = args.get_or("chunk-frames", 1_000u64)?;
+    // Without --adaptive every point is one chunk of --frames frames with
+    // no error target.
+    let (default_target, default_chunk) = if adaptive {
+        (100, 1_000)
+    } else {
+        (0, base.max_frames)
+    };
+    let chunk_frames: u64 = args.get_or("chunk-frames", default_chunk)?;
     if chunk_frames == 0 {
         return Err(Box::new(ArgError::InvalidValue {
             option: "chunk-frames".into(),
             value: "0".into(),
         }));
     }
-    let cache_dir = match args.get("cache-dir") {
-        Some(path) => Some(PathBuf::from(path)),
-        None if args.flag("resume") => Some(PathBuf::from(".ldpc-sweep-cache")),
-        None => None,
-    };
     let cfg = SweepConfig {
         max_frames: base.max_frames,
-        target_frame_errors: args.get_or("target-errors", 100u64)?,
+        target_frame_errors: args.get_or("target-errors", default_target)?,
         chunk_frames,
         max_iterations: base.max_iterations,
         threads: base.threads,
-        cache_dir,
+        cache_dir: match args.get("cache-dir") {
+            Some(path) => Some(PathBuf::from(path)),
+            None if args.flag("resume") => Some(PathBuf::from(".ldpc-sweep-cache")),
+            None => None,
+        },
         progress_frames: None,
     };
     let mut scenarios = Vec::with_capacity(codes.len() * channels.len() * decoders.len());
-    for code in codes {
-        for channel in channels {
-            for decoder in decoders {
+    for code in &codes {
+        for channel in &channels {
+            for decoder in &decoders {
                 scenarios.push(Scenario {
                     code: *code,
                     channel: *channel,
@@ -475,12 +346,23 @@ fn cmd_sweep_adaptive(
             }
         }
     }
-    let units = sweep_grid(&scenarios, ebn0s, base.seed);
+    let units = sweep_grid(&scenarios, &ebn0s, base.seed);
     let started = std::time::Instant::now();
     let results = run_sweep(&units, &cfg)?;
-    let mut out = format!("{ADAPTIVE_CSV_HEADER}\n");
+    let mut out = format!(
+        "{}\n",
+        if adaptive {
+            ADAPTIVE_CSV_HEADER
+        } else {
+            CSV_HEADER
+        }
+    );
     for result in &results {
-        out.push_str(&adaptive_csv_row(result));
+        if adaptive {
+            out.push_str(&adaptive_csv_row(result));
+        } else {
+            out.push_str(&scenario_csv_row(&result.scenario, &result.point));
+        }
         out.push('\n');
     }
     if let Some(path) = args.get("json") {
@@ -534,7 +416,7 @@ fn scenario_csv_row(scenario: &Scenario, point: &ldpc_sim::PointResult) -> Strin
     )
 }
 
-/// The adaptive sweep's CSV header: the legacy 8 columns (same order,
+/// The adaptive sweep's CSV header: the shared 8 columns (same order,
 /// same formats) extended with the raw error count, the Wilson 95 % PER
 /// interval, and which rule stopped the point. Every column is a
 /// function of the *merged* counts — invariant under thread count and
@@ -546,8 +428,8 @@ const ADAPTIVE_CSV_HEADER: &str = "code,channel,decoder,ebn0_db,frames,ber,per,a
                                    frame_errors,per_lo,per_hi,stopped_by";
 
 /// One adaptive-sweep CSV row. Built on [`scenario_csv_row`], so the
-/// first eight columns are byte-identical to what the legacy sweep
-/// would print for the same merged counts (pinned by tests).
+/// first eight columns are byte-identical to what the non-adaptive
+/// sweep prints for the same merged counts (pinned by tests).
 fn adaptive_csv_row(result: &SweepUnitResult) -> String {
     let (per_lo, per_hi) = result.point.per_confidence();
     format!(
@@ -753,6 +635,15 @@ mod tests {
         ParsedArgs::parse(words.iter().map(|s| s.to_string())).unwrap()
     }
 
+    /// Parses and runs a command line that must fail, returning the
+    /// message of whichever stage rejects it.
+    fn error_of(words: &[&str]) -> String {
+        match ParsedArgs::parse(words.iter().map(|s| s.to_string())) {
+            Err(e) => e.to_string(),
+            Ok(args) => run(&args).unwrap_err().to_string(),
+        }
+    }
+
     #[test]
     fn help_lists_all_commands() {
         let h = help_text();
@@ -761,16 +652,44 @@ mod tests {
         ] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
-        // The spec grammar is part of the contract: every family shows up.
+        // The spec grammar is part of the contract: every family and
+        // every modifier shows up.
         for family in DecoderSpec::family_names() {
             assert!(h.contains(family), "help missing family {family}");
+        }
+        for modifier in ["@batch=N", "@bitslice", "@pack=8"] {
+            assert!(h.contains(modifier), "help missing modifier {modifier}");
         }
     }
 
     #[test]
     fn unknown_command_errors() {
-        let err = run(&parsed(&["frobnicate"])).unwrap_err();
-        assert!(err.to_string().contains("unknown command"));
+        assert!(error_of(&["frobnicate"]).contains("unknown command"));
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        // A typo or a retired flag must fail, never fall back to a
+        // default (`--ebno 3` would otherwise run the default 4 dB point).
+        for command in [
+            &["simulate", "--demo"][..],
+            &["sweep", "--demo", "--decoders", "fixed"],
+        ] {
+            for extra in [
+                &["--ebno", "3"][..],
+                &["--batch", "8"],
+                &["--hard"],
+                &["--bitslice"],
+                &["--threshold", "2"],
+            ] {
+                let words = [command, extra].concat();
+                let err = error_of(&words);
+                assert!(
+                    err.contains(&format!("unknown option {}", extra[0])),
+                    "{words:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -844,39 +763,34 @@ mod tests {
     fn simulate_batched_matches_per_frame_counts() {
         // One worker so the per-frame and batched runs draw identical
         // noise; bit-exact batched decoding then makes the whole CSV
-        // byte-identical.
-        let base = &[
-            "simulate",
-            "--demo",
-            "--decoder",
-            "fixed",
-            "--ebn0",
-            "3.0",
-            "--frames",
-            "64",
-            "--iters",
-            "12",
-            "--seed",
-            "9",
-            "--threads",
-            "1",
-        ];
-        let per_frame = run(&parsed(base)).unwrap();
-        let mut with_batch = base.to_vec();
-        with_batch.extend(["--batch", "8"]);
-        let batched = run(&parsed(&with_batch)).unwrap();
+        // byte-identical up to the decoder label.
+        let simulate = |decoder: &str| {
+            run(&parsed(&[
+                "simulate",
+                "--demo",
+                "--decoder",
+                decoder,
+                "--ebn0",
+                "3.0",
+                "--frames",
+                "64",
+                "--iters",
+                "12",
+                "--seed",
+                "9",
+                "--threads",
+                "1",
+            ]))
+            .unwrap()
+        };
+        let per_frame = simulate("fixed");
+        let batched = simulate("fixed@batch=8");
         assert!(batched
             .lines()
             .nth(1)
             .unwrap()
             .starts_with("demo,awgn,fixed@batch=8,3.000,64,"));
-        // Identical counts; only the decoder label records the packing.
         assert_eq!(per_frame.replace(",fixed,", ",fixed@batch=8,"), batched);
-        // The modifier spelled directly in the spec is byte-identical.
-        let mut with_spec = base.to_vec();
-        with_spec[3] = "fixed@batch=8"; // replaces the --decoder value
-        let spec_run = run(&parsed(&with_spec)).unwrap();
-        assert_eq!(spec_run, batched);
     }
 
     #[test]
@@ -885,9 +799,7 @@ mod tests {
             "simulate",
             "--demo",
             "--decoder",
-            "nms",
-            "--batch",
-            "4",
+            "nms@batch=4",
             "--frames",
             "32",
             "--ebn0",
@@ -906,108 +818,62 @@ mod tests {
         // One worker: scalar Gallager-B and the 64-wide bit-sliced run
         // draw identical noise and decode bit-exactly per lane, so the
         // CSV differs only in the decoder column.
-        let base = &[
-            "simulate",
-            "--demo",
-            "--hard",
-            "--ebn0",
-            "5.0",
-            "--frames",
-            "96",
-            "--iters",
-            "20",
-            "--seed",
-            "4",
-            "--threads",
-            "1",
-        ];
-        let scalar = run(&parsed(base)).unwrap();
-        let mut with_bitslice = base.to_vec();
-        with_bitslice.push("--bitslice");
-        let sliced = run(&parsed(&with_bitslice)).unwrap();
+        let simulate = |decoder: &str| {
+            run(&parsed(&[
+                "simulate",
+                "--demo",
+                "--decoder",
+                decoder,
+                "--ebn0",
+                "5.0",
+                "--frames",
+                "96",
+                "--iters",
+                "20",
+                "--seed",
+                "4",
+                "--threads",
+                "1",
+            ]))
+            .unwrap()
+        };
+        let scalar = simulate("gallager-b:t=3");
+        let sliced = simulate("gallager-b:t=3@bitslice");
         assert!(scalar
             .lines()
             .nth(1)
             .unwrap()
             .starts_with("demo,awgn,gallager-b,5.000,96,"));
-        assert!(sliced
-            .lines()
-            .nth(1)
-            .unwrap()
-            .starts_with("demo,awgn,gallager-b@bitslice,5.000,96,"));
         assert_eq!(
             scalar.replace(",gallager-b,", ",gallager-b@bitslice,"),
             sliced,
             "bit-sliced counts diverged from scalar Gallager-B"
         );
-        // The modern spelling of the same runs.
-        let mut spec_scalar = base.to_vec();
-        spec_scalar[2] = "--decoder";
-        spec_scalar.insert(3, "gallager-b:t=3");
-        assert_eq!(run(&parsed(&spec_scalar)).unwrap(), scalar);
-        spec_scalar[3] = "gallager-b:t=3@bitslice";
-        assert_eq!(run(&parsed(&spec_scalar)).unwrap(), sliced);
     }
 
     #[test]
     fn simulate_bitslice_requires_hard() {
-        let err = run(&parsed(&["simulate", "--demo", "--bitslice"])).unwrap_err();
-        assert!(err.to_string().contains("--hard"));
-    }
-
-    #[test]
-    fn simulate_threshold_requires_hard() {
-        // A forgotten --hard must not silently run the soft decoder.
-        let err = run(&parsed(&["simulate", "--demo", "--threshold", "5"])).unwrap_err();
-        assert!(err.to_string().contains("--hard"));
-    }
-
-    #[test]
-    fn simulate_hard_rejects_decoder_and_batch() {
-        let err = run(&parsed(&[
-            "simulate",
-            "--demo",
-            "--hard",
-            "--decoder",
-            "nms",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("drop --decoder"));
-        let err = run(&parsed(&["simulate", "--demo", "--hard", "--batch", "8"])).unwrap_err();
-        assert!(err.to_string().contains("--bitslice"));
+        // @bitslice packs the hard-decision family only.
+        let err = error_of(&["simulate", "--demo", "--decoder", "nms@bitslice"]);
+        assert!(err.contains("gallager-b"), "{err}");
     }
 
     #[test]
     fn simulate_hard_rejects_zero_threshold() {
-        let err = run(&parsed(&[
-            "simulate",
-            "--demo",
-            "--hard",
-            "--threshold",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("threshold"));
+        let err = error_of(&["simulate", "--demo", "--decoder", "gallager-b:t=0"]);
+        assert!(err.contains("threshold"), "{err}");
     }
 
     #[test]
     fn simulate_rejects_zero_batch() {
-        let err = run(&parsed(&["simulate", "--demo", "--batch", "0"])).unwrap_err();
-        assert!(err.to_string().contains("batch"));
+        let err = error_of(&["simulate", "--demo", "--decoder", "fixed@batch=0"]);
+        assert!(err.contains("batch"), "{err}");
     }
 
     #[test]
     fn simulate_rejects_batched_spa() {
-        let err = run(&parsed(&[
-            "simulate",
-            "--demo",
-            "--decoder",
-            "spa",
-            "--batch",
-            "8",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("spa"));
+        let err = error_of(&["simulate", "--demo", "--decoder", "spa@batch=8"]);
+        assert!(err.contains("spa"), "{err}");
     }
 
     #[test]
@@ -1129,21 +995,29 @@ mod tests {
     }
 
     #[test]
-    fn sweep_rejects_legacy_decoder_flags() {
-        // simulate maps these onto specs; sweep must not silently ignore
-        // them and run a different decoder than asked.
-        for (extra, hint) in [
-            (vec!["--hard"], "--decoders"),
-            (vec!["--bitslice"], "--decoders"),
-            (vec!["--threshold", "2"], "gallager-b:t=2"),
-            (vec!["--batch", "8"], "nms@batch=8"),
-            (vec!["--decoder", "nms:1.25"], "--decoders"),
-        ] {
-            let mut cmd = vec!["sweep", "--demo", "--decoders", "gallager-b"];
-            cmd.extend(extra.iter().copied());
-            let err = run(&parsed(&cmd)).unwrap_err();
-            assert!(err.to_string().contains(hint), "{extra:?}: {err}");
-        }
+    fn sweep_csv_is_independent_of_thread_count() {
+        // Grid points run in parallel, each as one single-threaded
+        // engine call, so the CSV cannot depend on --threads.
+        let sweep = |threads: &str| {
+            run(&parsed(&[
+                "sweep",
+                "--demo",
+                "--channels",
+                "awgn,bsc:0.03",
+                "--decoders",
+                "nms:1.25,fixed",
+                "--ebn0s",
+                "2,3",
+                "--frames",
+                "60",
+                "--iters",
+                "8",
+                "--threads",
+                threads,
+            ]))
+            .unwrap()
+        };
+        assert_eq!(sweep("1"), sweep("3"));
     }
 
     #[test]
@@ -1314,19 +1188,12 @@ mod tests {
 
     #[test]
     fn simulate_rejects_conflicting_code_selectors() {
-        let err = run(&parsed(&["simulate", "--demo", "--code", "c2"])).unwrap_err();
-        assert!(err.to_string().contains("--demo"), "{err}");
-        let err = run(&parsed(&["simulate", "--codes", "demo"])).unwrap_err();
-        assert!(err.to_string().contains("sweep"), "{err}");
-        let err = run(&parsed(&[
-            "sweep",
-            "--decoders",
-            "ms",
-            "--channel",
-            "bsc:0.02",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--channels"), "{err}");
+        let err = error_of(&["simulate", "--demo", "--code", "c2"]);
+        assert!(err.contains("--demo"), "{err}");
+        let err = error_of(&["simulate", "--codes", "demo"]);
+        assert!(err.contains("sweep"), "{err}");
+        let err = error_of(&["sweep", "--decoders", "ms", "--channel", "bsc:0.02"]);
+        assert!(err.contains("--channels"), "{err}");
     }
 
     #[test]
@@ -1354,8 +1221,8 @@ mod tests {
     #[test]
     fn adaptive_sweep_extends_the_legacy_rows_exactly() {
         // With the target disabled and a whole-budget chunk, the adaptive
-        // path runs the very same engine calls as the legacy sweep: its
-        // rows must be the legacy rows plus the new columns.
+        // path runs the very same engine calls as the plain sweep: its
+        // rows must be the plain rows plus the new columns.
         let shared = [
             "sweep",
             "--demo",

@@ -3,9 +3,8 @@
 //! The paper's §6 names its future work: "applying the principles of this
 //! generic parallel architecture to other CCSDS recommendation such as the
 //! several rates AR4JA LDPC codes for deep-space applications". This module
-//! implements that extension. (It lives in `ldpc-core` so the
-//! [`CodeSpec`](crate::CodeSpec) registry can build AR4JA codes; the
-//! `ldpc-ar4ja` crate re-exports it under its historical name.)
+//! implements that extension, beside the [`CodeSpec`](crate::CodeSpec)
+//! registry that builds AR4JA codes.
 //!
 //! AR4JA (Accumulate-Repeat-4-Jagged-Accumulate, Divsalar et al.) codes
 //! are protograph-based: a small base matrix whose entries are *edge
@@ -225,7 +224,7 @@ impl Ar4jaCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Decoder, Encoder, MinSumConfig, MinSumDecoder};
+    use crate::{Encoder, MinSumConfig, MinSumDecoder};
 
     #[test]
     fn base_matrices_have_family_structure() {

@@ -3,7 +3,7 @@
 //! * [`ccsds_c2`] — the CCSDS 131.1-O-2 near-earth (8176, 7156) code that is
 //!   the target of the paper.
 //! * [`ar4ja`] — the AR4JA deep-space protograph family (the paper's §6
-//!   future work), historically the `ldpc-ar4ja` crate.
+//!   future work).
 //! * [`small`] — structurally similar but much smaller codes used by tests,
 //!   quick examples, and fast benchmark variants.
 //!

@@ -26,42 +26,13 @@
 //! termination), exactly as the hardware would retire a finished frame
 //! from its share of the packed word.
 
+use crate::decoder::block::runs;
 use crate::decoder::kernels::{bn_output, bn_posterior, cn_scan, saturate};
 use crate::decoder::minsum::{alpha_for_iteration, apply_correction, CnScanF32};
-use crate::decoder::{DecodeResult, Decoder, FixedConfig, MinSumConfig};
+use crate::decoder::{BlockDecoder, DecodeResult, FixedConfig, MinSumConfig};
 use crate::{LdpcCode, LlrQuantizer};
 use gf2::BitVec;
 use std::sync::Arc;
-
-/// A decoder that processes a batch of frames in lockstep.
-///
-/// Counterpart of the single-frame [`Decoder`] trait. `decode_batch`
-/// accepts between 1 and [`capacity`](Self::capacity) frame-contiguous
-/// frames per call, so the tail of a frame stream never has to be padded.
-pub trait BatchDecoder {
-    /// Decodes `llrs.len() / n()` frames stored back to back
-    /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`).
-    ///
-    /// Returns one [`DecodeResult`] per frame, in input order, each
-    /// bit-identical to what the corresponding per-frame decoder would
-    /// produce on that frame alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len()` is not a positive multiple of `n()`, or if
-    /// the frame count exceeds `capacity()`.
-    fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult>;
-
-    /// Maximum number of frames per `decode_batch` call.
-    fn capacity(&self) -> usize;
-
-    /// Code length n expected for each frame.
-    fn n(&self) -> usize;
-
-    /// Human-readable name for reports, including distinguishing
-    /// parameters and the batch capacity.
-    fn name(&self) -> String;
-}
 
 /// Per-batch bookkeeping shared by the batched decoders: which frames are
 /// still active, and the result snapshot of frames that already finished.
@@ -184,7 +155,7 @@ pub(super) fn drive_batch<E: BatchPhases>(
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{BatchDecoder, BatchMinSumDecoder, MinSumConfig};
+/// use ldpc_core::{BatchMinSumDecoder, MinSumConfig};
 ///
 /// let code = demo_code();
 /// let mut dec = BatchMinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25), 4);
@@ -411,8 +382,20 @@ impl BatchPhases for BatchMinSumDecoder {
     }
 }
 
-impl BatchDecoder for BatchMinSumDecoder {
-    fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+impl BatchMinSumDecoder {
+    /// Decodes between 1 and the capacity frames stored back to back
+    /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) in one lockstep batch.
+    ///
+    /// Returns one [`DecodeResult`] per frame, in input order, each
+    /// bit-identical to what the per-frame decoder would produce on that
+    /// frame alone. [`BlockDecoder::decode_block`] takes any number of
+    /// frames and splits them into batches of this size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `llrs.len()` is not a positive multiple of the code
+    /// length, or if the frame count exceeds the capacity.
+    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
         let code = self.code.clone();
         let graph = code.graph();
         let n = graph.n_bits();
@@ -439,8 +422,16 @@ impl BatchDecoder for BatchMinSumDecoder {
         }
         drive_batch(self, frames, max_iterations)
     }
+}
 
-    fn capacity(&self) -> usize {
+impl BlockDecoder for BatchMinSumDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), self.capacity)
+            .flat_map(|run| self.decode_batch(run, max_iterations))
+            .collect()
+    }
+
+    fn block_frames(&self) -> usize {
         self.capacity
     }
 
@@ -471,7 +462,7 @@ impl BatchDecoder for BatchMinSumDecoder {
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{BatchDecoder, BatchFixedDecoder, FixedConfig};
+/// use ldpc_core::{BatchFixedDecoder, FixedConfig};
 ///
 /// let code = demo_code();
 /// let mut dec = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), 8);
@@ -534,7 +525,7 @@ impl BatchFixedDecoder {
 
     /// Decodes a batch of already-quantized frames stored back to back
     /// (frame `f` occupies `channel[f*n .. (f+1)*n]`), the hardware input
-    /// format. See [`BatchDecoder::decode_batch`] for the result contract.
+    /// format. See [`decode_batch`](Self::decode_batch) for the result contract.
     ///
     /// # Panics
     ///
@@ -753,8 +744,20 @@ impl BatchPhases for BatchFixedDecoder {
     }
 }
 
-impl BatchDecoder for BatchFixedDecoder {
-    fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+impl BatchFixedDecoder {
+    /// Decodes between 1 and the capacity frames stored back to back
+    /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) in one lockstep batch.
+    ///
+    /// Returns one [`DecodeResult`] per frame, in input order, each
+    /// bit-identical to what the per-frame decoder would produce on that
+    /// frame alone. [`BlockDecoder::decode_block`] takes any number of
+    /// frames and splits them into batches of this size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `llrs.len()` is not a positive multiple of the code
+    /// length, or if the frame count exceeds the capacity.
+    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
         let n = self.code.n();
         assert!(
             !llrs.is_empty() && llrs.len().is_multiple_of(n),
@@ -763,8 +766,16 @@ impl BatchDecoder for BatchFixedDecoder {
         let quantized = self.quantizer.quantize_slice(llrs);
         self.decode_quantized_batch(&quantized, max_iterations)
     }
+}
 
-    fn capacity(&self) -> usize {
+impl BlockDecoder for BatchFixedDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), self.capacity)
+            .flat_map(|run| self.decode_batch(run, max_iterations))
+            .collect()
+    }
+
+    fn block_frames(&self) -> usize {
         self.capacity
     }
 
@@ -778,28 +789,6 @@ impl BatchDecoder for BatchFixedDecoder {
             self.capacity
         )
     }
-}
-
-/// Decodes frames one at a time through a per-frame [`Decoder`], returning
-/// one result per frame — the reference the batched decoders must match
-/// bit for bit, and the baseline of the `batch_throughput` benchmark.
-///
-/// # Panics
-///
-/// Panics if `llrs.len()` is not a positive multiple of the code length.
-pub fn decode_frames<D: Decoder>(
-    decoder: &mut D,
-    llrs: &[f32],
-    max_iterations: u32,
-) -> Vec<DecodeResult> {
-    let n = decoder.n();
-    assert!(
-        !llrs.is_empty() && llrs.len().is_multiple_of(n),
-        "LLR length must be a positive multiple of the code length"
-    );
-    llrs.chunks_exact(n)
-        .map(|frame| decoder.decode(frame, max_iterations))
-        .collect()
 }
 
 #[cfg(test)]
@@ -843,7 +832,7 @@ mod tests {
             let mut batched = BatchMinSumDecoder::new(code.clone(), cfg.clone(), 6);
             let mut single = MinSumDecoder::new(code.clone(), cfg);
             let got = batched.decode_batch(&llrs, 25);
-            let want = decode_frames(&mut single, &llrs, 25);
+            let want = single.decode_block(&llrs, 25);
             assert_eq!(got, want);
         }
     }
@@ -860,7 +849,7 @@ mod tests {
             let mut batched = BatchFixedDecoder::new(code.clone(), cfg, 8);
             let mut single = FixedDecoder::new(code.clone(), cfg);
             let got = batched.decode_batch(&llrs, 20);
-            let want = decode_frames(&mut single, &llrs, 20);
+            let want = single.decode_block(&llrs, 20);
             assert_eq!(got, want);
         }
     }
@@ -954,18 +943,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = BatchMinSumDecoder::new(demo_code(), MinSumConfig::plain(), 0);
-    }
-
-    #[test]
-    fn decode_frames_helper_matches_loop() {
-        let code = demo_code();
-        let llrs = mixed_batch(3, 21);
-        let mut dec = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
-        let all = decode_frames(&mut dec, &llrs, 10);
-        let mut again = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
-        for (f, r) in all.iter().enumerate() {
-            let one = again.decode(&llrs[f * code.n()..(f + 1) * code.n()], 10);
-            assert_eq!(*r, one);
-        }
     }
 }

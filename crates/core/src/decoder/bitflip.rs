@@ -7,7 +7,8 @@
 //! part of the coding gain — the benchmark harness quantifies exactly how
 //! much on the C2 code structure.
 
-use crate::decoder::{DecodeResult, DecodeTrace, Decoder, IterationStats};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult, DecodeTrace, IterationStats};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -36,7 +37,7 @@ fn unsatisfied_count(graph: &crate::TannerGraph, hard: &[u8]) -> usize {
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::decoder::{Decoder, GallagerBDecoder};
+/// use ldpc_core::decoder::{GallagerBDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = GallagerBDecoder::new(code.clone(), 3);
@@ -81,7 +82,7 @@ impl GallagerBDecoder {
     /// iteration. Hard-decision decoding has no saturating datapath, so
     /// `saturated_fraction` is always `0.0`.
     ///
-    /// The [`DecodeResult`] is identical to [`Decoder::decode`]'s.
+    /// The [`DecodeResult`] is identical to [`decode`](Self::decode)'s.
     ///
     /// # Panics
     ///
@@ -165,11 +166,23 @@ impl GallagerBDecoder {
             converged,
         }
     }
+
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+        self.decode_impl(channel_llrs, max_iterations, None)
+    }
 }
 
-impl Decoder for GallagerBDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
-        self.decode_impl(channel_llrs, max_iterations, None)
+impl BlockDecoder for GallagerBDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {
@@ -291,11 +304,23 @@ impl WeightedBitFlipDecoder {
             converged,
         }
     }
+
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+        self.decode_impl(channel_llrs, max_iterations, None)
+    }
 }
 
-impl Decoder for WeightedBitFlipDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
-        self.decode_impl(channel_llrs, max_iterations, None)
+impl BlockDecoder for WeightedBitFlipDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

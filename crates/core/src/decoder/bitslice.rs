@@ -27,7 +27,8 @@
 //! The word width is a constant of the machine, not the algorithm: the
 //! same plane walk widens to `u128` or SIMD registers.
 
-use crate::decoder::{BatchDecoder, DecodeResult};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::{BitSlices, BitVec, WORD_LANES};
 use std::sync::Arc;
@@ -45,7 +46,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{BatchDecoder, BitsliceGallagerBDecoder};
+/// use ldpc_core::BitsliceGallagerBDecoder;
 ///
 /// let code = demo_code();
 /// let mut dec = BitsliceGallagerBDecoder::new(code.clone(), 3);
@@ -305,8 +306,20 @@ fn record_retirement(retire_iter: &mut [u32], mask: u64, iter: u32) {
     }
 }
 
-impl BatchDecoder for BitsliceGallagerBDecoder {
-    fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+impl BitsliceGallagerBDecoder {
+    /// Decodes between 1 and 64 frames stored back to back (frame `f`
+    /// occupies `llrs[f*n .. (f+1)*n]`) as one lane word.
+    ///
+    /// Returns one [`DecodeResult`] per frame, in input order, each
+    /// bit-identical to [`GallagerBDecoder`](crate::GallagerBDecoder) on
+    /// that frame alone. [`BlockDecoder::decode_block`] takes any number
+    /// of frames and splits them into words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `llrs.len()` is not a positive multiple of the code
+    /// length, or if the frame count exceeds 64.
+    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
         let n = self.code.n();
         assert!(
             !llrs.is_empty() && llrs.len().is_multiple_of(n),
@@ -328,8 +341,16 @@ impl BatchDecoder for BitsliceGallagerBDecoder {
         }
         self.decode_planes(frames, max_iterations)
     }
+}
 
-    fn capacity(&self) -> usize {
+impl BlockDecoder for BitsliceGallagerBDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), WORD_LANES)
+            .flat_map(|run| self.decode_batch(run, max_iterations))
+            .collect()
+    }
+
+    fn block_frames(&self) -> usize {
         WORD_LANES
     }
 
@@ -346,7 +367,7 @@ impl BatchDecoder for BitsliceGallagerBDecoder {
 mod tests {
     use super::*;
     use crate::codes::small::demo_code;
-    use crate::decoder::{decode_frames, Decoder, GallagerBDecoder};
+    use crate::decoder::GallagerBDecoder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -408,7 +429,7 @@ mod tests {
         let mut sliced = BitsliceGallagerBDecoder::new(code.clone(), deg + 1);
         let mut scalar = GallagerBDecoder::new(code.clone(), deg + 1);
         let got = sliced.decode_batch(&llrs, 10);
-        let want = decode_frames(&mut scalar, &llrs, 10);
+        let want = scalar.decode_block(&llrs, 10);
         assert_eq!(got, want);
         assert!(got.iter().any(|r| !r.converged && r.iterations == 1));
     }
@@ -434,7 +455,7 @@ mod tests {
             let mut sliced = BitsliceGallagerBDecoder::new(code.clone(), 3);
             let mut scalar = GallagerBDecoder::new(code.clone(), 3);
             let got = sliced.decode_batch(&llrs, 20);
-            let want = decode_frames(&mut scalar, &llrs, 20);
+            let want = scalar.decode_block(&llrs, 20);
             assert_eq!(got, want, "frames={frames} seed={seed}");
         }
     }
@@ -506,10 +527,7 @@ mod tests {
         let llrs = mixed_frames(7, 9);
         let mut sliced = BitsliceGallagerBDecoder::new(code.clone(), 3);
         let mut scalar = GallagerBDecoder::new(code.clone(), 3);
-        assert_eq!(
-            sliced.decode_batch(&llrs, 0),
-            decode_frames(&mut scalar, &llrs, 0)
-        );
+        assert_eq!(sliced.decode_batch(&llrs, 0), scalar.decode_block(&llrs, 0));
     }
 
     #[test]

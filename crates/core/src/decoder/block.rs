@@ -1,33 +1,37 @@
-//! The object-safe front door every decoder family drives through.
+//! The one decoder trait every family implements.
 //!
-//! Historically the workspace grew four incompatible ways to run a
-//! decoder: the per-frame [`Decoder`] trait, the lockstep [`BatchDecoder`]
-//! trait, the bit-sliced hard-decision decoder behind `BatchDecoder`, and
-//! ad-hoc hard-bit entry points. [`BlockDecoder`] collapses them: one
-//! object-safe trait that decodes a contiguous run of LLR frames, with
-//! adapters ([`PerFrame`], [`Batched`]) so every existing decoder drives
-//! through it unchanged. Hard-decision decoders take the same LLR input —
-//! their sign front end (`llr < 0` ⇒ bit 1) is built into their `decode`
-//! implementations — so they are no longer a separate universe.
+//! [`BlockDecoder`] decodes a contiguous run of LLR frames. The paper's
+//! decoder is one generic datapath whose frames-per-word count is a
+//! parameter (one frame in flight in the low-cost instance, eight in the
+//! high-speed one), and the trait mirrors that: per-frame families keep
+//! the default [`block_frames`](BlockDecoder::block_frames) of 1, while
+//! the batched, packed and bit-sliced families report their word width
+//! and split longer inputs themselves. Hard-decision decoders take the
+//! same LLR input — their sign front end (`llr < 0` ⇒ bit 1) is built
+//! into their decoding — so they are no separate universe.
 //!
-//! The Monte-Carlo engine in `ldpc-sim`, the conformance suite, and the
-//! throughput benches all consume this trait; a decoder registered in
-//! [`DecoderSpec`](crate::DecoderSpec) is automatically usable by all of
-//! them.
+//! The Monte-Carlo engine in `ldpc-sim`, the decode service, the
+//! conformance suite, and the throughput benches all consume this trait;
+//! a decoder registered in [`DecoderSpec`](crate::DecoderSpec) is
+//! automatically usable by all of them.
 
-use crate::decoder::{decode_frames, BatchDecoder, DecodeResult, Decoder};
+use crate::decoder::DecodeResult;
 
 /// A decoder driven block-of-frames at a time.
 ///
 /// `decode_block` accepts any positive number of back-to-back frames
 /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) and returns one
-/// [`DecodeResult`] per frame in input order.
+/// [`DecodeResult`] per frame in input order. Each frame runs at most
+/// `max_iterations` iterations, stopping early once its syndrome is zero
+/// unless the decoder is configured for fixed latency. Decoders are
+/// stateful only for workspace reuse: results are deterministic in the
+/// inputs.
+///
 /// [`block_frames`](BlockDecoder::block_frames) is the *preferred* claim
-/// granularity —
-/// how many frames a driver should hand over per call to hit the
-/// decoder's fast path (1 for scalar decoders, the batch capacity for
-/// lockstep decoders, 64 for the bit-sliced decoder) — but callers may
-/// pass more or fewer and implementations must chunk internally.
+/// granularity — how many frames a driver should hand over per call to
+/// hit the decoder's fast path — but callers may pass more or fewer.
+///
+/// LLR sign convention: positive = bit 0, negative = bit 1.
 ///
 /// The trait is object safe: registries and services hold
 /// `Box<dyn BlockDecoder>` without knowing the family.
@@ -39,88 +43,21 @@ pub trait BlockDecoder {
     /// Panics if `llrs.len()` is not a positive multiple of [`n`](Self::n).
     fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult>;
 
-    /// Preferred frames per `decode_block` call (claim granularity).
-    fn block_frames(&self) -> usize;
-
-    /// Code length n expected for each frame.
-    fn n(&self) -> usize;
-
-    /// Human-readable name, including distinguishing parameters.
-    fn name(&self) -> String;
-}
-
-/// Adapts a per-frame [`Decoder`] to [`BlockDecoder`] (block size 1).
-pub struct PerFrame<D: Decoder>(D);
-
-impl<D: Decoder> PerFrame<D> {
-    /// Wraps a per-frame decoder.
-    pub fn new(decoder: D) -> Self {
-        Self(decoder)
-    }
-
-    /// The wrapped decoder.
-    pub fn inner(&self) -> &D {
-        &self.0
-    }
-}
-
-impl<D: Decoder> BlockDecoder for PerFrame<D> {
-    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        decode_frames(&mut self.0, llrs, max_iterations)
-    }
-
+    /// Preferred frames per `decode_block` call: 1 for per-frame
+    /// decoders, the word width for the batched, packed and bit-sliced
+    /// ones.
     fn block_frames(&self) -> usize {
         1
     }
 
-    fn n(&self) -> usize {
-        self.0.n()
-    }
+    /// Code length n expected for each frame.
+    fn n(&self) -> usize;
 
-    fn name(&self) -> String {
-        self.0.name()
-    }
-}
-
-/// Adapts a lockstep [`BatchDecoder`] to [`BlockDecoder`] (block size =
-/// batch capacity; longer inputs are chunked capacity frames at a time).
-pub struct Batched<D: BatchDecoder>(D);
-
-impl<D: BatchDecoder> Batched<D> {
-    /// Wraps a batch decoder.
-    pub fn new(decoder: D) -> Self {
-        Self(decoder)
-    }
-
-    /// The wrapped decoder.
-    pub fn inner(&self) -> &D {
-        &self.0
-    }
-}
-
-impl<D: BatchDecoder> BlockDecoder for Batched<D> {
-    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        let n = self.0.n();
-        assert!(
-            !llrs.is_empty() && llrs.len().is_multiple_of(n),
-            "LLR length must be a positive multiple of the code length"
-        );
-        llrs.chunks(self.0.capacity() * n)
-            .flat_map(|chunk| self.0.decode_batch(chunk, max_iterations))
-            .collect()
-    }
-
-    fn block_frames(&self) -> usize {
-        self.0.capacity()
-    }
-
-    fn n(&self) -> usize {
-        self.0.n()
-    }
-
-    fn name(&self) -> String {
-        self.0.name()
-    }
+    /// Human-readable name for reports, including the parameters that
+    /// distinguish one configuration from another ("normalized min-sum
+    /// (alpha=1.25)", …) — so a report never conflates `nms:1.25` with
+    /// `nms:1.0`.
+    fn name(&self) -> String;
 }
 
 impl BlockDecoder for Box<dyn BlockDecoder> {
@@ -141,6 +78,17 @@ impl BlockDecoder for Box<dyn BlockDecoder> {
     }
 }
 
+/// Checks that `llrs` holds a positive whole number of `n`-bit frames
+/// and splits it into runs of at most `frames` frames — the input
+/// contract and chunking every `decode_block` shares.
+pub(crate) fn runs(llrs: &[f32], n: usize, frames: usize) -> std::slice::Chunks<'_, f32> {
+    assert!(
+        !llrs.is_empty() && llrs.len().is_multiple_of(n),
+        "LLR length must be a positive multiple of the code length"
+    );
+    llrs.chunks(frames * n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,35 +98,32 @@ mod tests {
     };
 
     #[test]
-    fn per_frame_adapter_matches_direct_decoding() {
+    fn per_frame_block_decode_matches_frame_loop() {
         let code = demo_code();
         let llrs: Vec<f32> = (0..3 * code.n())
             .map(|i| if i % 17 == 0 { -1.5 } else { 2.5 })
             .collect();
-        let mut direct = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
-        let want = decode_frames(&mut direct, &llrs, 20);
-        let mut adapted = PerFrame::new(MinSumDecoder::new(code, MinSumConfig::normalized(1.25)));
-        assert_eq!(adapted.block_frames(), 1);
-        assert_eq!(adapted.decode_block(&llrs, 20), want);
+        let mut block = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
+        assert_eq!(block.block_frames(), 1);
+        let got = block.decode_block(&llrs, 20);
+        let mut single = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
+        let want: Vec<DecodeResult> = llrs
+            .chunks_exact(code.n())
+            .map(|frame| single.decode(frame, 20))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn batched_adapter_chunks_oversized_inputs() {
+    fn batch_decoders_chunk_oversized_inputs() {
         let code = demo_code();
         // 10 frames through a capacity-4 decoder: chunks of 4, 4, 2.
         let llrs: Vec<f32> = (0..10 * code.n())
             .map(|i| if i % 13 == 0 { -1.0 } else { 3.0 })
             .collect();
-        let mut per_frame = PerFrame::new(MinSumDecoder::new(
-            code.clone(),
-            MinSumConfig::normalized(1.25),
-        ));
+        let mut per_frame = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
         let want = per_frame.decode_block(&llrs, 20);
-        let mut batched = Batched::new(BatchMinSumDecoder::new(
-            code,
-            MinSumConfig::normalized(1.25),
-            4,
-        ));
+        let mut batched = BatchMinSumDecoder::new(code, MinSumConfig::normalized(1.25), 4);
         assert_eq!(batched.block_frames(), 4);
         assert_eq!(batched.decode_block(&llrs, 20), want);
     }
@@ -190,20 +135,19 @@ mod tests {
         let code = demo_code();
         let mut llrs = vec![3.0_f32; 2 * code.n()];
         llrs[17] = -3.0;
-        let mut scalar: Box<dyn BlockDecoder> =
-            Box::new(PerFrame::new(GallagerBDecoder::new(code.clone(), 3)));
-        let mut sliced: Box<dyn BlockDecoder> =
-            Box::new(Batched::new(BitsliceGallagerBDecoder::new(code, 3)));
+        let mut scalar: Box<dyn BlockDecoder> = Box::new(GallagerBDecoder::new(code.clone(), 3));
+        let mut sliced: Box<dyn BlockDecoder> = Box::new(BitsliceGallagerBDecoder::new(code, 3));
         let want = scalar.decode_block(&llrs, 20);
         assert!(want.iter().all(|r| r.converged));
+        assert_eq!(sliced.block_frames(), 64);
         assert_eq!(sliced.decode_block(&llrs, 20), want);
     }
 
     #[test]
     #[should_panic(expected = "multiple")]
-    fn batched_adapter_rejects_ragged_input() {
+    fn block_decode_rejects_ragged_input() {
         let code = demo_code();
-        let mut dec = Batched::new(BatchMinSumDecoder::new(code, MinSumConfig::plain(), 4));
+        let mut dec = BatchMinSumDecoder::new(code, MinSumConfig::plain(), 4);
         dec.decode_block(&[0.0; 5], 1);
     }
 }

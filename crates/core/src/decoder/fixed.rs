@@ -1,8 +1,9 @@
 //! Bit-accurate fixed-point normalized min-sum decoder — the software
 //! reference of the paper's FPGA datapath.
 
+use crate::decoder::block::runs;
 use crate::decoder::kernels::{bn_output, bn_posterior, cn_scan, Scaling};
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::{LdpcCode, LlrQuantizer};
 use gf2::BitVec;
 use std::sync::Arc;
@@ -146,7 +147,7 @@ impl DecodeTrace {
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{Decoder, FixedConfig, FixedDecoder};
+/// use ldpc_core::{FixedConfig, FixedDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = FixedDecoder::new(code.clone(), FixedConfig::default());
@@ -345,10 +346,14 @@ impl FixedDecoder {
             self.hard[n] = u8::from(posterior < 0);
         }
     }
-}
 
-impl Decoder for FixedDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
         assert_eq!(
             channel_llrs.len(),
             self.code.n(),
@@ -356,6 +361,14 @@ impl Decoder for FixedDecoder {
         );
         let quantized = self.quantizer.quantize_slice(channel_llrs);
         self.decode_quantized(&quantized, max_iterations)
+    }
+}
+
+impl BlockDecoder for FixedDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

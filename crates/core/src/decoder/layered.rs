@@ -1,6 +1,7 @@
 //! Serial-schedule ("layered") normalized min-sum decoder.
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{Decoder, LayeredMinSumDecoder};
+/// use ldpc_core::{LayeredMinSumDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = LayeredMinSumDecoder::new(code.clone(), 4.0 / 3.0);
@@ -71,10 +72,14 @@ impl LayeredMinSumDecoder {
     pub fn alpha(&self) -> f32 {
         self.alpha
     }
-}
 
-impl Decoder for LayeredMinSumDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
         let code = self.code.clone();
         let graph = code.graph();
         assert_eq!(
@@ -141,6 +146,14 @@ impl Decoder for LayeredMinSumDecoder {
             iterations,
             converged,
         }
+    }
+}
+
+impl BlockDecoder for LayeredMinSumDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

@@ -1,6 +1,7 @@
 //! Floating-point min-sum decoders (plain, normalized, offset).
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -205,7 +206,7 @@ impl CnScanF32 {
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{Decoder, MinSumConfig, MinSumDecoder};
+/// use ldpc_core::{MinSumConfig, MinSumDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(4.0 / 3.0));
@@ -283,10 +284,14 @@ impl MinSumDecoder {
             self.hard[n] = u8::from(total < 0.0);
         }
     }
-}
 
-impl Decoder for MinSumDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
         let code = self.code.clone();
         let graph = code.graph();
         assert_eq!(
@@ -317,6 +322,14 @@ impl Decoder for MinSumDecoder {
             iterations,
             converged,
         }
+    }
+}
+
+impl BlockDecoder for MinSumDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

@@ -1,7 +1,8 @@
 //! The decoder family: message-passing decoders over the Tanner graph.
 //!
-//! All decoders implement [`Decoder`] and share the same edge-indexed
-//! message layout defined by [`TannerGraph`](crate::TannerGraph). The
+//! All decoders implement [`BlockDecoder`] and share the same
+//! edge-indexed message layout defined by
+//! [`TannerGraph`](crate::TannerGraph). The
 //! classical flooding iteration follows the paper's §2.1: bit nodes send
 //! messages to check nodes, check nodes process (eq. 1–2), send back, and
 //! bit nodes update (eq. 3).
@@ -18,10 +19,12 @@
 //! | [`BitsliceGallagerBDecoder`] | boolean planes, ×64 frames | majority vote via carry-save counters | frames-per-word at the hard-decision limit |
 //! | [`PeelingDecoder`] | GF(2) | degree-1 erasure peeling + dense inactivation solve | fountain-code baseline for the packet-loss workload |
 //!
-//! Every family is also reachable declaratively: [`DecoderSpec`] parses a
-//! spec string (`nms:1.25@batch=8`, `gallager-b@bitslice`, …) and builds
-//! the decoder behind the object-safe [`BlockDecoder`] front door — the
-//! registry the simulator, CLI, conformance suite, and benches all drive.
+//! Per-frame families also offer an inherent `decode` of one frame; the
+//! batched ones an inherent `decode_batch` of up to one word. Every
+//! family is reachable declaratively too: [`DecoderSpec`] parses a spec
+//! string (`nms:1.25@batch=8`, `gallager-b@bitslice`, …) and builds the
+//! decoder as a `Box<dyn BlockDecoder>` — the registry the simulator,
+//! CLI, conformance suite, and benches all drive.
 
 mod alpha;
 mod batch;
@@ -41,10 +44,10 @@ mod spec;
 pub mod swar;
 
 pub use alpha::{fine_alpha_schedule, mean_matching_alpha, nearest_hardware_scaling};
-pub use batch::{decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder};
+pub use batch::{BatchFixedDecoder, BatchMinSumDecoder};
 pub use bitflip::{GallagerBDecoder, WeightedBitFlipDecoder};
 pub use bitslice::BitsliceGallagerBDecoder;
-pub use block::{Batched, BlockDecoder, PerFrame};
+pub use block::BlockDecoder;
 pub use fixed::{DecodeTrace, FixedConfig, FixedDecoder, IterationStats};
 pub use kernels::Scaling;
 pub use layered::LayeredMinSumDecoder;
@@ -73,36 +76,6 @@ pub struct DecodeResult {
     pub converged: bool,
 }
 
-/// A message-passing LDPC decoder.
-///
-/// Implementations are stateful only for workspace reuse: `decode` is
-/// deterministic in its inputs and implementations may be called repeatedly
-/// on different frames.
-///
-/// LLR sign convention: positive = bit 0, negative = bit 1.
-pub trait Decoder {
-    /// Decodes one frame of channel LLRs.
-    ///
-    /// Runs at most `max_iterations` iterations, stopping early when the
-    /// syndrome becomes zero if the implementation supports early
-    /// termination (all of the provided ones do, unless configured
-    /// otherwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_llrs.len()` differs from the code length.
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult;
-
-    /// Code length n this decoder expects.
-    fn n(&self) -> usize;
-
-    /// Human-readable name for reports, including the parameters that
-    /// distinguish one configuration from another ("normalized min-sum
-    /// (alpha=1.25)", …) — so a report never conflates `nms:1.25` with
-    /// `nms:1.0`.
-    fn name(&self) -> String;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +86,7 @@ mod tests {
     use std::sync::Arc;
 
     /// Builds one of each decoder over the demo code.
-    fn all_decoders() -> Vec<Box<dyn Decoder>> {
+    fn all_decoders() -> Vec<Box<dyn BlockDecoder>> {
         let code = demo_code();
         vec![
             Box::new(SumProductDecoder::new(code.clone())),
@@ -133,7 +106,7 @@ mod tests {
         let code = demo_code();
         let llrs = vec![4.0_f32; code.n()];
         for mut dec in all_decoders() {
-            let out = dec.decode(&llrs, 20);
+            let out = dec.decode_block(&llrs, 20).remove(0);
             assert!(out.converged, "{} failed to converge", dec.name());
             assert!(out.hard_decision.is_zero(), "{} wrong output", dec.name());
             assert!(
@@ -158,7 +131,7 @@ mod tests {
             .map(|i| if cw.get(i) { -4.0 } else { 4.0 })
             .collect();
         for mut dec in all_decoders() {
-            let out = dec.decode(&llrs, 20);
+            let out = dec.decode_block(&llrs, 20).remove(0);
             assert!(out.converged, "{}", dec.name());
             assert_eq!(out.hard_decision, cw, "{}", dec.name());
         }
@@ -174,7 +147,7 @@ mod tests {
             llrs[i] = -1.5;
         }
         for mut dec in all_decoders() {
-            let out = dec.decode(&llrs, 50);
+            let out = dec.decode_block(&llrs, 50).remove(0);
             assert!(out.converged, "{} did not converge", dec.name());
             assert!(
                 out.hard_decision.is_zero(),

@@ -3,12 +3,13 @@
 //! frames-per-word packing (Table 3), bit-exact lane by lane against
 //! [`FixedDecoder`](crate::decoder::FixedDecoder).
 
-use crate::decoder::batch::{drive_batch, BatchDecoder, BatchPhases, BatchState};
+use crate::decoder::batch::{drive_batch, BatchPhases, BatchState};
+use crate::decoder::block::runs;
 use crate::decoder::swar::{
     self, abs_i8, add_wrap8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16,
     narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
 };
-use crate::decoder::{DecodeResult, FixedConfig};
+use crate::decoder::{BlockDecoder, DecodeResult, FixedConfig};
 use crate::{LdpcCode, LlrQuantizer};
 use std::sync::Arc;
 
@@ -61,7 +62,7 @@ fn splat16(x: u16) -> u64 {
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{BatchDecoder, FixedConfig, PackedFixedDecoder};
+/// use ldpc_core::{FixedConfig, PackedFixedDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
@@ -186,7 +187,7 @@ impl PackedFixedDecoder {
 
     /// Decodes a batch of already-quantized frames stored back to back
     /// (frame `f` occupies `channel[f*n .. (f+1)*n]`), the hardware input
-    /// format. See [`BatchDecoder::decode_batch`] for the result contract.
+    /// format. See [`decode_batch`](Self::decode_batch) for the result contract.
     ///
     /// # Panics
     ///
@@ -413,8 +414,20 @@ impl BatchPhases for PackedFixedDecoder {
     }
 }
 
-impl BatchDecoder for PackedFixedDecoder {
-    fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+impl PackedFixedDecoder {
+    /// Decodes between 1 and [`PACK_LANES`] frames stored back to back
+    /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) as one packed word.
+    ///
+    /// Returns one [`DecodeResult`] per frame, in input order, each
+    /// bit-identical to [`FixedDecoder`](crate::decoder::FixedDecoder) on
+    /// that frame alone. [`BlockDecoder::decode_block`] takes any number
+    /// of frames and splits them into words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `llrs.len()` is not a positive multiple of the code
+    /// length, or if the frame count exceeds [`PACK_LANES`].
+    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
         let n = self.code.n();
         assert!(
             !llrs.is_empty() && llrs.len().is_multiple_of(n),
@@ -423,8 +436,16 @@ impl BatchDecoder for PackedFixedDecoder {
         let quantized = self.quantizer.quantize_slice(llrs);
         self.decode_quantized_batch(&quantized, max_iterations)
     }
+}
 
-    fn capacity(&self) -> usize {
+impl BlockDecoder for PackedFixedDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), PACK_LANES)
+            .flat_map(|run| self.decode_batch(run, max_iterations))
+            .collect()
+    }
+
+    fn block_frames(&self) -> usize {
         PACK_LANES
     }
 
@@ -558,7 +579,6 @@ mod tests {
         let llrs: Vec<f32> = (0..8 * n).map(|_| rng.gen_range(-6.0..6.0)).collect();
         let mut packed = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let mut scalar = FixedDecoder::new(code.clone(), FixedConfig::default());
-        use crate::decoder::Decoder;
         for (f, out) in packed.decode_batch(&llrs, 18).iter().enumerate() {
             let want = scalar.decode(&llrs[f * n..(f + 1) * n], 18);
             assert_eq!(out, &want, "lane {f}");

@@ -22,7 +22,8 @@
 //! success always means a valid codeword, even under channels that flip
 //! bits instead of erasing them.
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -42,7 +43,7 @@ pub const PEELING_ERASURE_FRACTION: f32 = 0.3;
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::decoder::{Decoder, PeelingDecoder};
+/// use ldpc_core::decoder::{PeelingDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = PeelingDecoder::new(code.clone());
@@ -149,10 +150,14 @@ impl PeelingDecoder {
             self.erased[bit] = false;
         }
     }
-}
 
-impl Decoder for PeelingDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
         let code = self.code.clone();
         let graph = code.graph();
         assert_eq!(
@@ -213,6 +218,14 @@ impl Decoder for PeelingDecoder {
             iterations,
             converged,
         }
+    }
+}
+
+impl BlockDecoder for PeelingDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

@@ -12,7 +12,8 @@
 //! is the software image of the paper's conflict-free banked memory
 //! layout (one bank per block, rotate-indexed addressing).
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -50,7 +51,7 @@ struct Plane {
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{Decoder, QcLayeredDecoder};
+/// use ldpc_core::{QcLayeredDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = QcLayeredDecoder::new(code.clone(), 4.0 / 3.0);
@@ -148,10 +149,14 @@ impl QcLayeredDecoder {
     pub fn alpha(&self) -> f32 {
         self.alpha
     }
-}
 
-impl Decoder for QcLayeredDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
         let graph = self.code.graph();
         assert_eq!(
             channel_llrs.len(),
@@ -257,6 +262,14 @@ impl Decoder for QcLayeredDecoder {
             iterations,
             converged,
         }
+    }
+}
+
+impl BlockDecoder for QcLayeredDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

@@ -8,7 +8,8 @@
 //! cost (one sign register per edge) — a natural extension of the paper's
 //! datapath and part of the ablation set.
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::decoder::{Decoder, SelfCorrectedMinSumDecoder};
+/// use ldpc_core::decoder::{SelfCorrectedMinSumDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = SelfCorrectedMinSumDecoder::new(code.clone(), 4.0 / 3.0);
@@ -128,10 +129,14 @@ impl SelfCorrectedMinSumDecoder {
             self.hard[n] = u8::from(total < 0.0);
         }
     }
-}
 
-impl Decoder for SelfCorrectedMinSumDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
         let code = self.code.clone();
         let graph = code.graph();
         assert_eq!(
@@ -163,6 +168,14 @@ impl Decoder for SelfCorrectedMinSumDecoder {
             iterations,
             converged,
         }
+    }
+}
+
+impl BlockDecoder for SelfCorrectedMinSumDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

@@ -1,6 +1,7 @@
 //! Floating-point sum-product (belief propagation) decoder.
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::block::runs;
+use crate::decoder::{BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -21,7 +22,7 @@ const TANH_CLAMP: f32 = 1.0 - 1e-7;
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{Decoder, SumProductDecoder};
+/// use ldpc_core::{SumProductDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = SumProductDecoder::new(code.clone());
@@ -120,8 +121,14 @@ fn atanh(x: f32) -> f32 {
     0.5 * ((1.0 + x) / (1.0 - x)).ln()
 }
 
-impl Decoder for SumProductDecoder {
-    fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
+impl SumProductDecoder {
+    /// Decodes one frame of channel LLRs — the per-frame form of
+    /// [`BlockDecoder::decode_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel_llrs.len()` differs from the code length.
+    pub fn decode(&mut self, channel_llrs: &[f32], max_iterations: u32) -> DecodeResult {
         let code = self.code.clone();
         let graph = code.graph();
         assert_eq!(
@@ -153,6 +160,14 @@ impl Decoder for SumProductDecoder {
             iterations,
             converged,
         }
+    }
+}
+
+impl BlockDecoder for SumProductDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
+            .collect()
     }
 
     fn n(&self) -> usize {

@@ -49,7 +49,7 @@
 //! # Ok::<(), ldpc_core::SpecError>(())
 //! ```
 
-use crate::decoder::block::{Batched, BlockDecoder, PerFrame};
+use crate::decoder::block::BlockDecoder;
 use crate::decoder::{
     BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, FixedConfig, FixedDecoder,
     GallagerBDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, PackedFixedDecoder,
@@ -386,70 +386,54 @@ impl DecoderSpec {
             let DecoderFamily::GallagerB { threshold } = self.family else {
                 unreachable!("validated above");
             };
-            return Box::new(Batched::new(BitsliceGallagerBDecoder::new(code, threshold)));
+            return Box::new(BitsliceGallagerBDecoder::new(code, threshold));
         }
         if self.pack.is_some() {
             // Validation pinned the family to `fixed` and the lane count
             // to PACK_LANES, so the packed mirror is the only target.
-            return Box::new(Batched::new(PackedFixedDecoder::new(
-                code,
-                FixedConfig::default(),
-            )));
+            return Box::new(PackedFixedDecoder::new(code, FixedConfig::default()));
         }
         if let Some(batch) = self.batch {
             return match self.family {
-                DecoderFamily::MinSum => Box::new(Batched::new(BatchMinSumDecoder::new(
+                DecoderFamily::MinSum => {
+                    Box::new(BatchMinSumDecoder::new(code, MinSumConfig::plain(), batch))
+                }
+                DecoderFamily::NormalizedMinSum { alpha } => Box::new(BatchMinSumDecoder::new(
                     code,
-                    MinSumConfig::plain(),
+                    MinSumConfig::normalized(alpha),
                     batch,
-                ))),
-                DecoderFamily::NormalizedMinSum { alpha } => Box::new(Batched::new(
-                    BatchMinSumDecoder::new(code, MinSumConfig::normalized(alpha), batch),
                 )),
-                DecoderFamily::OffsetMinSum { beta } => Box::new(Batched::new(
-                    BatchMinSumDecoder::new(code, MinSumConfig::offset(beta), batch),
-                )),
-                DecoderFamily::Fixed => Box::new(Batched::new(BatchFixedDecoder::new(
+                DecoderFamily::OffsetMinSum { beta } => Box::new(BatchMinSumDecoder::new(
                     code,
-                    FixedConfig::default(),
+                    MinSumConfig::offset(beta),
                     batch,
-                ))),
+                )),
+                DecoderFamily::Fixed => {
+                    Box::new(BatchFixedDecoder::new(code, FixedConfig::default(), batch))
+                }
                 _ => unreachable!("validated above"),
             };
         }
         match self.family {
-            DecoderFamily::SumProduct => Box::new(PerFrame::new(SumProductDecoder::new(code))),
-            DecoderFamily::MinSum => Box::new(PerFrame::new(MinSumDecoder::new(
-                code,
-                MinSumConfig::plain(),
-            ))),
-            DecoderFamily::NormalizedMinSum { alpha } => Box::new(PerFrame::new(
-                MinSumDecoder::new(code, MinSumConfig::normalized(alpha)),
-            )),
-            DecoderFamily::OffsetMinSum { beta } => Box::new(PerFrame::new(MinSumDecoder::new(
-                code,
-                MinSumConfig::offset(beta),
-            ))),
-            DecoderFamily::Fixed => Box::new(PerFrame::new(FixedDecoder::new(
-                code,
-                FixedConfig::default(),
-            ))),
-            DecoderFamily::Layered { alpha } => {
-                Box::new(PerFrame::new(LayeredMinSumDecoder::new(code, alpha)))
+            DecoderFamily::SumProduct => Box::new(SumProductDecoder::new(code)),
+            DecoderFamily::MinSum => Box::new(MinSumDecoder::new(code, MinSumConfig::plain())),
+            DecoderFamily::NormalizedMinSum { alpha } => {
+                Box::new(MinSumDecoder::new(code, MinSumConfig::normalized(alpha)))
             }
-            DecoderFamily::QcLayered { alpha } => {
-                Box::new(PerFrame::new(QcLayeredDecoder::new(code, alpha)))
+            DecoderFamily::OffsetMinSum { beta } => {
+                Box::new(MinSumDecoder::new(code, MinSumConfig::offset(beta)))
             }
+            DecoderFamily::Fixed => Box::new(FixedDecoder::new(code, FixedConfig::default())),
+            DecoderFamily::Layered { alpha } => Box::new(LayeredMinSumDecoder::new(code, alpha)),
+            DecoderFamily::QcLayered { alpha } => Box::new(QcLayeredDecoder::new(code, alpha)),
             DecoderFamily::SelfCorrected { alpha } => {
-                Box::new(PerFrame::new(SelfCorrectedMinSumDecoder::new(code, alpha)))
+                Box::new(SelfCorrectedMinSumDecoder::new(code, alpha))
             }
             DecoderFamily::GallagerB { threshold } => {
-                Box::new(PerFrame::new(GallagerBDecoder::new(code, threshold)))
+                Box::new(GallagerBDecoder::new(code, threshold))
             }
-            DecoderFamily::WeightedBitFlip => {
-                Box::new(PerFrame::new(WeightedBitFlipDecoder::new(code)))
-            }
-            DecoderFamily::Peeling => Box::new(PerFrame::new(PeelingDecoder::new(code))),
+            DecoderFamily::WeightedBitFlip => Box::new(WeightedBitFlipDecoder::new(code)),
+            DecoderFamily::Peeling => Box::new(PeelingDecoder::new(code)),
         }
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use ldpc_core::codes::small::demo_code;
-//! use ldpc_core::decoder::{Decoder, MinSumDecoder, MinSumConfig};
+//! use ldpc_core::decoder::{MinSumDecoder, MinSumConfig};
 //!
 //! let code = demo_code();
 //! let mut dec = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
@@ -59,12 +59,11 @@ pub use codespec::{
     CodeHandle, CodeSpec, CodeSpecError, PlainCode, ShortenedBase, AR4JA_LIFT_SEED, DEFAULT_AR4JA_K,
 };
 pub use decoder::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, Batched,
-    BitsliceGallagerBDecoder, BlockDecoder, DecodeResult, DecodeTrace, Decoder, DecoderFamily,
-    DecoderSpec, FixedConfig, FixedDecoder, GallagerBDecoder, IterationStats, LayeredMinSumDecoder,
-    MinSumConfig, MinSumDecoder, MinSumVariant, PackedFixedDecoder, PeelingDecoder, PerFrame,
-    QcLayeredDecoder, Scaling, SelfCorrectedMinSumDecoder, SpecError, SumProductDecoder,
-    WeightedBitFlipDecoder, PACK_LANES, PEELING_ERASURE_FRACTION,
+    BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, BlockDecoder, DecodeResult,
+    DecodeTrace, DecoderFamily, DecoderSpec, FixedConfig, FixedDecoder, GallagerBDecoder,
+    IterationStats, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, MinSumVariant,
+    PackedFixedDecoder, PeelingDecoder, QcLayeredDecoder, Scaling, SelfCorrectedMinSumDecoder,
+    SpecError, SumProductDecoder, WeightedBitFlipDecoder, PACK_LANES, PEELING_ERASURE_FRACTION,
 };
 pub use encoder::Encoder;
 pub use error::{CodeError, EncodeError};

@@ -200,7 +200,7 @@ impl ShortenedCode {
 mod tests {
     use super::*;
     use crate::codes::small::demo_code;
-    use crate::{Decoder, MinSumConfig, MinSumDecoder};
+    use crate::{MinSumConfig, MinSumDecoder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -1,12 +1,13 @@
 //! Property-based tests over codes, encoders, and decoders.
 
 use gf2::{BitSlices, BitVec};
+use ldpc_core::codes::ar4ja::{base_matrix, Ar4jaCode, Ar4jaRate};
 use ldpc_core::codes::small::{demo_code, random_c2_like};
 use ldpc_core::decoder::kernels::{cn_scan, Scaling};
 use ldpc_core::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder,
-    Decoder, DecoderSpec, Encoder, FixedConfig, FixedDecoder, GallagerBDecoder, LlrQuantizer,
-    MinSumConfig, MinSumDecoder, SpecError, SumProductDecoder,
+    BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, BlockDecoder, DecoderSpec,
+    Encoder, FixedConfig, FixedDecoder, GallagerBDecoder, LlrQuantizer, MinSumConfig,
+    MinSumDecoder, SpecError, SumProductDecoder,
 };
 use proptest::prelude::*;
 
@@ -148,7 +149,7 @@ proptest! {
         let mut batched = BatchMinSumDecoder::new(code.clone(), cfg.clone(), qualities.len());
         let mut single = MinSumDecoder::new(code.clone(), cfg);
         let got = batched.decode_batch(&llrs, 12);
-        let want = decode_frames(&mut single, &llrs, 12);
+        let want = single.decode_block(&llrs, 12);
         prop_assert_eq!(got, want);
     }
 
@@ -166,7 +167,7 @@ proptest! {
         let mut batched = BatchFixedDecoder::new(code.clone(), cfg, qualities.len());
         let mut single = FixedDecoder::new(code.clone(), cfg);
         let got = batched.decode_batch(&llrs, 12);
-        let want = decode_frames(&mut single, &llrs, 12);
+        let want = single.decode_block(&llrs, 12);
         prop_assert_eq!(got, want);
     }
 
@@ -229,7 +230,7 @@ proptest! {
         let mut sliced = BitsliceGallagerBDecoder::new(code.clone(), threshold);
         let mut scalar = GallagerBDecoder::new(code.clone(), threshold);
         let got = sliced.decode_batch(&llrs, budget);
-        let want = decode_frames(&mut scalar, &llrs, budget);
+        let want = scalar.decode_block(&llrs, budget);
         prop_assert_eq!(got, want);
     }
 
@@ -409,5 +410,57 @@ proptest! {
         prop_assert!(!err.to_string().is_empty());
         let err = ldpc_core::CodeSpec::parse(&format!("{junk}-code")).unwrap_err();
         prop_assert!(!err.to_string().is_empty());
+    }
+}
+
+// AR4JA construction properties.
+
+fn arb_rate() -> impl Strategy<Value = Ar4jaRate> {
+    prop::sample::select(vec![
+        Ar4jaRate::Half,
+        Ar4jaRate::TwoThirds,
+        Ar4jaRate::FourFifths,
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Lifted dimensions follow the protograph for any circulant size and
+    /// seed; the rate accounting is consistent.
+    #[test]
+    fn lifted_dimensions(rate in arb_rate(), m in 8usize..48, seed in 0u64..100) {
+        let code = Ar4jaCode::build(rate, m, seed);
+        let vars = rate.var_blocks();
+        prop_assert_eq!(code.full_len(), vars * m);
+        prop_assert_eq!(code.transmitted_len(), (vars - 1) * m);
+        prop_assert_eq!(code.info_len(), (vars - 3) * m);
+        prop_assert!((code.rate() - rate.as_f64()).abs() < 1e-9);
+        prop_assert_eq!(code.code().n_checks(), 3 * m);
+        // Edge count equals total base multiplicity x m.
+        let mult: usize = base_matrix(rate).iter().flatten().map(|&e| e as usize).sum();
+        prop_assert_eq!(code.code().h().nnz(), mult * m);
+    }
+
+    /// The true dimension never falls below the nominal k (the lifting can
+    /// only add degeneracy, not remove codewords).
+    #[test]
+    fn dimension_at_least_nominal(rate in arb_rate(), seed in 0u64..20) {
+        let code = Ar4jaCode::build(rate, 24, seed);
+        prop_assert!(code.code().dimension() >= code.info_len());
+    }
+
+    /// Puncture/expand are consistent: expanding transmitted LLRs zeroes
+    /// exactly the punctured block.
+    #[test]
+    fn puncture_expand_consistency(rate in arb_rate(), m in 8usize..32) {
+        let code = Ar4jaCode::build(rate, m, 1);
+        let tx = vec![1.25f32; code.transmitted_len()];
+        let full = code.expand_llrs(&tx);
+        prop_assert_eq!(full.len(), code.full_len());
+        prop_assert!(full[..code.transmitted_len()].iter().all(|&x| x == 1.25));
+        prop_assert!(full[code.transmitted_len()..].iter().all(|&x| x == 0.0));
+        let cw = gf2::BitVec::ones(code.full_len());
+        prop_assert_eq!(code.puncture(&cw).len(), code.transmitted_len());
     }
 }

@@ -8,7 +8,7 @@
 //! characteristic, and [`gain_db`] subtracts two such thresholds.
 
 use crate::{run_point_blocks, MonteCarloConfig, PointResult};
-use ldpc_core::{Decoder, Encoder, LdpcCode, PerFrame};
+use ldpc_core::{BlockDecoder, Encoder, LdpcCode};
 use std::sync::Arc;
 
 /// Result of a threshold search.
@@ -48,7 +48,7 @@ pub fn ebn0_at_per<F, D>(
 ) -> ThresholdResult
 where
     F: Fn() -> D + Sync,
-    D: Decoder,
+    D: BlockDecoder,
 {
     assert!(lo_db < hi_db, "invalid bisection bracket");
     assert!(
@@ -67,7 +67,7 @@ where
             seed: cfg.seed.wrapping_add(u64::from(step) * 0x9E37),
             ..cfg.clone()
         };
-        let point = run_point_blocks(code, encoder, &point_cfg, || PerFrame::new(factory()));
+        let point = run_point_blocks(code, encoder, &point_cfg, &factory);
         let per = point.per();
         probes.push(point);
         if per > target_per {
@@ -101,8 +101,8 @@ pub fn gain_db<Fa, Fb, Da, Db>(
 where
     Fa: Fn() -> Da + Sync,
     Fb: Fn() -> Db + Sync,
-    Da: Decoder,
-    Db: Decoder,
+    Da: BlockDecoder,
+    Db: BlockDecoder,
 {
     let a = ebn0_at_per(
         code, encoder, cfg, target_per, lo_db, hi_db, steps, factory_a,

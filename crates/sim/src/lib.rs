@@ -2,52 +2,42 @@
 //!
 //! The paper evaluates its decoder by simulating frames over a BPSK/AWGN
 //! channel and counting bit and packet (frame) errors versus Eb/N0. This
-//! crate is that harness — **one engine**, several doors:
+//! crate is that harness — **one engine** behind four doors:
 //!
-//! * [`MonteCarloConfig`] — one operating point: Eb/N0, iteration budget,
-//!   stopping rules, seeding, thread count;
-//! * [`Scenario`] — the fully declarative front door: one string names
-//!   the code, the channel, and the decoder
-//!   (`"c2 / awgn / nms:1.25"`, `"ar4ja:r=2/3 / bsc:0.02 / fixed"`), and
-//!   [`run_point_scenario`] / [`run_curve_scenario`] simulate it;
-//! * [`run_point_spec`] — any decoder named by a [`DecoderSpec`]
-//!   (`"nms:1.25@batch=8"`, `"gallager-b@bitslice"`, …) over an explicit
-//!   code, on the default AWGN channel;
-//! * [`run_point_blocks`] — the same engine with an explicit
-//!   [`BlockDecoder`] factory, for configurations the spec grammar does
-//!   not cover (alpha schedules, custom quantization);
-//! * [`run_curve_spec`] / [`run_curve_blocks`] — sweep a list of Eb/N0
-//!   points (Figure 4's x-axis);
-//! * [`run_sweep`] — the orchestrated door: a grid of (scenario, Eb/N0)
-//!   units ([`sweep_grid`]) chunked over a work-stealing worker pool
-//!   with adaptive per-point stopping (run to a frame-error target or a
-//!   cap) and a content-addressed on-disk cache ([`SweepConfig`]) that
-//!   makes re-runs and budget extensions incremental;
+//! * [`run_point_scenario_with`] — one operating point of a [`Scenario`]:
+//!   one string names the code, the channel, and the decoder
+//!   (`"c2 / awgn / nms:1.25"`, `"ar4ja:r=2/3 / bsc:0.02 / fixed"`);
+//! * [`run_point_blocks`] — the explicit-factory door: any
+//!   [`BlockDecoder`] factory over an explicit code on AWGN, for
+//!   configurations the spec grammar does not cover (alpha schedules,
+//!   custom quantization), and the only door that takes an [`Encoder`]
+//!   for [`Transmission::Random`];
 //! * [`run_point_packets`] — the packet-loss workload: frames leave as
 //!   fixed-size packets, the scenario's `erasure`/`burst` channel drops
 //!   whole packets, and survivors reassemble into zero-LLR-filled
 //!   decoder input (dropping nothing reproduces the plain path bit for
 //!   bit);
-//! * [`PointResult`] — error counts with BER/PER accessors and Wilson
-//!   confidence intervals; [`to_csv`] renders a sweep for plotting.
+//! * [`run_sweep`] — a grid of (scenario, Eb/N0) units ([`sweep_grid`])
+//!   chunked over a work-stealing worker pool with adaptive per-point
+//!   stopping (run to a frame-error target or a cap) and a
+//!   content-addressed on-disk cache ([`SweepConfig`]). A curve is a
+//!   sweep with `target_frame_errors: 0` and one chunk of the frame
+//!   budget per point.
+//!
+//! [`MonteCarloConfig`] describes one operating point; [`PointResult`]
+//! holds its error counts with BER/PER accessors and Wilson confidence
+//! intervals, and [`to_csv`] renders a curve for plotting.
 //!
 //! Every door funnels into the same worker loop, which is generic over
 //! the code's transmission profile ([`CodeHandle`]) and the channel
 //! model ([`ChannelSpec`]) — AWGN is the default, not a hardcode.
-//!
-//! The historical per-API entry points [`run_point`],
-//! [`run_point_batched`], [`run_point_bitsliced`], and [`run_curve`]
-//! remain as thin deprecated shims over the same engine; their counts
-//! are bit-identical to the corresponding spec-driven runs (pinned by
-//! tests). Each shim's documentation names the exact [`run_point_spec`]
-//! call that reproduces it.
 //!
 //! # Example
 //!
 //! ```
 //! use ldpc_core::codes::small::demo_code;
 //! use ldpc_core::DecoderSpec;
-//! use ldpc_sim::{run_point_spec, MonteCarloConfig, Transmission};
+//! use ldpc_sim::{run_point_blocks, MonteCarloConfig, Transmission};
 //!
 //! let code = demo_code();
 //! let cfg = MonteCarloConfig {
@@ -60,7 +50,7 @@
 //!     transmission: Transmission::AllZero,
 //! };
 //! let spec = DecoderSpec::parse("nms:1.25@batch=8")?;
-//! let point = run_point_spec(&code, None, &cfg, &spec);
+//! let point = run_point_blocks(&code, None, &cfg, || spec.build(&code));
 //! assert!(point.frames > 0);
 //! assert!(point.ber() <= 1.0);
 //! # Ok::<(), ldpc_core::SpecError>(())
@@ -82,17 +72,11 @@ pub use orchestrator::{
 pub use packet::{
     run_point_packets, PacketChannel, PacketDropModel, PacketLossReport, PacketStats,
 };
-pub use scenario::{
-    run_curve_scenario, run_curve_scenario_with, run_point_scenario, run_point_scenario_with,
-    split_spec_list, Scenario, ScenarioError,
-};
+pub use scenario::{run_point_scenario_with, split_spec_list, Scenario, ScenarioError};
 
 use gf2::BitVec;
 use ldpc_channel::ChannelSpec;
-use ldpc_core::{
-    BatchDecoder, Batched, BlockDecoder, CodeHandle, Decoder, DecoderSpec, Encoder, LdpcCode,
-    PerFrame, PlainCode,
-};
+use ldpc_core::{BlockDecoder, CodeHandle, Encoder, LdpcCode, PlainCode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,95 +218,6 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
     ((centre - half).max(0.0), (centre + half).min(1.0))
 }
 
-/// Simulates one Eb/N0 point with any decoder named by a
-/// [`DecoderSpec`] — the declarative front door of the engine.
-///
-/// One decoder is built per worker thread via
-/// [`DecoderSpec::build`]. The engine claims frames in blocks of the
-/// decoder's preferred granularity
-/// ([`BlockDecoder::block_frames`]): 1 for scalar families, the batch
-/// capacity for `@batch=N`, 64 for `@bitslice`. Because the packed
-/// mirrors are bit-exact against their scalar references, a
-/// single-threaded run with `target_frame_errors == 0` produces counts
-/// that depend only on the family, not on the packing (pinned by tests).
-///
-/// For [`Transmission::Random`] an encoder is required; with
-/// [`Transmission::AllZero`] pass `None`. Information-bit errors are
-/// counted over the encoder's systematic information positions when an
-/// encoder is given, or over all code bits otherwise.
-///
-/// # Panics
-///
-/// Panics if `max_frames == 0`, if `Transmission::Random` is requested
-/// without an encoder, or if the spec is invalid (a parsed spec never
-/// is).
-pub fn run_point_spec(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    cfg: &MonteCarloConfig,
-    spec: &DecoderSpec,
-) -> PointResult {
-    run_point_blocks(code, encoder, cfg, || spec.build(code))
-}
-
-/// Simulates one Eb/N0 point, spreading frames over worker threads.
-///
-/// Thin deprecated shim over [`run_point_blocks`] with a per-frame
-/// [`PerFrame`] adapter: counts are bit-identical to the historical
-/// per-frame engine (block size 1).
-///
-/// # Replacement
-///
-/// Name the decoder your factory builds as a spec string and call
-/// [`run_point_spec`] — the counts are bit-identical. For example,
-///
-/// ```
-/// # use ldpc_core::codes::small::demo_code;
-/// # use ldpc_core::{DecoderSpec, MinSumConfig, MinSumDecoder};
-/// # use ldpc_sim::{run_point, run_point_spec, MonteCarloConfig};
-/// # let code = demo_code();
-/// # let cfg = MonteCarloConfig { max_frames: 20, threads: 1, ..MonteCarloConfig::default() };
-/// # #[allow(deprecated)]
-/// let old = run_point(&code, None, &cfg, || {
-///     MinSumDecoder::new(demo_code(), MinSumConfig::normalized(1.25))
-/// });
-/// let new = run_point_spec(&code, None, &cfg, &DecoderSpec::parse("nms:1.25")?);
-/// assert_eq!(old, new);
-/// # Ok::<(), ldpc_core::SpecError>(())
-/// ```
-///
-/// The spec strings for the other families: `SumProductDecoder` → `spa`,
-/// plain `MinSumDecoder` → `ms`, offset → `oms:β`, `FixedDecoder` →
-/// `fixed`, `LayeredMinSumDecoder` → `layered:α`,
-/// `SelfCorrectedMinSumDecoder` → `self-corrected:α`,
-/// `GallagerBDecoder` → `gallager-b:t=N`, `WeightedBitFlipDecoder` →
-/// `wbf`. Configurations outside the grammar (alpha schedules, custom
-/// quantization) keep using [`run_point_blocks`] with an explicit
-/// factory.
-///
-/// # Panics
-///
-/// Panics if `max_frames == 0`, or if `Transmission::Random` is requested
-/// without an encoder.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_point_spec(&code, enc, &cfg, &DecoderSpec::parse(\"nms:1.25\")?) — \
-            see the doc table for the spec string of each decoder type — \
-            or run_point_blocks for configurations outside the grammar"
-)]
-pub fn run_point<F, D>(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    cfg: &MonteCarloConfig,
-    factory: F,
-) -> PointResult
-where
-    F: Fn() -> D + Sync,
-    D: Decoder,
-{
-    run_point_blocks(code, encoder, cfg, || PerFrame::new(factory()))
-}
-
 /// The one Monte-Carlo engine: workers claim
 /// [`block_frames`](BlockDecoder::block_frames) frames at a time from a
 /// shared counter, generate them from deterministic per-worker noise
@@ -330,12 +225,17 @@ where
 /// and accumulate error counts.
 ///
 /// `factory` builds one decoder per worker (decoders are stateful
-/// workspaces and not shared); use [`PerFrame`] / [`Batched`] to adapt
-/// per-frame and batch decoders that are not registry-built. Every other
-/// `run_point*` entry — including the scenario door with its non-AWGN
-/// channels and punctured/shortened codes — is a thin wrapper over the
-/// same engine loop, so seed derivation and error counting are identical
-/// by construction across all of them.
+/// workspaces and not shared): any concrete decoder type, or a
+/// [`DecoderSpec::build`](ldpc_core::DecoderSpec::build) result. The
+/// scenario and packet doors — with their non-AWGN channels and
+/// punctured/shortened codes — wrap the same engine loop, so seed
+/// derivation and error counting are identical by construction across
+/// all of them.
+///
+/// For [`Transmission::Random`] an encoder is required; with
+/// [`Transmission::AllZero`] pass `None`. Information-bit errors are
+/// counted over the encoder's systematic information positions when an
+/// encoder is given, or over all code bits otherwise.
 ///
 /// # Panics
 ///
@@ -371,11 +271,6 @@ where
     )
 }
 
-/// Seed offset between consecutive curve points (`run_curve_*` and the
-/// sweep orchestrator derive point `i`'s seed as
-/// `base.seed + i * CURVE_SEED_STRIDE`).
-pub(crate) const CURVE_SEED_STRIDE: u64 = 0x5151_5151;
-
 /// Seed offset between the engine's per-worker noise streams (worker
 /// `t` of a point seeded `s` draws from `s + (t + 1) * WORKER_SEED_STRIDE`).
 /// The orchestrator reuses the same stride for its chunk streams, so
@@ -383,7 +278,7 @@ pub(crate) const CURVE_SEED_STRIDE: u64 = 0x5151_5151;
 /// `t = c` of a multithreaded run of the same point would.
 pub(crate) const WORKER_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The shared worker loop behind every `run_point*` door, generic over
+/// The shared worker loop behind every door, generic over
 /// the code's transmission profile and the channel model.
 ///
 /// Per worker `t`: a deterministic seed is derived from `cfg.seed`, the
@@ -590,193 +485,7 @@ where
     }
 }
 
-/// Simulates one Eb/N0 point with a frame-batched decoder: each worker
-/// claims, generates, and decodes frames in blocks of the decoder's batch
-/// capacity instead of one at a time.
-///
-/// This is the batched counterpart of [`run_point`] — the two share one
-/// engine, differing only in how many frames a worker claims per step, so
-/// per-worker noise streams and error counting are identical by
-/// construction. Because the batched decoders are bit-exact against their
-/// per-frame counterparts, a single-threaded run with
-/// `target_frame_errors == 0` produces *identical* counts to [`run_point`]
-/// with the matching per-frame decoder (a property the tests pin down);
-/// it just gets there faster. `factory` builds one batched decoder per
-/// worker.
-///
-/// Two block-granularity caveats:
-///
-/// * the final block a worker claims may be smaller than the batch
-///   capacity (`max_frames` need not be a multiple of it); partial blocks
-///   are decoded as-is;
-/// * a `target_frame_errors` stop is checked between blocks, so a batched
-///   run can decode up to one block beyond the per-frame engine's stop
-///   point before noticing — its counts then differ from [`run_point`]'s
-///   (more frames simulated), though both remain valid Monte-Carlo
-///   estimates.
-///
-/// # Replacement
-///
-/// Append `@batch=N` to the decoder's spec string and call
-/// [`run_point_spec`] — bit-identical counts. A call
-/// `run_point_batched(&code, None, &cfg, || BatchFixedDecoder::new(code(),
-/// FixedConfig::default(), 8))` is reproduced exactly by
-/// `run_point_spec(&code, None, &cfg, &DecoderSpec::parse("fixed@batch=8")?)`,
-/// and a normalized min-sum batch by
-/// `DecoderSpec::parse("nms:1.25@batch=8")?` (likewise `ms@batch=N`,
-/// `oms:β@batch=N`).
-///
-/// # Panics
-///
-/// Panics if `max_frames == 0`, or if [`Transmission::Random`] is
-/// requested without an encoder.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_point_spec(&code, enc, &cfg, &DecoderSpec::parse(\"fixed@batch=8\")?) \
-            (or nms:α@batch=N / ms@batch=N / oms:β@batch=N), \
-            or run_point_blocks with a Batched adapter"
-)]
-pub fn run_point_batched<F, D>(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    cfg: &MonteCarloConfig,
-    factory: F,
-) -> PointResult
-where
-    F: Fn() -> D + Sync,
-    D: BatchDecoder,
-{
-    run_point_blocks(code, encoder, cfg, || Batched::new(factory()))
-}
-
-/// Simulates one Eb/N0 point with the bit-sliced hard-decision decoder:
-/// each worker claims, generates, and decodes frames 64 at a time, one
-/// `u64` lane word per bit position.
-///
-/// This is the hard-decision counterpart of [`run_point_batched`], built
-/// on the same engine with a
-/// [`BitsliceGallagerBDecoder`](ldpc_core::BitsliceGallagerBDecoder)
-/// (majority threshold `flip_threshold`) per worker. Because the
-/// bit-sliced decoder is bit-exact per lane against the scalar
-/// [`GallagerBDecoder`](ldpc_core::GallagerBDecoder), a single-threaded
-/// run with `target_frame_errors == 0` produces *identical* BER/PER
-/// counts to [`run_point`] with the scalar decoder — it just decodes 64
-/// frames per word pass. The block-granularity caveats of
-/// [`run_point_batched`] (partial final block, between-block stop checks)
-/// apply unchanged.
-///
-/// # Replacement
-///
-/// A call `run_point_bitsliced(&code, None, &cfg, 3)` is reproduced bit
-/// for bit by
-/// `run_point_spec(&code, None, &cfg, &DecoderSpec::parse("gallager-b:t=3@bitslice")?)`
-/// — substitute the flip threshold into `t=N`.
-///
-/// # Panics
-///
-/// Panics if `max_frames == 0`, if [`Transmission::Random`] is requested
-/// without an encoder, or if `flip_threshold` is zero.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_point_spec(&code, enc, &cfg, \
-            &DecoderSpec::parse(\"gallager-b:t=N@bitslice\")?) with your flip threshold as t=N"
-)]
-pub fn run_point_bitsliced(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    cfg: &MonteCarloConfig,
-    flip_threshold: usize,
-) -> PointResult {
-    run_point_blocks(code, encoder, cfg, || {
-        Batched::new(ldpc_core::BitsliceGallagerBDecoder::new(
-            Arc::clone(code),
-            flip_threshold,
-        ))
-    })
-}
-
-/// Sweeps a list of Eb/N0 points (the x-axis of the paper's Figure 4)
-/// with any [`BlockDecoder`] factory.
-///
-/// Each point reuses `base` with its `ebn0_db` replaced and the seed
-/// offset by the point index, so points are independent but reproducible.
-/// Wrap per-frame decoders in [`PerFrame`] (batch decoders in
-/// [`Batched`]), or use [`run_curve_spec`] for registered families.
-pub fn run_curve_blocks<F, B>(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-    factory: F,
-) -> Vec<PointResult>
-where
-    F: Fn() -> B + Sync,
-    B: BlockDecoder,
-{
-    ebn0_points
-        .iter()
-        .enumerate()
-        .map(|(i, &ebn0_db)| {
-            let cfg = MonteCarloConfig {
-                ebn0_db,
-                seed: base.seed.wrapping_add(i as u64 * CURVE_SEED_STRIDE),
-                ..base.clone()
-            };
-            run_point_blocks(code, encoder, &cfg, &factory)
-        })
-        .collect()
-}
-
-/// Sweeps a list of Eb/N0 points with a [`DecoderSpec`]-named decoder —
-/// the declarative counterpart of [`run_curve_blocks`], with the same
-/// per-point seed derivation.
-pub fn run_curve_spec(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-    spec: &DecoderSpec,
-) -> Vec<PointResult> {
-    run_curve_blocks(code, encoder, ebn0_points, base, || spec.build(code))
-}
-
-/// Sweeps a list of Eb/N0 points with a per-frame [`Decoder`] factory.
-///
-/// Thin deprecated shim over [`run_curve_blocks`] with a [`PerFrame`]
-/// adapter — the same migration story as [`run_point`]: old call sites
-/// keep compiling (with a deprecation note) and produce bit-identical
-/// results. The replacement is [`run_curve_spec`] with the factory's
-/// decoder named as a spec string (see the table in [`run_point`]'s
-/// docs): `run_curve(&code, None, &pts, &cfg, || MinSumDecoder::new(...,
-/// MinSumConfig::normalized(1.25)))` becomes
-/// `run_curve_spec(&code, None, &pts, &cfg, &DecoderSpec::parse("nms:1.25")?)`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_curve_spec(&code, enc, &points, &cfg, &DecoderSpec::parse(\"nms:1.25\")?) — \
-            the spec string names the decoder your factory built — \
-            or run_curve_blocks (explicit factory)"
-)]
-pub fn run_curve<F, D>(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-    factory: F,
-) -> Vec<PointResult>
-where
-    F: Fn() -> D + Sync,
-    D: Decoder,
-{
-    run_curve_blocks(
-        code,
-        encoder,
-        ebn0_points,
-        base,
-        || PerFrame::new(factory()),
-    )
-}
-
-/// Renders a sweep as CSV with header
+/// Renders a curve as CSV with header
 /// `ebn0_db,frames,ber,per,avg_iterations,undetected`.
 ///
 /// Statistics that are undefined because a point simulated zero frames
@@ -814,7 +523,7 @@ pub fn to_csv(points: &[PointResult]) -> String {
 mod tests {
     use super::*;
     use ldpc_core::codes::small::demo_code;
-    use ldpc_core::{FixedConfig, FixedDecoder, MinSumConfig, MinSumDecoder};
+    use ldpc_core::{DecoderSpec, MinSumConfig, MinSumDecoder};
 
     fn quick_cfg(ebn0_db: f64) -> MonteCarloConfig {
         MonteCarloConfig {
@@ -832,10 +541,21 @@ mod tests {
         DecoderSpec::parse(s).unwrap()
     }
 
+    /// One point through the explicit-factory door with a registry-built
+    /// decoder per worker.
+    fn run_spec(
+        code: &Arc<LdpcCode>,
+        encoder: Option<&Arc<Encoder>>,
+        cfg: &MonteCarloConfig,
+        spec: &DecoderSpec,
+    ) -> PointResult {
+        run_point_blocks(code, encoder, cfg, || spec.build(code))
+    }
+
     #[test]
     fn high_snr_is_nearly_error_free() {
         let code = demo_code();
-        let point = run_point_spec(&code, None, &quick_cfg(10.0), &spec("nms:1.25"));
+        let point = run_spec(&code, None, &quick_cfg(10.0), &spec("nms:1.25"));
         assert_eq!(point.frames, 300);
         assert_eq!(point.frame_errors, 0, "per={}", point.per());
     }
@@ -843,7 +563,7 @@ mod tests {
     #[test]
     fn low_snr_produces_errors() {
         let code = demo_code();
-        let point = run_point_spec(&code, None, &quick_cfg(-2.0), &spec("nms:1.25"));
+        let point = run_spec(&code, None, &quick_cfg(-2.0), &spec("nms:1.25"));
         assert!(point.frame_errors > 0);
         assert!(point.ber() > 0.0);
         assert!(point.per() >= point.ber());
@@ -852,13 +572,10 @@ mod tests {
     #[test]
     fn ber_decreases_with_snr() {
         let code = demo_code();
-        let points = run_curve_spec(
-            &code,
-            None,
-            &[0.0, 3.0, 6.0],
-            &quick_cfg(0.0),
-            &spec("nms:1.25"),
-        );
+        let points: Vec<PointResult> = [0.0, 3.0, 6.0]
+            .iter()
+            .map(|&ebn0| run_spec(&code, None, &quick_cfg(ebn0), &spec("nms:1.25")))
+            .collect();
         assert_eq!(points.len(), 3);
         assert!(
             points[0].ber() > points[2].ber(),
@@ -876,7 +593,7 @@ mod tests {
             target_frame_errors: 5,
             ..quick_cfg(-3.0)
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("nms:1.25"));
+        let point = run_spec(&code, None, &cfg, &spec("nms:1.25"));
         assert!(point.frame_errors >= 5);
         assert!(point.frames < 100_000);
     }
@@ -887,9 +604,9 @@ mod tests {
         let enc = Arc::new(Encoder::new(&code).unwrap());
         let mut cfg = quick_cfg(2.5);
         cfg.max_frames = 400;
-        let zero = run_point_spec(&code, Some(&enc), &cfg, &spec("fixed"));
+        let zero = run_spec(&code, Some(&enc), &cfg, &spec("fixed"));
         cfg.transmission = Transmission::Random;
-        let random = run_point_spec(&code, Some(&enc), &cfg, &spec("fixed"));
+        let random = run_spec(&code, Some(&enc), &cfg, &spec("fixed"));
         // Linear code + symmetric channel: the two BERs agree statistically.
         let (lo, hi) = zero.per_confidence();
         let margin = 0.12;
@@ -908,15 +625,15 @@ mod tests {
             threads: 1,
             ..quick_cfg(1.0)
         };
-        let a = run_point_spec(&code, None, &cfg, &spec("nms:1.25"));
-        let b = run_point_spec(&code, None, &cfg, &spec("nms:1.25"));
+        let a = run_spec(&code, None, &cfg, &spec("nms:1.25"));
+        let b = run_spec(&code, None, &cfg, &spec("nms:1.25"));
         assert_eq!(a, b);
     }
 
     #[test]
     fn csv_has_header_and_rows() {
         let code = demo_code();
-        let points = run_curve_spec(&code, None, &[5.0], &quick_cfg(5.0), &spec("nms:1.25"));
+        let points = [run_spec(&code, None, &quick_cfg(5.0), &spec("nms:1.25"))];
         let csv = to_csv(&points);
         assert!(csv.starts_with("ebn0_db,frames"));
         assert_eq!(csv.lines().count(), 2);
@@ -1013,7 +730,7 @@ mod tests {
             threads: threads as usize,
             ..quick_cfg(-10.0) // every frame is a frame error down here
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let point = run_spec(&code, None, &cfg, &spec("fixed@batch=8"));
         assert_eq!(
             point.frame_errors, point.frames,
             "the bound below assumes every frame errors at -10 dB"
@@ -1054,10 +771,9 @@ mod tests {
             ..quick_cfg(2.0)
         };
         // Default alpha is the hardware's 4/3.
-        let per_frame = run_point_spec(&code, None, &cfg, &spec("nms"));
+        let per_frame = run_spec(&code, None, &cfg, &spec("nms"));
         for batch in [1usize, 4, 8] {
-            let batched =
-                run_point_spec(&code, None, &cfg, &spec("nms").with_batch(batch).unwrap());
+            let batched = run_spec(&code, None, &cfg, &spec("nms").with_batch(batch).unwrap());
             assert_eq!(batched, per_frame, "batch={batch}");
         }
     }
@@ -1069,8 +785,8 @@ mod tests {
             threads: 1,
             ..quick_cfg(2.5)
         };
-        let per_frame = run_point_spec(&code, None, &cfg, &spec("fixed"));
-        let batched = run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let per_frame = run_spec(&code, None, &cfg, &spec("fixed"));
+        let batched = run_spec(&code, None, &cfg, &spec("fixed@batch=8"));
         assert_eq!(batched, per_frame);
     }
 
@@ -1083,7 +799,7 @@ mod tests {
             threads: 1,
             ..quick_cfg(6.0)
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("nms:1.25@batch=4"));
+        let point = run_spec(&code, None, &cfg, &spec("nms:1.25@batch=4"));
         assert_eq!(point.frames, 10);
     }
 
@@ -1095,7 +811,7 @@ mod tests {
             threads: 3,
             ..quick_cfg(3.0)
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let point = run_spec(&code, None, &cfg, &spec("fixed@batch=8"));
         assert_eq!(point.frames, 100);
     }
 
@@ -1107,7 +823,7 @@ mod tests {
             target_frame_errors: 5,
             ..quick_cfg(-3.0)
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("nms:1.25@batch=8"));
+        let point = run_spec(&code, None, &cfg, &spec("nms:1.25@batch=8"));
         assert!(point.frame_errors >= 5);
         assert!(point.frames < 100_000);
     }
@@ -1119,8 +835,8 @@ mod tests {
         let mut cfg = quick_cfg(2.5);
         cfg.transmission = Transmission::Random;
         cfg.threads = 1;
-        let batched = run_point_spec(&code, Some(&enc), &cfg, &spec("fixed@batch=8"));
-        let per_frame = run_point_spec(&code, Some(&enc), &cfg, &spec("fixed"));
+        let batched = run_spec(&code, Some(&enc), &cfg, &spec("fixed@batch=8"));
+        let per_frame = run_spec(&code, Some(&enc), &cfg, &spec("fixed"));
         assert_eq!(batched, per_frame);
     }
 
@@ -1134,8 +850,8 @@ mod tests {
                 threads: 1,
                 ..quick_cfg(ebn0)
             };
-            let scalar = run_point_spec(&code, None, &cfg, &spec("gallager-b:t=3"));
-            let sliced = run_point_spec(&code, None, &cfg, &spec("gallager-b:t=3@bitslice"));
+            let scalar = run_spec(&code, None, &cfg, &spec("gallager-b:t=3"));
+            let sliced = run_spec(&code, None, &cfg, &spec("gallager-b:t=3@bitslice"));
             assert_eq!(sliced, scalar, "ebn0={ebn0}");
         }
     }
@@ -1149,7 +865,7 @@ mod tests {
             threads: 1,
             ..quick_cfg(7.0)
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("gallager-b@bitslice"));
+        let point = run_spec(&code, None, &cfg, &spec("gallager-b@bitslice"));
         assert_eq!(point.frames, 100);
     }
 
@@ -1161,14 +877,14 @@ mod tests {
             threads: 3,
             ..quick_cfg(5.0)
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("gallager-b@bitslice"));
+        let point = run_spec(&code, None, &cfg, &spec("gallager-b@bitslice"));
         assert_eq!(point.frames, 200);
     }
 
     #[test]
     fn avg_iterations_reported() {
         let code = demo_code();
-        let point = run_point_spec(&code, None, &quick_cfg(8.0), &spec("nms:1.25"));
+        let point = run_spec(&code, None, &quick_cfg(8.0), &spec("nms:1.25"));
         // Clean channel: early termination keeps iterations near 1.
         assert!(point.avg_iterations() >= 1.0);
         assert!(point.avg_iterations() < 3.0);
@@ -1184,73 +900,17 @@ mod tests {
             ..quick_cfg(3.0)
         };
         let scheduled = run_point_blocks(&code, None, &cfg, || {
-            PerFrame::new(MinSumDecoder::new(
+            MinSumDecoder::new(
                 demo_code(),
                 MinSumConfig::normalized(4.0 / 3.0).with_alpha_schedule(vec![1.0, 4.0 / 3.0]),
-            ))
+            )
         });
         assert_eq!(scheduled.frames, 300);
         // And a plain config through run_point_blocks equals the spec run.
         let manual = run_point_blocks(&code, None, &cfg, || {
-            PerFrame::new(MinSumDecoder::new(
-                demo_code(),
-                MinSumConfig::normalized(4.0 / 3.0),
-            ))
+            MinSumDecoder::new(demo_code(), MinSumConfig::normalized(4.0 / 3.0))
         });
-        assert_eq!(manual, run_point_spec(&code, None, &cfg, &spec("nms")));
-    }
-
-    /// The deprecated shims must reproduce the spec engine's counts
-    /// bit-identically on pinned seeds — the regression contract that let
-    /// the three historical entry points collapse into one engine.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_match_spec_engine_exactly() {
-        let code = demo_code();
-        for ebn0 in [1.5, 4.0] {
-            let cfg = MonteCarloConfig {
-                threads: 1,
-                seed: 0xC0DE,
-                ..quick_cfg(ebn0)
-            };
-            // run_point over a per-frame decoder == scalar spec.
-            let legacy = run_point(&code, None, &cfg, || {
-                MinSumDecoder::new(demo_code(), MinSumConfig::normalized(4.0 / 3.0))
-            });
-            assert_eq!(legacy, run_point_spec(&code, None, &cfg, &spec("nms")));
-            // run_point_batched == @batch=8 spec.
-            let legacy = run_point_batched(&code, None, &cfg, || {
-                ldpc_core::BatchFixedDecoder::new(demo_code(), FixedConfig::default(), 8)
-            });
-            assert_eq!(
-                legacy,
-                run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"))
-            );
-            // run_point_bitsliced == @bitslice spec.
-            let legacy = run_point_bitsliced(&code, None, &cfg, 3);
-            assert_eq!(
-                legacy,
-                run_point_spec(&code, None, &cfg, &spec("gallager-b:t=3@bitslice"))
-            );
-            // And the per-frame shim still matches its own engine door.
-            let legacy = run_point(&code, None, &cfg, || {
-                FixedDecoder::new(demo_code(), FixedConfig::default())
-            });
-            assert_eq!(
-                legacy,
-                run_point_blocks(&code, None, &cfg, || {
-                    PerFrame::new(FixedDecoder::new(demo_code(), FixedConfig::default()))
-                })
-            );
-            // run_curve's shim: same per-point seed derivation, same counts.
-            let legacy = run_curve(&code, None, &[ebn0, ebn0 + 1.0], &cfg, || {
-                MinSumDecoder::new(demo_code(), MinSumConfig::normalized(4.0 / 3.0))
-            });
-            assert_eq!(
-                legacy,
-                run_curve_spec(&code, None, &[ebn0, ebn0 + 1.0], &cfg, &spec("nms"))
-            );
-        }
+        assert_eq!(manual, run_spec(&code, None, &cfg, &spec("nms")));
     }
 
     /// Every registered family runs end to end through the spec door.
@@ -1263,7 +923,7 @@ mod tests {
             ..quick_cfg(6.0)
         };
         for family in DecoderSpec::all_families() {
-            let point = run_point_spec(&code, None, &cfg, &family);
+            let point = run_spec(&code, None, &cfg, &family);
             assert_eq!(point.frames, 80, "{family}");
             assert!(point.ber() <= 1.0, "{family}");
         }

@@ -33,8 +33,8 @@
 //! `s + c · WORKER_SEED_STRIDE` — exactly the noise stream worker `t = c`
 //! of a multithreaded engine run of the same point would draw, and chunk
 //! 0 is bit-identical to a plain single-threaded
-//! [`run_point_scenario`](crate::run_point_scenario) run of the chunk
-//! budget. A point stops at the shortest chunk *prefix* whose cumulative
+//! [`run_point_scenario_with`](crate::run_point_scenario_with) run of the
+//! chunk budget. A point stops at the shortest chunk *prefix* whose cumulative
 //! frame errors reach the target, and its merged [`PointResult`] sums
 //! exactly that prefix — so the merged counts are **invariant under the
 //! worker-thread count and under cold/warm/resumed execution** (pinned
@@ -63,8 +63,7 @@
 
 use crate::scenario::run_point_scenario_observed;
 use crate::{
-    MonteCarloConfig, PointResult, Scenario, ScenarioError, Transmission, CURVE_SEED_STRIDE,
-    WORKER_SEED_STRIDE,
+    MonteCarloConfig, PointResult, Scenario, ScenarioError, Transmission, WORKER_SEED_STRIDE,
 };
 use ldpc_core::CodeHandle;
 use std::collections::HashMap;
@@ -351,14 +350,19 @@ impl SweepUnit {
     }
 }
 
+/// Seed offset between consecutive Eb/N0 points of a grid: point `i` is
+/// seeded `base_seed + i · CURVE_SEED_STRIDE`.
+const CURVE_SEED_STRIDE: u64 = 0x5151_5151;
+
 /// Expands scenarios × Eb/N0 points into [`SweepUnit`]s with the
 /// workspace's standard seed derivation: point `i` of every scenario is
-/// seeded `base_seed + i · CURVE_SEED_STRIDE`, exactly like
-/// [`run_curve_scenario`](crate::run_curve_scenario) — so an orchestrated
-/// sweep at `target_frame_errors: 0` with a whole-budget chunk
-/// reproduces the legacy curve bit for bit (pinned by tests). Unit
-/// order is scenario-major with Eb/N0 innermost, matching `ldpc-tool
-/// sweep`'s CSV row order.
+/// seeded `base_seed + i · 0x5151_5151`. A sweep at
+/// `target_frame_errors: 0` with a whole-budget chunk is therefore a
+/// curve: point `i` equals a single-threaded
+/// [`run_point_scenario_with`](crate::run_point_scenario_with) run at
+/// that seed, bit for bit (pinned by tests). Unit order is
+/// scenario-major with Eb/N0 innermost, matching `ldpc-tool sweep`'s CSV
+/// row order.
 pub fn sweep_grid(scenarios: &[Scenario], ebn0_points: &[f64], base_seed: u64) -> Vec<SweepUnit> {
     let mut units = Vec::with_capacity(scenarios.len() * ebn0_points.len());
     for scenario in scenarios {
@@ -790,7 +794,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_curve_scenario_with, run_point_scenario_with};
+    use crate::run_point_scenario_with;
 
     fn sc(s: &str) -> Scenario {
         Scenario::parse(s).unwrap()
@@ -878,17 +882,21 @@ mod tests {
 
     #[test]
     fn whole_budget_chunk_matches_curve_door_exactly() {
-        // target 0 + one chunk per point ≡ the legacy curve run: same
-        // seeds, same single-threaded engine, bit-identical counts.
+        // target 0 + one chunk per point ≡ a curve: each point equals one
+        // single-threaded engine run at the unit's seed, bit for bit.
         let scenario = sc("demo / awgn / nms:1.25");
         let ebn0s = [2.0, 4.0];
         let units = sweep_grid(std::slice::from_ref(&scenario), &ebn0s, 99);
         assert_eq!(units[1].seed, 99u64.wrapping_add(CURVE_SEED_STRIDE));
         let results = run_sweep(&units, &quick_sweep_cfg()).unwrap();
         let handle = scenario.build_code().unwrap();
-        let curve = run_curve_scenario_with(&handle, &scenario, &ebn0s, &point_cfg(0.0, 99, 200));
         assert_eq!(results.len(), 2);
-        for (r, expected) in results.iter().zip(curve) {
+        for (r, unit) in results.iter().zip(&units) {
+            let expected = run_point_scenario_with(
+                &handle,
+                &scenario,
+                &point_cfg(unit.ebn0_db, unit.seed, 200),
+            );
             assert_eq!(r.point, expected);
             assert_eq!(r.frames_simulated, 200);
             assert_eq!(r.frames_from_cache, 0);

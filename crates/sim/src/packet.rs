@@ -25,7 +25,7 @@
 //! The workload is a *wrapper*, not a second engine:
 //! [`run_point_packets`] drives the same worker loop, worker-seed
 //! derivation, and error counting as
-//! [`run_point_scenario`](crate::run_point_scenario). A drop model of
+//! [`run_point_scenario_with`](crate::run_point_scenario_with). A drop model of
 //! [`PacketDropModel::Never`] consumes no randomness at all, so a
 //! packet-level run that drops nothing is bit-identical to the plain
 //! channel path (pinned by tests here and in the golden-vector suite).
@@ -240,7 +240,7 @@ impl Channel for PacketChannel {
 /// families that are *not* loss processes (`awgn`, `bsc`, `rayleigh`,
 /// quantized or not) it still builds the inner symbol channel — so a
 /// packetized `awgn` run drops nothing and reproduces
-/// [`run_point_scenario`](crate::run_point_scenario) bit for bit, while
+/// [`run_point_scenario_with`](crate::run_point_scenario_with) bit for bit, while
 /// `erasure:p` / `burst:…` runs deliver survivors intact and lose whole
 /// packets.
 ///
@@ -301,7 +301,7 @@ pub fn run_point_packets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_point_scenario, Transmission};
+    use crate::{run_point_scenario_with, Transmission};
 
     fn quick_cfg(threads: usize) -> MonteCarloConfig {
         MonteCarloConfig {
@@ -326,7 +326,7 @@ mod tests {
         for s in ["demo / awgn / nms:1.25", "demo / bsc:0.03 / fixed"] {
             let sc = Scenario::parse(s).unwrap();
             let cfg = quick_cfg(1);
-            let plain = run_point_scenario(&sc, &cfg).unwrap();
+            let plain = run_point_scenario_with(&sc.build_code().unwrap(), &sc, &cfg);
             let (packetized, report) = run_point_packets(&sc, 32, &cfg).unwrap();
             assert_eq!(packetized, plain, "{s}");
             assert_eq!(report.dropped, 0, "{s}");

@@ -27,14 +27,15 @@
 //! # Ok::<(), ldpc_sim::ScenarioError>(())
 //! ```
 //!
-//! [`run_point_scenario`] and [`run_curve_scenario`] drive the same
-//! Monte-Carlo engine as every other door in this crate: the code spec
-//! builds a [`CodeHandle`] (transmission profile included), the channel
-//! spec builds one [`Channel`](ldpc_channel::Channel) per worker, and
-//! the decoder spec builds one [`BlockDecoder`](ldpc_core::BlockDecoder)
-//! per worker. For plain codes on `awgn`, single-threaded counts are
-//! bit-identical to [`run_point_spec`](crate::run_point_spec) (pinned by
-//! tests) — the scenario door adds scope, not a second engine.
+//! [`run_point_scenario_with`] drives the same Monte-Carlo engine as
+//! every other door in this crate: the code spec builds a [`CodeHandle`]
+//! (transmission profile included), the channel spec builds one
+//! [`Channel`](ldpc_channel::Channel) per worker, and the decoder spec
+//! builds one [`BlockDecoder`](ldpc_core::BlockDecoder) per worker. For
+//! plain codes on `awgn`, single-threaded counts are bit-identical to
+//! [`run_point_blocks`](crate::run_point_blocks) with the spec-built
+//! decoder (pinned by tests) — the scenario door adds scope, not a
+//! second engine.
 //!
 //! Scenario runs simulate the all-zero codeword (standard practice for
 //! linear codes on symmetric channels; also the only transmission the
@@ -208,43 +209,27 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Simulates one Eb/N0 point of a [`Scenario`] — the fully declarative
-/// door of the one Monte-Carlo engine.
+/// Simulates one Eb/N0 point of a [`Scenario`] over its already-built
+/// code handle (normally `scenario.build_code()?`) — the fully
+/// declarative door of the one Monte-Carlo engine. Only the scenario's
+/// channel and decoder specs are consulted; the code comes from
+/// `handle`, so grid sweeps build each code once and reuse it across
+/// channels and decoders.
 ///
-/// The code handle is built once; each worker thread builds its own
-/// channel (from the scenario's channel spec at `cfg.ebn0_db` and the
-/// code's effective rate, with the worker's derived seed) and its own
-/// decoder. `cfg.ebn0_db` sets σ for the Gaussian models; a `bsc:p`
-/// channel's severity is its fixed crossover probability, so Eb/N0 is
-/// bookkeeping there.
+/// Each worker thread builds its own channel (from the scenario's
+/// channel spec at `cfg.ebn0_db` and the code's effective rate, with the
+/// worker's derived seed) and its own decoder. `cfg.ebn0_db` sets σ for
+/// the Gaussian models; a `bsc:p` channel's severity is its fixed
+/// crossover probability, so Eb/N0 is bookkeeping there.
 ///
-/// Error counting runs over the transmitted positions, and
-/// `cfg.transmission` must be [`Transmission::AllZero`](crate::Transmission::AllZero) (the engine
-/// asserts; punctured and shortened profiles have no random-codeword
-/// path).
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::Code`] if the code spec cannot be built.
+/// Error counting runs over the transmitted positions.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.max_frames == 0` or `cfg.transmission` is
-/// [`Transmission::Random`](crate::Transmission::Random) for a code that does not transmit every
-/// position.
-pub fn run_point_scenario(
-    scenario: &Scenario,
-    cfg: &MonteCarloConfig,
-) -> Result<PointResult, ScenarioError> {
-    let handle = scenario.build_code()?;
-    Ok(run_point_scenario_with(&handle, scenario, cfg))
-}
-
-/// [`run_point_scenario`] over an already-built code handle (normally
-/// `scenario.build_code()`), so grid sweeps can build each code once
-/// and reuse it across channels and decoders. Only the scenario's
-/// channel and decoder specs are consulted; the code comes from
-/// `handle`.
+/// [`Transmission::Random`](crate::Transmission::Random): scenario runs
+/// simulate the all-zero codeword, and only
+/// [`run_point_blocks`](crate::run_point_blocks) takes an encoder.
 pub fn run_point_scenario_with(
     handle: &Arc<dyn CodeHandle>,
     scenario: &Scenario,
@@ -272,54 +257,6 @@ pub(crate) fn run_point_scenario_observed(
         || scenario.decoder.build(handle.code()),
         progress,
     )
-}
-
-/// Sweeps a list of Eb/N0 points of a [`Scenario`] — the declarative
-/// counterpart of [`run_curve_blocks`](crate::run_curve_blocks), with
-/// the same per-point seed derivation (`base.seed + i · 0x5151_5151`),
-/// so a scenario sweep's point `i` reproduces a
-/// [`run_point_scenario`] run with that point's config exactly.
-///
-/// The code is built once for the whole curve.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::Code`] if the code spec cannot be built.
-pub fn run_curve_scenario(
-    scenario: &Scenario,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-) -> Result<Vec<PointResult>, ScenarioError> {
-    let handle = scenario.build_code()?;
-    Ok(run_curve_scenario_with(
-        &handle,
-        scenario,
-        ebn0_points,
-        base,
-    ))
-}
-
-/// [`run_curve_scenario`] over an already-built code handle — the
-/// curve-shaped counterpart of [`run_point_scenario_with`], with the
-/// same per-point seed derivation.
-pub fn run_curve_scenario_with(
-    handle: &Arc<dyn CodeHandle>,
-    scenario: &Scenario,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-) -> Vec<PointResult> {
-    ebn0_points
-        .iter()
-        .enumerate()
-        .map(|(i, &ebn0_db)| {
-            let cfg = MonteCarloConfig {
-                ebn0_db,
-                seed: base.seed.wrapping_add(i as u64 * crate::CURVE_SEED_STRIDE),
-                ..base.clone()
-            };
-            run_point_scenario_with(handle, scenario, &cfg)
-        })
-        .collect()
 }
 
 /// Splits a comma-separated list of spec strings, re-attaching
@@ -374,7 +311,7 @@ pub fn split_spec_list(list: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_point_spec, Transmission};
+    use crate::{run_point_blocks, run_sweep, sweep_grid, SweepConfig, Transmission};
 
     fn quick_cfg(ebn0_db: f64) -> MonteCarloConfig {
         MonteCarloConfig {
@@ -386,6 +323,10 @@ mod tests {
             threads: 1,
             transmission: Transmission::AllZero,
         }
+    }
+
+    fn run_scenario(sc: &Scenario, cfg: &MonteCarloConfig) -> PointResult {
+        run_point_scenario_with(&sc.build_code().unwrap(), sc, cfg)
     }
 
     #[test]
@@ -473,13 +414,13 @@ mod tests {
     #[test]
     fn plain_awgn_scenario_matches_run_point_spec_exactly() {
         // The scenario door is the same engine: for a plain code on awgn
-        // the single-threaded counts are bit-identical to the decoder-only
-        // door.
+        // the single-threaded counts are bit-identical to the
+        // explicit-factory door driving the spec-built decoder.
         let cfg = quick_cfg(2.0);
         let sc = Scenario::parse("demo / awgn / nms:1.25").unwrap();
-        let via_scenario = run_point_scenario(&sc, &cfg).unwrap();
+        let via_scenario = run_scenario(&sc, &cfg);
         let code = ldpc_core::codes::small::demo_code();
-        let via_spec = run_point_spec(&code, None, &cfg, &sc.decoder);
+        let via_spec = run_point_blocks(&code, None, &cfg, || sc.decoder.build(&code));
         assert_eq!(via_scenario, via_spec);
     }
 
@@ -492,8 +433,8 @@ mod tests {
         ] {
             let sc = Scenario::parse(s).unwrap();
             let cfg = quick_cfg(4.0);
-            let a = run_point_scenario(&sc, &cfg).unwrap();
-            let b = run_point_scenario(&sc, &cfg).unwrap();
+            let a = run_scenario(&sc, &cfg);
+            let b = run_scenario(&sc, &cfg);
             assert_eq!(a, b, "{s}");
             assert_eq!(a.frames, 200, "{s}");
             assert!(a.ber() <= 1.0, "{s}");
@@ -504,7 +445,7 @@ mod tests {
     fn shortened_scenario_counts_only_transmitted_positions() {
         let sc = Scenario::parse("shortened:demo,k=120 / awgn / nms:1.25").unwrap();
         let handle = sc.build_code().unwrap();
-        let point = run_point_scenario(&sc, &quick_cfg(3.0)).unwrap();
+        let point = run_scenario(&sc, &quick_cfg(3.0));
         assert_eq!(point.info_bits_per_frame as usize, handle.transmitted_len());
     }
 
@@ -516,7 +457,7 @@ mod tests {
             max_iterations: 40,
             ..quick_cfg(6.0)
         };
-        let point = run_point_scenario(&sc, &cfg).unwrap();
+        let point = run_scenario(&sc, &cfg);
         assert_eq!(point.frames, 60);
         assert_eq!(point.frame_errors, 0, "per={}", point.per());
     }
@@ -524,13 +465,11 @@ mod tests {
     #[test]
     fn quantized_channel_changes_counts_but_not_frames() {
         let cfg = quick_cfg(2.0);
-        let exact =
-            run_point_scenario(&Scenario::parse("demo / awgn / fixed").unwrap(), &cfg).unwrap();
-        let coarse = run_point_scenario(
+        let exact = run_scenario(&Scenario::parse("demo / awgn / fixed").unwrap(), &cfg);
+        let coarse = run_scenario(
             &Scenario::parse("demo / awgn@quant=3 / fixed").unwrap(),
             &cfg,
-        )
-        .unwrap();
+        );
         assert_eq!(exact.frames, coarse.frames);
         // 3-bit channel LLRs are a measurably worse front end at 2 dB.
         assert!(coarse.bit_errors >= exact.bit_errors);
@@ -538,26 +477,40 @@ mod tests {
 
     #[test]
     fn curve_points_match_individual_runs() {
+        // A curve is a sweep at target 0 with one chunk of the frame
+        // budget per point: point i reproduces a single-threaded point
+        // run seeded base + i * 0x5151_5151.
         let sc = Scenario::parse("demo / bsc:0.04 / nms:1.25").unwrap();
         let base = quick_cfg(3.0);
-        let points = run_curve_scenario(&sc, &[2.0, 4.0], &base).unwrap();
+        let cfg = SweepConfig {
+            max_frames: base.max_frames,
+            target_frame_errors: 0,
+            chunk_frames: base.max_frames,
+            max_iterations: base.max_iterations,
+            threads: 2,
+            ..SweepConfig::default()
+        };
+        let points = run_sweep(
+            &sweep_grid(std::slice::from_ref(&sc), &[2.0, 4.0], base.seed),
+            &cfg,
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
-        let second = run_point_scenario(
+        let second = run_scenario(
             &sc,
             &MonteCarloConfig {
                 ebn0_db: 4.0,
                 seed: base.seed.wrapping_add(0x5151_5151),
                 ..base
             },
-        )
-        .unwrap();
-        assert_eq!(points[1], second);
+        );
+        assert_eq!(points[1].point, second);
     }
 
     #[test]
     fn bad_code_build_is_an_error_not_a_panic() {
         let sc = Scenario::parse("shortened:demo,k=9999 / awgn / nms").unwrap();
-        let err = run_point_scenario(&sc, &quick_cfg(3.0)).expect_err("oversized k");
+        let err = sc.build_code().err().expect("oversized k");
         assert!(err.to_string().contains("dimension"), "{err}");
     }
 }

@@ -14,10 +14,9 @@
 use ccsds_ldpc::channel::AwgnChannel;
 use ccsds_ldpc::core::codes::{ccsds_c2, small::demo_code};
 use ccsds_ldpc::core::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, FixedConfig, LdpcCode,
+    BatchFixedDecoder, BatchMinSumDecoder, BlockDecoder, FixedConfig, FixedDecoder, LdpcCode,
     MinSumConfig, MinSumDecoder,
 };
-use ccsds_ldpc::core::{Decoder, FixedDecoder};
 use ccsds_ldpc::gf2::BitVec;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,24 +42,21 @@ fn compare<D, B>(
     mut per_frame: D,
     mut make_batched: impl FnMut(usize) -> B,
 ) where
-    D: Decoder,
-    B: BatchDecoder,
+    D: BlockDecoder,
+    B: BlockDecoder,
 {
     let n = per_frame.n();
     let total = llrs.len() / n;
-    let reference = decode_frames(&mut per_frame, llrs, ITERS);
+    let reference = per_frame.decode_block(llrs, ITERS);
     let start = Instant::now();
-    let _ = decode_frames(&mut per_frame, llrs, ITERS);
+    let _ = per_frame.decode_block(llrs, ITERS);
     let base = total as f64 / start.elapsed().as_secs_f64();
     println!("{label}");
     println!("  per-frame : {base:>9.0} frames/sec (1.00x)");
     for &batch in batches {
         let mut dec = make_batched(batch);
         let start = Instant::now();
-        let out: Vec<_> = llrs
-            .chunks(batch * n)
-            .flat_map(|block| dec.decode_batch(block, ITERS))
-            .collect();
+        let out = dec.decode_block(llrs, ITERS);
         let fps = total as f64 / start.elapsed().as_secs_f64();
         assert_eq!(out, reference, "batch={batch} diverged from per-frame");
         println!(

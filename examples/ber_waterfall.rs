@@ -7,56 +7,40 @@
 //! plots directly. Run with
 //! `cargo run --release --example ber_waterfall [--c2]`.
 
-use ccsds_ldpc::core::codes::{ccsds_c2, small::demo_code};
-use ccsds_ldpc::core::DecoderSpec;
-use ccsds_ldpc::sim::{run_curve_spec, to_csv, MonteCarloConfig, Transmission};
+use ccsds_ldpc::sim::{run_sweep, sweep_grid, to_csv, PointResult, Scenario, SweepConfig};
+
+/// The waterfall of `scenario` over `points`: one whole-budget chunk of
+/// `frames` frames per point, no error target, points spread over all
+/// cores.
+fn curve(scenario: &str, points: &[f64], frames: u64) -> Vec<PointResult> {
+    let units = sweep_grid(&[Scenario::parse(scenario).unwrap()], points, 0xF164);
+    let cfg = SweepConfig {
+        max_frames: frames,
+        target_frame_errors: 0,
+        chunk_frames: frames,
+        max_iterations: 18,
+        threads: 0,
+        cache_dir: None,
+        progress_frames: None,
+    };
+    let results = run_sweep(&units, &cfg).expect("registry code builds");
+    results.iter().map(|r| r.point).collect()
+}
 
 fn main() {
-    let full_c2 = std::env::args().any(|a| a == "--c2");
-    if full_c2 {
-        let code = ccsds_c2::code();
+    let results = if std::env::args().any(|a| a == "--c2") {
         // Short sweep near the waterfall; Monte-Carlo depth kept modest so
         // the example finishes in seconds (the bench harness goes deeper).
-        let points = [3.4, 3.7, 4.0, 4.3];
-        let cfg = MonteCarloConfig {
-            max_frames: 60,
-            target_frame_errors: 20,
-            max_iterations: 18,
-            threads: 0,
-            seed: 0xF164,
-            transmission: Transmission::AllZero,
-            ..MonteCarloConfig::default()
-        };
         eprintln!("sweeping CCSDS C2 (8176,7156), 18-iteration fixed-point decoder…");
-        let results = run_curve_spec(
-            &code,
-            None,
-            &points,
-            &cfg,
-            &DecoderSpec::parse("fixed").unwrap(),
-        );
-        print!("{}", to_csv(&results));
+        curve("c2 / awgn / fixed", &[3.4, 3.7, 4.0, 4.3], 60)
     } else {
-        let code = demo_code();
-        let points = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let cfg = MonteCarloConfig {
-            max_frames: 4_000,
-            target_frame_errors: 60,
-            max_iterations: 18,
-            threads: 0,
-            seed: 0xF164,
-            transmission: Transmission::AllZero,
-            ..MonteCarloConfig::default()
-        };
         eprintln!("sweeping the (248) demo code (same 2xB weight-2 QC structure as C2)…");
         eprintln!("pass --c2 for the full 8176-bit code");
-        let results = run_curve_spec(
-            &code,
-            None,
-            &points,
-            &cfg,
-            &DecoderSpec::parse("fixed").unwrap(),
-        );
-        print!("{}", to_csv(&results));
-    }
+        curve(
+            "demo / awgn / fixed",
+            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            4_000,
+        )
+    };
+    print!("{}", to_csv(&results));
 }

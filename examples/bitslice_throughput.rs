@@ -14,9 +14,7 @@
 
 use ccsds_ldpc::channel::AwgnChannel;
 use ccsds_ldpc::core::codes::{ccsds_c2, small::demo_code};
-use ccsds_ldpc::core::{
-    decode_frames, BatchDecoder, BitsliceGallagerBDecoder, GallagerBDecoder, LdpcCode,
-};
+use ccsds_ldpc::core::{BitsliceGallagerBDecoder, BlockDecoder, GallagerBDecoder, LdpcCode};
 use ccsds_ldpc::gf2::BitVec;
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,16 +37,13 @@ fn frames(code: &Arc<LdpcCode>, count: usize, ebn0: f64, seed: u64) -> Vec<f32> 
 fn compare(label: &str, code: &Arc<LdpcCode>, total: usize, ebn0: f64, seed: u64) {
     let llrs = frames(code, total, ebn0, seed);
     let mut scalar = GallagerBDecoder::new(code.clone(), THRESHOLD);
-    let reference = decode_frames(&mut scalar, &llrs, ITERS);
+    let reference = scalar.decode_block(&llrs, ITERS);
     let start = Instant::now();
-    let _ = decode_frames(&mut scalar, &llrs, ITERS);
+    let _ = scalar.decode_block(&llrs, ITERS);
     let base = total as f64 / start.elapsed().as_secs_f64();
     let mut sliced = BitsliceGallagerBDecoder::new(code.clone(), THRESHOLD);
     let start = Instant::now();
-    let out: Vec<_> = llrs
-        .chunks(64 * code.n())
-        .flat_map(|block| sliced.decode_batch(block, ITERS))
-        .collect();
+    let out = sliced.decode_block(&llrs, ITERS);
     let fps = total as f64 / start.elapsed().as_secs_f64();
     assert_eq!(out, reference, "{label}: bit-sliced lanes diverged");
     let converged = out.iter().filter(|r| r.converged).count();

@@ -14,7 +14,7 @@ use ccsds_ldpc::core::decoder::{
     fine_alpha_schedule, mean_matching_alpha, nearest_hardware_scaling,
 };
 use ccsds_ldpc::core::DecoderSpec;
-use ccsds_ldpc::sim::{run_point_spec, MonteCarloConfig, Transmission};
+use ccsds_ldpc::sim::{run_point_blocks, MonteCarloConfig, Transmission};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,15 +56,14 @@ fn main() {
     };
     let mut plain_cfg = base.clone();
     plain_cfg.max_iterations = 50;
-    let plain = run_point_spec(&code, None, &plain_cfg, &DecoderSpec::parse("ms").unwrap());
+    let (ms, nms) = (
+        DecoderSpec::parse("ms").unwrap(),
+        DecoderSpec::parse("nms").unwrap(),
+    );
+    let plain = run_point_blocks(&code, None, &plain_cfg, || ms.build(&code));
     let mut scaled_cfg = base.clone();
     scaled_cfg.max_iterations = 18;
-    let scaled = run_point_spec(
-        &code,
-        None,
-        &scaled_cfg,
-        &DecoderSpec::parse("nms").unwrap(),
-    );
+    let scaled = run_point_blocks(&code, None, &scaled_cfg, || nms.build(&code));
     println!("\nat Eb/N0 = {} dB on the demo code:", base.ebn0_db);
     println!(
         "  plain sign-min,   50 iterations: BER {:.3e}, PER {:.3e} ({} frames)",

@@ -8,7 +8,7 @@
 
 use ccsds_ldpc::channel::AwgnChannel;
 use ccsds_ldpc::core::codes::ccsds_c2;
-use ccsds_ldpc::core::{Decoder, FixedConfig, FixedDecoder};
+use ccsds_ldpc::core::{FixedConfig, FixedDecoder};
 use ccsds_ldpc::hwsim::{ArchConfig, CodeDims, ThroughputModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

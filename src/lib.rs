@@ -8,7 +8,8 @@
 //! This facade crate re-exports the workspace layers:
 //!
 //! * [`gf2`] — GF(2) linear algebra (bit vectors, matrices, circulants);
-//! * [`core`] — the CCSDS C2 (8176, 7156) quasi-cyclic code, systematic
+//! * [`core`] — the CCSDS C2 (8176, 7156) quasi-cyclic code, the AR4JA
+//!   deep-space codes (the paper's stated future work), systematic
 //!   encoder, and the decoder family (sum-product, normalized min-sum,
 //!   bit-accurate fixed point, layered), plus the frame-batched decoders
 //!   that mirror the architecture's frames-per-word packing;
@@ -19,7 +20,6 @@
 //!   simulator, throughput model (Table 1), and FPGA resource model
 //!   (Tables 2–3);
 //! * [`sim`] — multithreaded Monte-Carlo BER/PER engine (Figure 4);
-//! * [`ar4ja`] — AR4JA deep-space codes, the paper's stated future work;
 //! * [`served`] — decode-as-a-service: a TCP server coalescing many
 //!   clients' frames into full `@pack`/`@batch`/`@bitslice` words under
 //!   a latency budget (the serving mirror of the paper's
@@ -53,15 +53,14 @@
 //! ```
 //!
 //! Concrete decoder types (`FixedDecoder`, `MinSumDecoder`, …) remain
-//! available for configurations outside the spec grammar; they adapt
-//! into the same trait via [`PerFrame`](core::PerFrame) /
-//! [`Batched`](core::Batched).
+//! available for configurations outside the spec grammar; each one
+//! implements the same trait directly.
 //!
 //! Codes and channels have the same declarative grammar
 //! ([`CodeSpec`](core::CodeSpec), [`ChannelSpec`](channel::ChannelSpec)),
 //! and one string composes all three into a complete experiment — a
 //! [`Scenario`](sim::Scenario) like `"c2 / awgn / nms:1.25"` — driven
-//! end to end by [`run_point_scenario`](sim::run_point_scenario). The
+//! end to end by [`run_point_scenario_with`](sim::run_point_scenario_with). The
 //! grammar and a recipe book live in `docs/scenarios.md`.
 //!
 //! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
@@ -83,9 +82,6 @@ pub use ldpc_hwsim as hwsim;
 
 /// Monte-Carlo evaluation engine (re-export of `ldpc-sim`).
 pub use ldpc_sim as sim;
-
-/// AR4JA deep-space codes (re-export of `ldpc-ar4ja`).
-pub use ldpc_ar4ja as ar4ja;
 
 /// Decode-as-a-service TCP server (re-export of `ldpc-served`).
 pub use ldpc_served as served;

@@ -1,9 +1,9 @@
 //! Integration of the AR4JA future-work extension with the decoder stack
 //! and Monte-Carlo engine: punctured deep-space codes decode end to end.
 
-use ccsds_ldpc::ar4ja::{Ar4jaCode, Ar4jaRate};
 use ccsds_ldpc::channel::{bpsk_modulate, AwgnChannel};
-use ccsds_ldpc::core::{Decoder, Encoder, MinSumConfig, MinSumDecoder, SumProductDecoder};
+use ccsds_ldpc::core::codes::ar4ja::{Ar4jaCode, Ar4jaRate};
+use ccsds_ldpc::core::{Encoder, MinSumConfig, MinSumDecoder, SumProductDecoder};
 use ccsds_ldpc::gf2::BitVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

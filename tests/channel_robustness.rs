@@ -4,8 +4,8 @@
 use ccsds_ldpc::channel::{AwgnChannel, BscChannel, ErasureChannel, RayleighChannel};
 use ccsds_ldpc::core::codes::small::demo_code;
 use ccsds_ldpc::core::{
-    Decoder, Encoder, FixedConfig, FixedDecoder, MinSumConfig, MinSumDecoder, PeelingDecoder,
-    ShortenedCode, SumProductDecoder,
+    Encoder, FixedConfig, FixedDecoder, MinSumConfig, MinSumDecoder, PeelingDecoder, ShortenedCode,
+    SumProductDecoder,
 };
 use ccsds_ldpc::gf2::BitVec;
 

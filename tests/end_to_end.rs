@@ -4,14 +4,14 @@
 use ccsds_ldpc::channel::AwgnChannel;
 use ccsds_ldpc::core::codes::{ccsds_c2, small::demo_code};
 use ccsds_ldpc::core::{
-    Decoder, Encoder, FixedConfig, FixedDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder,
-    SumProductDecoder,
+    BlockDecoder, Encoder, FixedConfig, FixedDecoder, LayeredMinSumDecoder, MinSumConfig,
+    MinSumDecoder, SumProductDecoder,
 };
 use ccsds_ldpc::gf2::BitVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn decoders(code: std::sync::Arc<ccsds_ldpc::core::LdpcCode>) -> Vec<Box<dyn Decoder>> {
+fn decoders(code: std::sync::Arc<ccsds_ldpc::core::LdpcCode>) -> Vec<Box<dyn BlockDecoder>> {
     vec![
         Box::new(SumProductDecoder::new(code.clone())),
         Box::new(MinSumDecoder::new(code.clone(), MinSumConfig::plain())),
@@ -37,7 +37,7 @@ fn c2_frame_roundtrip_through_clean_channel() {
         .map(|i| if cw.get(i) { -5.0 } else { 5.0 })
         .collect();
     for mut dec in decoders(code.clone()) {
-        let out = dec.decode(&llrs, 10);
+        let out = dec.decode_block(&llrs, 10).remove(0);
         assert!(out.converged, "{}", dec.name());
         assert_eq!(out.hard_decision, cw, "{}", dec.name());
     }
@@ -85,7 +85,7 @@ fn demo_code_random_traffic_all_decoders() {
         let cw = enc.encode(&msg).unwrap();
         let llrs = channel.transmit_codeword(&cw);
         for mut dec in decoders(code.clone()) {
-            let out = dec.decode(&llrs, 40);
+            let out = dec.decode_block(&llrs, 40).remove(0);
             assert!(out.converged, "trial {trial}: {}", dec.name());
             assert_eq!(
                 enc.extract_message(&out.hard_decision),

@@ -7,8 +7,8 @@
 
 use ccsds_ldpc::core::codes::{ccsds_c2, small::demo_code};
 use ccsds_ldpc::core::{
-    BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, DecodeResult, Decoder, DecoderSpec,
-    FixedConfig, FixedDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder,
+    BatchFixedDecoder, BatchMinSumDecoder, DecodeResult, DecoderSpec, FixedConfig, FixedDecoder,
+    LayeredMinSumDecoder, MinSumConfig, MinSumDecoder,
 };
 use ccsds_ldpc::gf2::BitVec;
 
@@ -314,12 +314,12 @@ fn c2_erasure_fixed_golden_vector() {
 
 /// The packet-loss workload with zero drops IS the plain channel path:
 /// a symbol-noise scenario run through `run_point_packets` must
-/// reproduce `run_point_scenario` bit for bit — the wrapper adds
+/// reproduce `run_point_scenario_with` bit for bit — the wrapper adds
 /// accounting, never perturbation.
 #[test]
 fn packet_workload_with_zero_drops_matches_plain_path_bit_identically() {
     use ccsds_ldpc::sim::{
-        run_point_packets, run_point_scenario, MonteCarloConfig, Scenario, Transmission,
+        run_point_packets, run_point_scenario_with, MonteCarloConfig, Scenario, Transmission,
     };
     let cfg = MonteCarloConfig {
         ebn0_db: 3.0,
@@ -332,7 +332,7 @@ fn packet_workload_with_zero_drops_matches_plain_path_bit_identically() {
     };
     for s in ["demo / awgn / fixed", "demo / bsc:0.03 / nms:1.25"] {
         let sc = Scenario::parse(s).unwrap();
-        let plain = run_point_scenario(&sc, &cfg).unwrap();
+        let plain = run_point_scenario_with(&sc.build_code().unwrap(), &sc, &cfg);
         let (packetized, report) = run_point_packets(&sc, 31, &cfg).unwrap();
         assert_eq!(packetized, plain, "{s}: packet wrapper perturbed the run");
         assert_eq!(report.dropped, 0, "{s}");

@@ -7,7 +7,7 @@ use ccsds_ldpc::core::DecoderSpec;
 use ccsds_ldpc::hwsim::{
     ArchConfig, CodeDims, ResourceEstimate, ThroughputModel, CYCLONE_II_EP2C50, STRATIX_II_EP2S180,
 };
-use ccsds_ldpc::sim::{run_point_spec, MonteCarloConfig, Transmission};
+use ccsds_ldpc::sim::{run_point_blocks, MonteCarloConfig, Transmission};
 
 #[test]
 fn table_1_throughputs() {
@@ -137,15 +137,14 @@ fn section_5_correction_factor_beats_plain_min_sum() {
     };
     let mut plain_cfg = base.clone();
     plain_cfg.max_iterations = 50;
-    let plain = run_point_spec(&code, None, &plain_cfg, &DecoderSpec::parse("ms").unwrap());
+    let (ms, nms) = (
+        DecoderSpec::parse("ms").unwrap(),
+        DecoderSpec::parse("nms").unwrap(),
+    );
+    let plain = run_point_blocks(&code, None, &plain_cfg, || ms.build(&code));
     let mut scaled_cfg = base;
     scaled_cfg.max_iterations = 18;
-    let scaled = run_point_spec(
-        &code,
-        None,
-        &scaled_cfg,
-        &DecoderSpec::parse("nms").unwrap(),
-    );
+    let scaled = run_point_blocks(&code, None, &scaled_cfg, || nms.build(&code));
     assert!(
         scaled.per() <= plain.per() * 1.25,
         "scaled 18-iter PER {} vs plain 50-iter PER {}",
@@ -172,8 +171,9 @@ fn iterations_trade_reliability_for_speed() {
     cfg10.max_iterations = 4;
     let mut cfg50 = base;
     cfg50.max_iterations = 50;
-    let few = run_point_spec(&code, None, &cfg10, &DecoderSpec::parse("nms").unwrap());
-    let many = run_point_spec(&code, None, &cfg50, &DecoderSpec::parse("nms").unwrap());
+    let nms = DecoderSpec::parse("nms").unwrap();
+    let few = run_point_blocks(&code, None, &cfg10, || nms.build(&code));
+    let many = run_point_blocks(&code, None, &cfg50, || nms.build(&code));
     assert!(
         many.per() < few.per(),
         "50-iter PER {} should beat 4-iter PER {}",

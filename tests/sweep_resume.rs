@@ -1,11 +1,12 @@
 //! Facade-level pins of the sweep orchestrator's determinism contract
 //! (ISSUE 8 acceptance criteria): a resumed run's merged counts are
-//! bit-identical to a single cold run at the combined budget, the
-//! orchestrator path reproduces the legacy curve door exactly, and the
-//! merged result does not depend on the worker-thread count.
+//! bit-identical to a single cold run at the combined budget, a curve
+//! (target 0, one chunk per point) reproduces single-threaded point runs
+//! exactly, and the merged result does not depend on the worker-thread
+//! count.
 
 use ccsds_ldpc::sim::{
-    run_curve_scenario, run_sweep, sweep_grid, MonteCarloConfig, Scenario, SweepConfig,
+    run_point_scenario_with, run_sweep, sweep_grid, MonteCarloConfig, Scenario, SweepConfig,
     Transmission,
 };
 use std::path::PathBuf;
@@ -32,26 +33,36 @@ fn temp_cache(name: &str) -> PathBuf {
     dir
 }
 
-/// threads: 1 orchestration is bit-reproducible against the legacy
-/// curve door: same seeds, same engine, same counts.
+/// A curve through the orchestrator (target 0, one chunk per point, two
+/// workers) is bit-reproducible against single-threaded point runs
+/// seeded the way `sweep_grid` seeds them: point `i` at
+/// `base + i · 0x5151_5151`.
 #[test]
 fn orchestrator_reproduces_run_curve_scenario_bit_for_bit() {
     let ebn0s = [2.0, 4.0];
-    let base = MonteCarloConfig {
-        ebn0_db: 0.0,
-        max_frames: 80,
-        target_frame_errors: 0,
-        max_iterations: 12,
-        seed: 0xC11,
-        threads: 1,
-        transmission: Transmission::AllZero,
+    let base_seed = 0xC11u64;
+    let units = sweep_grid(&[scenario()], &ebn0s, base_seed);
+    let cfg = SweepConfig {
+        threads: 2,
+        ..sweep_cfg(80, 80)
     };
-    let curve = run_curve_scenario(&scenario(), &ebn0s, &base).expect("curve runs");
-    let units = sweep_grid(&[scenario()], &ebn0s, base.seed);
-    let results = run_sweep(&units, &sweep_cfg(80, 80)).expect("sweep runs");
-    assert_eq!(results.len(), curve.len());
-    for (result, expected) in results.iter().zip(curve) {
-        assert_eq!(result.point, expected);
+    let results = run_sweep(&units, &cfg).expect("sweep runs");
+    let handle = scenario().build_code().expect("code builds");
+    assert_eq!(results.len(), ebn0s.len());
+    for (i, (result, &ebn0_db)) in results.iter().zip(&ebn0s).enumerate() {
+        let point_cfg = MonteCarloConfig {
+            ebn0_db,
+            max_frames: 80,
+            target_frame_errors: 0,
+            max_iterations: 12,
+            seed: base_seed.wrapping_add(i as u64 * 0x5151_5151),
+            threads: 1,
+            transmission: Transmission::AllZero,
+        };
+        assert_eq!(
+            result.point,
+            run_point_scenario_with(&handle, &scenario(), &point_cfg)
+        );
     }
 }
 
