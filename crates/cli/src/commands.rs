@@ -675,13 +675,7 @@ mod tests {
             &["simulate", "--demo"][..],
             &["sweep", "--demo", "--decoders", "fixed"],
         ] {
-            for extra in [
-                &["--ebno", "3"][..],
-                &["--batch", "8"],
-                &["--hard"],
-                &["--bitslice"],
-                &["--threshold", "2"],
-            ] {
+            for extra in [&["--ebno", "3"][..], &["--batch", "8"], &["--hard"]] {
                 let words = [command, extra].concat();
                 let err = error_of(&words);
                 assert!(
@@ -689,6 +683,52 @@ mod tests {
                     "{words:?}: {err}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn simulate_threshold_requires_hard() {
+        // A forgotten --hard must not silently run the soft decoder: the
+        // retired --threshold fails, pointing at --decoder, where the
+        // threshold now lives (gallager-b:t=N).
+        let err = error_of(&["simulate", "--demo", "--threshold", "5"]);
+        assert!(err.contains("unknown option --threshold"), "{err}");
+        assert!(err.contains("--decoder"), "{err}");
+    }
+
+    #[test]
+    fn simulate_hard_rejects_decoder_and_batch() {
+        // Neither combination may silently drop one of the two requests.
+        for words in [
+            &["simulate", "--demo", "--hard", "--decoder", "nms"][..],
+            &["simulate", "--demo", "--hard", "--batch", "8"],
+        ] {
+            let err = error_of(words);
+            assert!(err.contains("unknown option --hard"), "{words:?}: {err}");
+        }
+        let err = error_of(&["simulate", "--demo", "--decoder", "nms", "--batch", "8"]);
+        assert!(err.contains("unknown option --batch"), "{err}");
+    }
+
+    #[test]
+    fn sweep_rejects_legacy_decoder_flags() {
+        // sweep must not silently ignore a decoder flag and run a
+        // different decoder than asked; every message points at
+        // --decoders.
+        for extra in [
+            &["--hard"][..],
+            &["--bitslice"],
+            &["--threshold", "2"],
+            &["--batch", "8"],
+            &["--decoder", "nms:1.25"],
+        ] {
+            let words = [&["sweep", "--demo", "--decoders", "gallager-b"][..], extra].concat();
+            let err = error_of(&words);
+            assert!(
+                err.contains(&format!("unknown option {}", extra[0])),
+                "{extra:?}: {err}"
+            );
+            assert!(err.contains("--decoders"), "{extra:?}: {err}");
         }
     }
 

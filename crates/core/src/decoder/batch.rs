@@ -944,4 +944,20 @@ mod tests {
     fn zero_capacity_panics() {
         let _ = BatchMinSumDecoder::new(demo_code(), MinSumConfig::plain(), 0);
     }
+
+    #[test]
+    fn decode_frames_helper_matches_loop() {
+        // A per-frame decoder's decode_block decodes a mixed run of
+        // frames exactly as one decode call per frame.
+        let code = demo_code();
+        let llrs = mixed_batch(3, 21);
+        let mut dec = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
+        let all = dec.decode_block(&llrs, 10);
+        assert_eq!(all.len(), 3);
+        let mut again = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
+        for (f, r) in all.iter().enumerate() {
+            let one = again.decode(&llrs[f * code.n()..(f + 1) * code.n()], 10);
+            assert_eq!(*r, one);
+        }
+    }
 }

@@ -98,7 +98,9 @@ mod tests {
     };
 
     #[test]
-    fn per_frame_block_decode_matches_frame_loop() {
+    fn per_frame_adapter_matches_direct_decoding() {
+        // A per-frame decoder is its own block adapter: decode_block is
+        // the frame-by-frame loop over decode.
         let code = demo_code();
         let llrs: Vec<f32> = (0..3 * code.n())
             .map(|i| if i % 17 == 0 { -1.5 } else { 2.5 })
@@ -145,7 +147,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "multiple")]
-    fn block_decode_rejects_ragged_input() {
+    fn batched_adapter_rejects_ragged_input() {
+        // A batch decoder's decode_block checks the input contract itself.
         let code = demo_code();
         let mut dec = BatchMinSumDecoder::new(code, MinSumConfig::plain(), 4);
         dec.decode_block(&[0.0; 5], 1);
