@@ -7,7 +7,7 @@
 //! are bit-exact against scalar `fixed` frame by frame before timing
 //! anything, and writes the measured numbers to `BENCH_A10.json` at the
 //! workspace root. The acceptance bar is >= 8x frames/sec over scalar
-//! `fixed`; run with `--features simd` to measure the SSE4.1 mirror
+//! `fixed`; run with `--features simd` to measure the AVX2 mirror
 //! (reported in the JSON's `simd` flag).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -67,7 +67,7 @@ fn regenerate_a10() -> A10Numbers {
     println!(
         "  simd mirror: {}",
         if PackedFixedDecoder::simd_active() {
-            "active (SSE4.1)"
+            "active (AVX2)"
         } else {
             "off (portable SWAR)"
         }

@@ -35,24 +35,23 @@ use gf2::BitVec;
 use std::sync::Arc;
 
 /// Per-batch bookkeeping shared by the batched decoders: which frames are
-/// still active, and the result snapshot of frames that already finished.
+/// still active. Each decoder owns one and the driver re-arms it per
+/// batch, so its buffers are reused from batch to batch.
+#[derive(Default)]
 pub(super) struct BatchState {
-    pub(super) active: Vec<bool>,
+    active: Vec<bool>,
     /// Indices of the still-active lanes, so masked phases do work
     /// proportional to the number of unfinished frames.
     pub(super) lanes: Vec<u32>,
-    pub(super) iterations: Vec<u32>,
-    pub(super) converged: Vec<bool>,
 }
 
 impl BatchState {
-    fn new(frames: usize) -> Self {
-        Self {
-            active: vec![true; frames],
-            lanes: (0..frames as u32).collect(),
-            iterations: vec![0; frames],
-            converged: vec![false; frames],
-        }
+    /// Marks all of `frames` frames active.
+    fn reset(&mut self, frames: usize) {
+        self.active.clear();
+        self.active.resize(frames, true);
+        self.lanes.clear();
+        self.lanes.extend(0..frames as u32);
     }
 
     fn n_active(&self) -> usize {
@@ -75,20 +74,18 @@ pub(super) trait BatchPhases {
     /// Runs one check-node + bit-node iteration over the active lanes.
     fn run_phases(&mut self, iter: u32, frames: usize, state: &BatchState);
 
-    /// Called right before [`hard_frame`](Self::hard_frame) is read for
-    /// frame `f`, so engines that keep hard decisions in a transposed
-    /// layout can materialize just that frame on demand instead of
-    /// re-transposing every frame every iteration. Default: no-op.
-    fn materialize_hard(&mut self, _f: usize) {}
-
-    /// Hard-decision slice of frame `f` after the last iteration.
-    fn hard_frame(&self, f: usize) -> &[u8];
+    /// Hard decision of frame `f` after the last iteration, built only
+    /// when the frame's result is taken.
+    fn hard_decision(&self, f: usize) -> BitVec;
 
     /// Whether the hard decision of frame `f` satisfies every check.
     fn syndrome_ok_frame(&self, f: usize) -> bool;
 
     /// Whether converged frames retire from the batch.
     fn early_stop(&self) -> bool;
+
+    /// The decoder's batch bookkeeping, lent to the driver per batch.
+    fn batch_state(&mut self) -> &mut BatchState;
 }
 
 /// Iteration / early-termination / result-snapshot state machine shared
@@ -101,51 +98,42 @@ pub(super) fn drive_batch<E: BatchPhases>(
     frames: usize,
     max_iterations: u32,
 ) -> Vec<DecodeResult> {
-    let mut state = BatchState::new(frames);
-    let mut results: Vec<Option<DecodeResult>> = vec![None; frames];
+    // Borrow the engine's state for the batch (the phases read it while
+    // the engine is borrowed mutably) and hand it back at the end.
+    let mut state = std::mem::take(engine.batch_state());
+    state.reset(frames);
+    let unfinished = DecodeResult {
+        hard_decision: BitVec::default(),
+        iterations: 0,
+        converged: false,
+    };
+    let mut results = vec![unfinished; frames];
     for iter in 0..max_iterations {
         if state.n_active() == 0 {
             break;
         }
         engine.run_phases(iter, frames, &state);
-        // f indexes state, results, and the engine's frame views in
-        // lockstep, so a range loop reads clearer than enumerate here.
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..frames {
+        for (f, result) in results.iter_mut().enumerate() {
             if !state.active[f] {
                 continue;
             }
-            state.iterations[f] += 1;
-            if engine.syndrome_ok_frame(f) {
-                state.converged[f] = true;
-                if engine.early_stop() {
-                    engine.materialize_hard(f);
-                    results[f] = Some(DecodeResult {
-                        hard_decision: BitVec::from_bits(engine.hard_frame(f)),
-                        iterations: state.iterations[f],
-                        converged: true,
-                    });
-                    state.retire(f);
-                }
-            } else {
-                state.converged[f] = false;
+            result.iterations += 1;
+            result.converged = engine.syndrome_ok_frame(f);
+            if result.converged && engine.early_stop() {
+                result.hard_decision = engine.hard_decision(f);
+                state.retire(f);
             }
         }
     }
-    for (f, slot) in results.iter_mut().enumerate() {
-        if slot.is_none() {
-            engine.materialize_hard(f);
-            *slot = Some(DecodeResult {
-                hard_decision: BitVec::from_bits(engine.hard_frame(f)),
-                iterations: state.iterations[f],
-                converged: state.converged[f],
-            });
+    // Frames that never retired take their decision from the last
+    // iteration.
+    for (f, result) in results.iter_mut().enumerate() {
+        if state.active[f] {
+            result.hard_decision = engine.hard_decision(f);
         }
     }
+    *engine.batch_state() = state;
     results
-        .into_iter()
-        .map(|r| r.expect("filled above"))
-        .collect()
 }
 
 /// Frame-batched floating-point min-sum decoder, bit-exact against
@@ -177,6 +165,7 @@ pub struct BatchMinSumDecoder {
     ch: Vec<f32>,
     /// Hard decisions, frame-contiguous `hard[f*n + b]`.
     hard: Vec<u8>,
+    state: BatchState,
 }
 
 impl BatchMinSumDecoder {
@@ -197,6 +186,7 @@ impl BatchMinSumDecoder {
             cb: vec![0.0; edges * capacity],
             ch: vec![0.0; n * capacity],
             hard: vec![0; n * capacity],
+            state: BatchState::default(),
         }
     }
 
@@ -351,6 +341,12 @@ impl BatchMinSumDecoder {
         self.cn_phase_masked(iter as usize, frames, lanes);
         self.bn_phase_masked(frames, lanes);
     }
+
+    /// Hard-decision bytes of frame `f` after the last iteration.
+    fn hard_frame(&self, f: usize) -> &[u8] {
+        let n = self.code.n();
+        &self.hard[f * n..(f + 1) * n]
+    }
 }
 
 impl BatchPhases for BatchMinSumDecoder {
@@ -368,9 +364,8 @@ impl BatchPhases for BatchMinSumDecoder {
         }
     }
 
-    fn hard_frame(&self, f: usize) -> &[u8] {
-        let n = self.code.n();
-        &self.hard[f * n..(f + 1) * n]
+    fn hard_decision(&self, f: usize) -> BitVec {
+        BitVec::from_bits(self.hard_frame(f))
     }
 
     fn syndrome_ok_frame(&self, f: usize) -> bool {
@@ -379,6 +374,10 @@ impl BatchPhases for BatchMinSumDecoder {
 
     fn early_stop(&self) -> bool {
         self.config.early_stop
+    }
+
+    fn batch_state(&mut self) -> &mut BatchState {
+        &mut self.state
     }
 }
 
@@ -487,6 +486,7 @@ pub struct BatchFixedDecoder {
     /// masked path goes through the same `cn_scan` kernel as the
     /// per-frame path.
     scratch: Vec<i16>,
+    state: BatchState,
 }
 
 impl BatchFixedDecoder {
@@ -510,6 +510,7 @@ impl BatchFixedDecoder {
             ch: vec![0; n * capacity],
             hard: vec![0; n * capacity],
             scratch: vec![0; max_deg],
+            state: BatchState::default(),
         }
     }
 
@@ -713,6 +714,12 @@ impl BatchFixedDecoder {
         self.cn_phase_masked(frames, lanes);
         self.bn_phase_masked(frames, lanes);
     }
+
+    /// Hard-decision bytes of frame `f` after the last iteration.
+    fn hard_frame(&self, f: usize) -> &[u8] {
+        let n = self.code.n();
+        &self.hard[f * n..(f + 1) * n]
+    }
 }
 
 impl BatchPhases for BatchFixedDecoder {
@@ -730,9 +737,8 @@ impl BatchPhases for BatchFixedDecoder {
         }
     }
 
-    fn hard_frame(&self, f: usize) -> &[u8] {
-        let n = self.code.n();
-        &self.hard[f * n..(f + 1) * n]
+    fn hard_decision(&self, f: usize) -> BitVec {
+        BitVec::from_bits(self.hard_frame(f))
     }
 
     fn syndrome_ok_frame(&self, f: usize) -> bool {
@@ -741,6 +747,10 @@ impl BatchPhases for BatchFixedDecoder {
 
     fn early_stop(&self) -> bool {
         self.config.early_stop
+    }
+
+    fn batch_state(&mut self) -> &mut BatchState {
+        &mut self.state
     }
 }
 

@@ -6,24 +6,23 @@
 use crate::decoder::batch::{drive_batch, BatchPhases, BatchState};
 use crate::decoder::block::runs;
 use crate::decoder::swar::{
-    self, abs_i8, add_wrap8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16,
-    narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
+    self, abs_i8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16, narrow_bytes,
+    scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
 };
 use crate::decoder::{BlockDecoder, DecodeResult, FixedConfig};
-use crate::{LdpcCode, LlrQuantizer};
+use crate::{LdpcCode, LlrQuantizer, TannerGraph};
+use gf2::BitVec;
+use std::ops::Range;
 use std::sync::Arc;
 
 #[cfg(feature = "simd")]
-mod sse;
+mod avx2;
 
 /// Lanes (frames) packed into each message word.
 pub const PACK_LANES: usize = swar::LANES;
 
 /// Low byte of every u16 lane.
 const M16: u64 = 0x00FF_00FF_00FF_00FF;
-
-/// Low bit of every i8 lane.
-const L8: u64 = 0x0101_0101_0101_0101;
 
 /// Largest bit-node degree the stack-resident per-edge caches cover.
 const MAX_BN_DEGREE: usize = 64;
@@ -34,9 +33,127 @@ fn splat16(x: u16) -> u64 {
     u64::from(x) * 0x0001_0001_0001_0001
 }
 
+/// Splits signed byte lanes into non-negative magnitude planes: `(pos,
+/// neg)` with `pos[f] = max(v[f], 0)` and `neg[f] = max(-v[f], 0)`, for
+/// lanes in `-127..=127`.
+#[inline(always)]
+fn split_signed(v: u64) -> (u64, u64) {
+    let s = sign_mask8(v);
+    let mag = abs_i8(v);
+    (mag & !s, mag & s)
+}
+
+/// Words per slot row for a code with `checks` check nodes: `checks`
+/// rounded up to a multiple of 8, plus 8 more when that is an even
+/// number of 8-word blocks. An odd block count keeps the slot rows from
+/// landing a multiple of 128 words apart, where they would alias in L1.
+fn slot_stride(checks: usize) -> usize {
+    let stride = checks.next_multiple_of(8);
+    if (stride / 8).is_multiple_of(2) {
+        stride + 8
+    } else {
+        stride
+    }
+}
+
+/// A maximal stretch of consecutive bits whose message words all advance
+/// by one word per bit: bit `bit + j` reads and writes word `p + j` for
+/// each edge position `p` of the run.
+struct BitRun {
+    /// First bit of the run.
+    bit: usize,
+    /// Bits in the run.
+    len: usize,
+    /// The first bit's edge positions, as a range of
+    /// [`SlotLayout::run_pos`].
+    pos: Range<usize>,
+}
+
+/// Slot-major placement of the edge messages, the software form of the
+/// paper's banked message memory: edge `e`, the `k`-th edge of check
+/// `m`, lives at word `k·stride + m`, so row `k` holds input slot `k` of
+/// every check.
+struct SlotLayout {
+    /// Words per slot row (`M′`).
+    stride: usize,
+    /// Slot rows: the largest check degree.
+    slots: usize,
+    /// Every bit, grouped into runs, in bit order.
+    runs: Vec<BitRun>,
+    /// Edge positions of each run's first bit.
+    run_pos: Vec<u32>,
+}
+
+impl SlotLayout {
+    fn new(graph: &TannerGraph) -> Self {
+        let stride = slot_stride(graph.n_checks());
+        let slots = graph.max_cn_degree();
+        let words = slots * stride;
+        // Word position of every edge, in the graph's check-grouped order.
+        let mut edge_pos = vec![0u32; graph.n_edges()];
+        for m in 0..graph.n_checks() {
+            let range = graph.cn_edge_range(m);
+            for (k, e) in range.enumerate() {
+                edge_pos[e] = u32::try_from(k * stride + m).expect("message memory fits u32");
+            }
+        }
+        let mut runs: Vec<BitRun> = Vec::new();
+        let mut run_pos = Vec::new();
+        let (mut pos, mut prev) = (Vec::new(), Vec::new());
+        for n in 0..graph.n_bits() {
+            pos.clear();
+            pos.extend(graph.bn_edge_ids(n).iter().map(|&e| edge_pos[e as usize]));
+            let extends = !runs.is_empty()
+                && pos.len() == prev.len()
+                && pos.iter().zip(&prev).all(|(&p, &q)| p == q + 1);
+            if extends {
+                runs.last_mut().expect("checked non-empty").len += 1;
+            } else {
+                let start = run_pos.len();
+                run_pos.extend_from_slice(&pos);
+                runs.push(BitRun {
+                    bit: n,
+                    len: 1,
+                    pos: start..run_pos.len(),
+                });
+            }
+            std::mem::swap(&mut pos, &mut prev);
+        }
+        // The vector mirror reads and writes whole runs without index
+        // checks; these bounds are its safety argument.
+        for run in &runs {
+            assert!(
+                run.bit + run.len <= graph.n_bits(),
+                "bit run past the code length"
+            );
+            assert!(
+                run.pos.len() <= MAX_BN_DEGREE,
+                "bit run wider than the edge cache"
+            );
+            for &p in &run_pos[run.pos.clone()] {
+                assert!(
+                    p as usize + run.len <= words,
+                    "bit run past the message memory"
+                );
+            }
+        }
+        Self {
+            stride,
+            slots,
+            runs,
+            run_pos,
+        }
+    }
+
+    /// Message words per direction.
+    fn words(&self) -> usize {
+        self.slots * self.stride
+    }
+}
+
 /// Frame-packed fixed-point normalized min-sum decoder.
 ///
-/// Eight frames' messages share each `u64`: edge `e`'s word carries frame
+/// Eight frames' messages share each `u64`: an edge's word carries frame
 /// `f`'s message in byte lane `f` (the [`gf2::ByteSlices`] transpose), and
 /// every check-node and bit-node update is a handful of SWAR word ops from
 /// [`swar`](crate::decoder::swar) that advance all 8 lanes at once. Each
@@ -44,18 +161,27 @@ fn splat16(x: u16) -> u64 {
 /// and magnitude planes), so an iteration streams exactly two words per
 /// edge visit — the check node splits sign from magnitude on the fly
 /// (the sign product is the XOR of the raw words: sign bits XOR in
-/// place) and the bit node re-signs on the way out. The bit-node sum
-/// runs in biased u16 lanes (bias `B = ch_max + max_bn_degree ·
-/// msg_max`), which keeps every partial sum non-negative in any
-/// accumulation order; the sum therefore never wraps a lane and matches
-/// the scalar datapath's widen-accumulate-then-clamp exactly.
+/// place) and the bit node re-signs on the way out.
+///
+/// The words are stored **slot-major**, like the paper's banked message
+/// memory: the `k`-th edge of check `m` lives at word `k·M′ + m`, so each
+/// check-input slot is one row of `M′` words (`M′` ≥ the check count, see
+/// DESIGN.md §4.4). A check scan reads the same address in every row, and
+/// the bit nodes of a circulant walk each row one word per bit. Slots of
+/// checks with fewer edges than the widest check hold neutral `0x7F`
+/// lanes.
+///
+/// The portable bit-node sum runs in biased u16 lanes (bias `B = ch_max +
+/// max_bn_degree · msg_max`), which keeps every partial sum non-negative
+/// in any accumulation order; the sum therefore never wraps a lane and
+/// matches the scalar datapath's widen-accumulate-then-clamp exactly.
 ///
 /// The result is **bit-exact per lane** against [`FixedDecoder`](crate::decoder::FixedDecoder) with the
 /// same [`FixedConfig`] — same messages, same hard decisions, same
 /// iteration counts — which the conformance and golden suites pin.
 ///
-/// With the `simd` cargo feature enabled (and SSE4.1 present at runtime)
-/// the same phases run on 128-bit vector instructions; the results are
+/// With the `simd` cargo feature enabled (and AVX2 present at runtime)
+/// the same phases run on 256-bit vector instructions; the results are
 /// identical bit for bit.
 ///
 /// # Example
@@ -75,27 +201,24 @@ pub struct PackedFixedDecoder {
     code: Arc<LdpcCode>,
     config: FixedConfig,
     quantizer: LlrQuantizer,
-    /// Bit-node bias: u16 accumulator lanes hold `bias + value`.
+    /// Bit-node bias of the portable path: u16 accumulator lanes hold
+    /// `bias + value`.
     bias: u16,
-    /// Bit→check messages: one signed-byte lane word per edge.
+    layout: SlotLayout,
+    /// Bit→check messages: one signed-byte lane word per slot-major
+    /// position; positions no edge owns hold `0x7F` lanes.
     bc: Vec<u64>,
-    /// Check→bit messages: one signed-byte lane word per edge.
+    /// Check→bit messages, same layout.
     cb: Vec<u64>,
-    /// Channel LLRs saturated to the message width, one word per bit
-    /// (the initial bit→check message of every adjacent edge).
-    ch_sat: Vec<u64>,
-    /// Biased channel LLRs, u16 lanes, even frames (0, 2, 4, 6).
-    chb_even: Vec<u64>,
-    /// Biased channel LLRs, u16 lanes, odd frames (1, 3, 5, 7).
-    chb_odd: Vec<u64>,
+    /// Quantized channel LLRs as signed bytes, one little-endian word
+    /// per bit (frame `f` in byte `f`).
+    ch: Vec<[u8; 8]>,
     /// Hard-decision masks: `0xFF` in lane `f` where frame `f` decides 1.
     hard_mask: Vec<u64>,
-    /// Frame-major hard-decision bytes (frame `f` at `f*n..(f+1)*n`),
-    /// materialized per frame on demand from `hard_mask`.
-    hard: Vec<u8>,
     /// Per-lane unsatisfied-check mask: byte `f` is zero iff frame `f`'s
     /// syndrome is zero after the last iteration.
     unsat: u64,
+    state: BatchState,
 }
 
 impl PackedFixedDecoder {
@@ -108,7 +231,7 @@ impl PackedFixedDecoder {
     /// (`q_msg` or `q_ch` above 8 bits, or a bias that overflows the u16
     /// bit-node lanes), if any check node has degree outside `2..=127`
     /// (the two-minimum lane scan needs at least two absorbs to mirror
-    /// the scalar kernel, and edge indices must fit a lane), or if any
+    /// the scalar kernel, and slot indices must fit a lane), or if any
     /// bit node has degree above 64 (the per-edge contribution caches
     /// are stack-sized).
     pub fn new(code: Arc<LdpcCode>, config: FixedConfig) -> Self {
@@ -143,20 +266,20 @@ impl PackedFixedDecoder {
             2 * bias <= 0x7FFF,
             "bit-node bias {bias} overflows the u16 accumulator lanes"
         );
-        let edges = graph.n_edges();
+        let layout = SlotLayout::new(graph);
+        let words = layout.words();
         let n = code.n();
         Self {
             quantizer,
             config,
             bias: bias as u16,
-            bc: vec![0; edges],
-            cb: vec![0; edges],
-            ch_sat: vec![0; n],
-            chb_even: vec![0; n],
-            chb_odd: vec![0; n],
+            layout,
+            bc: vec![splat8(0x7F); words],
+            cb: vec![0; words],
+            ch: vec![[0; 8]; n],
             hard_mask: vec![0; n],
-            hard: vec![0; n * PACK_LANES],
             unsat: 0,
+            state: BatchState::default(),
             code,
         }
     }
@@ -171,13 +294,14 @@ impl PackedFixedDecoder {
         &self.code
     }
 
-    /// Whether the 128-bit SSE4.1 mirror is compiled in (`simd` feature)
+    /// Whether the 256-bit AVX2 mirror is compiled in (`simd` feature)
     /// **and** supported by the running CPU. When `false` the portable
-    /// SWAR kernels run; the results are identical either way.
+    /// SWAR kernels run on the same slot-major layout; the results are
+    /// identical either way.
     pub fn simd_active() -> bool {
         #[cfg(feature = "simd")]
         {
-            sse::available()
+            avx2::available()
         }
         #[cfg(not(feature = "simd"))]
         {
@@ -199,54 +323,69 @@ impl PackedFixedDecoder {
         channel: &[i16],
         max_iterations: u32,
     ) -> Vec<DecodeResult> {
-        let code = self.code.clone();
-        let graph = code.graph();
-        let n = graph.n_bits();
-        assert!(
-            !channel.is_empty() && channel.len().is_multiple_of(n),
-            "channel length must be a positive multiple of the code length"
-        );
-        let frames = channel.len() / n;
-        assert!(
-            frames <= PACK_LANES,
-            "batch of {frames} frames exceeds the {PACK_LANES} lanes of one word"
-        );
         let ch_max = self.quantizer.max_level();
         assert!(
             channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
             "channel value outside quantizer range"
         );
+        let frames = self.load_channel(channel, |c| c);
+        self.decode_loaded(frames, max_iterations)
+    }
 
-        // Transpose the channel into lane words: saturated signed bytes
-        // for message initialization, biased u16 lanes for the bit-node
-        // accumulator. Unused lanes stay at channel 0 (bias B), which
-        // keeps every lane inside the proven value ranges.
-        let bias = u64::from(self.bias);
-        let msg_max = self.config.msg_max() as u8 as i8;
-        for b in 0..n {
-            let mut sat = 0u64;
-            let mut even = 0u64;
-            let mut odd = 0u64;
-            for f in 0..PACK_LANES {
-                // Unused lanes stay at channel 0 (bias B in the u16
-                // plane), keeping every lane inside the proven ranges.
-                let c = if f < frames { channel[f * n + b] } else { 0 };
-                sat |= u64::from(c as i8 as u8) << (8 * f);
-                let biased = bias.wrapping_add(c as u64) & 0xFFFF;
-                if f % 2 == 0 {
-                    even |= biased << (8 * f);
-                } else {
-                    odd |= biased << (8 * (f - 1));
+    /// Decodes between 1 and [`PACK_LANES`] frames stored back to back
+    /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) as one packed word.
+    ///
+    /// Returns one [`DecodeResult`] per frame, in input order, each
+    /// bit-identical to [`FixedDecoder`](crate::decoder::FixedDecoder) on
+    /// that frame alone. [`BlockDecoder::decode_block`] takes any number
+    /// of frames and splits them into words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `llrs.len()` is not a positive multiple of the code
+    /// length, or if the frame count exceeds [`PACK_LANES`].
+    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        let quantizer = self.quantizer;
+        let frames = self.load_channel(llrs, |llr| quantizer.quantize(llr));
+        self.decode_loaded(frames, max_iterations)
+    }
+
+    /// Transposes frame-major inputs into the channel plane, frame `f`'s
+    /// level in byte lane `f`, and returns the frame count. Unused lanes
+    /// hold channel 0, which keeps every lane inside the proven value
+    /// ranges.
+    fn load_channel<T: Copy>(&mut self, input: &[T], level: impl Fn(T) -> i16) -> usize {
+        let n = self.code.n();
+        assert!(
+            !input.is_empty() && input.len().is_multiple_of(n),
+            "input length must be a positive multiple of the code length"
+        );
+        let frames = input.len() / n;
+        assert!(
+            frames <= PACK_LANES,
+            "batch of {frames} frames exceeds the {PACK_LANES} lanes of one word"
+        );
+        self.ch.fill([0; 8]);
+        for (f, frame) in input.chunks_exact(n).enumerate() {
+            for (lanes, &x) in self.ch.iter_mut().zip(frame) {
+                lanes[f] = level(x) as u8;
+            }
+        }
+        frames
+    }
+
+    /// Seeds every edge's bit→check message with its bit's channel value
+    /// saturated to the message width, then runs the iterations.
+    fn decode_loaded(&mut self, frames: usize, max_iterations: u32) -> Vec<DecodeResult> {
+        let msg_max = self.config.msg_max() as i8;
+        for run in &self.layout.runs {
+            let pos = &self.layout.run_pos[run.pos.clone()];
+            for (j, &c) in self.ch[run.bit..run.bit + run.len].iter().enumerate() {
+                let sat = clamp_i8(u64::from_le_bytes(c), msg_max);
+                for &p in pos {
+                    self.bc[p as usize + j] = sat;
                 }
             }
-            self.ch_sat[b] = clamp_i8(sat, msg_max);
-            self.chb_even[b] = even;
-            self.chb_odd[b] = odd;
-        }
-        // Initial bit→check messages: the saturated channel value of the
-        // edge's bit, in every lane at once.
-        for e in 0..graph.n_edges() {
-            self.bc[e] = self.ch_sat[graph.edge_bit(e)];
         }
         drive_batch(self, frames, max_iterations)
     }
@@ -262,99 +401,98 @@ impl PackedFixedDecoder {
     /// scalar kernel's `i16::MAX` seed for degrees >= 2 because lane
     /// magnitudes never exceed 127: the first two absorbs pull both
     /// minima down to real message values either way, through the same
-    /// strict-`<` first-wins tie rule.
+    /// strict-`<` first-wins tie rule. The argmin is the slot index,
+    /// which is the edge's rank within its check.
     fn cn_phase(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
+        let graph = self.code.graph();
+        let stride = self.layout.stride;
         let scaling = self.config.scaling;
         for m in 0..graph.n_checks() {
-            let range = graph.cn_edge_range(m);
+            let deg = graph.cn_degree(m);
             let mut sp = 0u64;
             let mut min1 = splat8(0x7F);
             let mut min2 = splat8(0x7F);
             let mut argmin = 0u64;
-            for (idx, e) in range.clone().enumerate() {
-                let v = self.bc[e];
+            for k in 0..deg {
+                let v = self.bc[k * stride + m];
                 sp ^= v;
                 let mag = abs_i8(v);
                 let lt1 = ltu7_mask(mag, min1);
                 let lt2 = ltu7_mask(mag, min2);
                 min2 = select8(lt1, min1, select8(lt2, mag, min2));
                 min1 = select8(lt1, mag, min1);
-                argmin = select8(lt1, splat8(idx as i8), argmin);
+                argmin = select8(lt1, splat8(k as i8), argmin);
             }
             // Scaling commutes with the excluded-self select, so scale the
             // two minima once per check instead of once per edge.
             let s1 = scale_mag8(min1, scaling);
             let s2 = scale_mag8(min2, scaling);
-            for (idx, e) in range.enumerate() {
-                let eq = eq7_mask(argmin, splat8(idx as i8));
+            for k in 0..deg {
+                let p = k * stride + m;
+                let eq = eq7_mask(argmin, splat8(k as i8));
                 let smag = select8(eq, s2, s1);
                 // Output sign = sign product excluding self = sign bits
                 // of the XOR accumulator XOR this edge's own sign.
-                let sign = sign_mask8(sp ^ self.bc[e]);
-                self.cb[e] = apply_sign8(smag, sign);
+                let sign = sign_mask8(sp ^ self.bc[p]);
+                self.cb[p] = apply_sign8(smag, sign);
             }
         }
     }
 
     /// Bit-node phase, all 8 lanes per word op, in biased u16 lanes.
     ///
-    /// Lane values stay in `[0, 2·bias]` through every partial sum (each
-    /// check→bit magnitude is at most `msg_max` and at most
-    /// `max_bn_degree` of them are subtracted), so the plain `u64`
-    /// add/sub never borrows across lanes and the accumulator is exact —
-    /// the packed equivalent of the scalar datapath's i32 widening. The
-    /// per-edge output `bias + ch + total − own` then saturates to
-    /// `msg_max` exactly like
+    /// Lane values stay in `[0, 2·bias]` through every partial sum (the
+    /// channel magnitude is at most `ch_max`, each check→bit magnitude is
+    /// at most `msg_max`, and at most `max_bn_degree` of them are
+    /// subtracted), so the plain `u64` add/sub never borrows across lanes
+    /// and the accumulator is exact — the packed equivalent of the scalar
+    /// datapath's i32 widening. The per-edge output `bias + ch + total −
+    /// own` then saturates to `msg_max` exactly like
     /// [`bn_output`](crate::decoder::kernels::bn_output), and the hard
     /// decision `t < bias` is [`bn_posterior`](crate::decoder::kernels::bn_posterior)` < 0`.
     fn bn_phase(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
         let b16 = splat16(self.bias);
         let m16 = splat16(self.config.msg_max() as u16);
         let mut pms = [0u64; MAX_BN_DEGREE];
         let mut nms = [0u64; MAX_BN_DEGREE];
-        for n in 0..graph.n_bits() {
-            let edges = graph.bn_edge_ids(n);
-            let mut te = self.chb_even[n];
-            let mut to = self.chb_odd[n];
-            for (i, &e) in edges.iter().enumerate() {
-                let v = self.cb[e as usize];
-                // Split the signed lanes into positive / negative
-                // magnitude planes: conditional two's-complement via the
-                // shared sign mask, then mask each half.
-                let s = sign_mask8(v);
-                let mag = add_wrap8(v ^ s, s & L8);
-                let pm = mag & !s;
-                let nm = mag & s;
-                pms[i] = pm;
-                nms[i] = nm;
-                te = te.wrapping_add(widen_even(pm)).wrapping_sub(widen_even(nm));
-                to = to.wrapping_add(widen_odd(pm)).wrapping_sub(widen_odd(nm));
+        for run in &self.layout.runs {
+            let pos = &self.layout.run_pos[run.pos.clone()];
+            for j in 0..run.len {
+                let b = run.bit + j;
+                let (cp, cn) = split_signed(u64::from_le_bytes(self.ch[b]));
+                let mut te = b16
+                    .wrapping_add(widen_even(cp))
+                    .wrapping_sub(widen_even(cn));
+                let mut to = b16.wrapping_add(widen_odd(cp)).wrapping_sub(widen_odd(cn));
+                for (i, &p) in pos.iter().enumerate() {
+                    let (pm, nm) = split_signed(self.cb[p as usize + j]);
+                    pms[i] = pm;
+                    nms[i] = nm;
+                    te = te.wrapping_add(widen_even(pm)).wrapping_sub(widen_even(nm));
+                    to = to.wrapping_add(widen_odd(pm)).wrapping_sub(widen_odd(nm));
+                }
+                for (i, &p) in pos.iter().enumerate() {
+                    let (pm, nm) = (pms[i], nms[i]);
+                    let ue = te.wrapping_sub(widen_even(pm)).wrapping_add(widen_even(nm));
+                    let uo = to.wrapping_sub(widen_odd(pm)).wrapping_add(widen_odd(nm));
+                    // Sign: the extrinsic sum is negative iff u < bias.
+                    let lte = ltu15_mask16(ue, b16);
+                    let lto = ltu15_mask16(uo, b16);
+                    // Magnitude: |u - bias| via max/min (xor recovers the
+                    // other of the pair), saturated to the message width.
+                    let mxe = select8(lte, b16, ue);
+                    let mage = min_u16(mxe.wrapping_sub(ue ^ b16 ^ mxe), m16);
+                    let mxo = select8(lto, b16, uo);
+                    let mago = min_u16(mxo.wrapping_sub(uo ^ b16 ^ mxo), m16);
+                    let sign = narrow_bytes(lte & M16, lto & M16);
+                    let mag = narrow_bytes(mage, mago);
+                    self.bc[p as usize + j] = apply_sign8(mag, sign);
+                }
+                // Hard decision: posterior < 0 iff the biased total < bias.
+                let he = ltu15_mask16(te, b16);
+                let ho = ltu15_mask16(to, b16);
+                self.hard_mask[b] = narrow_bytes(he & M16, ho & M16);
             }
-            for (i, &e) in edges.iter().enumerate() {
-                let (pm, nm) = (pms[i], nms[i]);
-                let ue = te.wrapping_sub(widen_even(pm)).wrapping_add(widen_even(nm));
-                let uo = to.wrapping_sub(widen_odd(pm)).wrapping_add(widen_odd(nm));
-                // Sign: the extrinsic sum is negative iff u < bias.
-                let lte = ltu15_mask16(ue, b16);
-                let lto = ltu15_mask16(uo, b16);
-                // Magnitude: |u - bias| via max/min (xor recovers the
-                // other of the pair), saturated to the message width.
-                let mxe = select8(lte, b16, ue);
-                let mage = min_u16(mxe.wrapping_sub(ue ^ b16 ^ mxe), m16);
-                let mxo = select8(lto, b16, uo);
-                let mago = min_u16(mxo.wrapping_sub(uo ^ b16 ^ mxo), m16);
-                let sign = narrow_bytes(lte & M16, lto & M16);
-                let mag = narrow_bytes(mage, mago);
-                self.bc[e as usize] = apply_sign8(mag, sign);
-            }
-            // Hard decision: posterior < 0 iff the biased total < bias.
-            let he = ltu15_mask16(te, b16);
-            let ho = ltu15_mask16(to, b16);
-            self.hard_mask[n] = narrow_bytes(he & M16, ho & M16);
         }
     }
 
@@ -362,8 +500,7 @@ impl PackedFixedDecoder {
     /// lane `f` of `unsat` becomes non-zero iff frame `f` leaves some
     /// check unsatisfied.
     fn syndrome_pass(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
+        let graph = self.code.graph();
         let mut unsat = 0u64;
         for m in 0..graph.n_checks() {
             let mut parity = 0u64;
@@ -374,6 +511,18 @@ impl PackedFixedDecoder {
         }
         self.unsat = unsat;
     }
+
+    /// One check-node + bit-node iteration: the AVX2 mirror when it is
+    /// compiled in and the CPU has it, the portable SWAR kernels
+    /// otherwise.
+    fn phases(&mut self) {
+        #[cfg(feature = "simd")]
+        if self.cn_phase_simd() && self.bn_phase_simd() {
+            return;
+        }
+        self.cn_phase();
+        self.bn_phase();
+    }
 }
 
 impl BatchPhases for PackedFixedDecoder {
@@ -381,28 +530,26 @@ impl BatchPhases for PackedFixedDecoder {
         // All 8 lanes always advance — a retired lane's results were
         // snapshotted by the driver, so its lanes idling along is free
         // (that is the whole point of the packing: no masking, ever).
-        #[cfg(feature = "simd")]
-        if self.simd_phases() {
-            self.syndrome_pass();
-            return;
-        }
-        self.cn_phase();
-        self.bn_phase();
+        self.phases();
         self.syndrome_pass();
     }
 
-    fn materialize_hard(&mut self, f: usize) {
-        // Transpose frame f's lane out of the hard-decision masks, on
-        // demand — once per frame per decode instead of every iteration.
-        let n = self.code.n();
-        for (b, &mask) in self.hard_mask.iter().enumerate() {
-            self.hard[f * n + b] = ((mask >> (8 * f)) & 1) as u8;
-        }
-    }
-
-    fn hard_frame(&self, f: usize) -> &[u8] {
-        let n = self.code.n();
-        &self.hard[f * n..(f + 1) * n]
+    fn hard_decision(&self, f: usize) -> BitVec {
+        // Mask lanes are all-ones or all-zeros, so bit j of lane f of the
+        // j-th mask of a group of 8 is that bit's decision: AND-OR eight
+        // masks into one byte of the output word.
+        let pick: [u64; 8] = std::array::from_fn(|j| 1 << (8 * f + j));
+        let words = self
+            .hard_mask
+            .chunks(64)
+            .map(|masks| {
+                masks.chunks(8).enumerate().fold(0u64, |word, (g, group)| {
+                    let lane = group.iter().zip(&pick).fold(0, |b, (&m, &p)| b | (m & p));
+                    word | (lane >> (8 * f)) << (8 * g)
+                })
+            })
+            .collect();
+        BitVec::from_words(self.code.n(), words)
     }
 
     fn syndrome_ok_frame(&self, f: usize) -> bool {
@@ -412,29 +559,9 @@ impl BatchPhases for PackedFixedDecoder {
     fn early_stop(&self) -> bool {
         self.config.early_stop
     }
-}
 
-impl PackedFixedDecoder {
-    /// Decodes between 1 and [`PACK_LANES`] frames stored back to back
-    /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) as one packed word.
-    ///
-    /// Returns one [`DecodeResult`] per frame, in input order, each
-    /// bit-identical to [`FixedDecoder`](crate::decoder::FixedDecoder) on
-    /// that frame alone. [`BlockDecoder::decode_block`] takes any number
-    /// of frames and splits them into words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len()` is not a positive multiple of the code
-    /// length, or if the frame count exceeds [`PACK_LANES`].
-    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        let n = self.code.n();
-        assert!(
-            !llrs.is_empty() && llrs.len().is_multiple_of(n),
-            "LLR length must be a positive multiple of the code length"
-        );
-        let quantized = self.quantizer.quantize_slice(llrs);
-        self.decode_quantized_batch(&quantized, max_iterations)
+    fn batch_state(&mut self) -> &mut BatchState {
+        &mut self.state
     }
 }
 
@@ -596,11 +723,58 @@ mod tests {
     }
 
     #[test]
+    fn slot_stride_pads_to_an_odd_block_count() {
+        assert_eq!(slot_stride(1022), 1032); // C2: 1024 is 128 blocks
+        assert_eq!(slot_stride(1020), 1032);
+        assert_eq!(slot_stride(1016), 1016); // 127 blocks
+        assert_eq!(slot_stride(3), 8);
+        for m in 1..600 {
+            let s = slot_stride(m);
+            assert!(
+                s >= m && s.is_multiple_of(8) && !(s / 8).is_multiple_of(2),
+                "m {m}: stride {s}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_cover_every_edge_once() {
+        for code in [demo_code(), crate::codes::ccsds_c2::code()] {
+            let graph = code.graph();
+            let layout = SlotLayout::new(graph);
+            let mut seen = vec![false; layout.words()];
+            let mut next_bit = 0;
+            for run in &layout.runs {
+                assert_eq!(run.bit, next_bit, "runs must tile the bits in order");
+                next_bit += run.len;
+                for j in 0..run.len {
+                    let b = run.bit + j;
+                    let pos = &layout.run_pos[run.pos.clone()];
+                    assert_eq!(pos.len(), graph.bn_degree(b));
+                    for (&p, &m) in pos.iter().zip(graph.bn_checks(b)) {
+                        let p = p as usize + j;
+                        assert_eq!(
+                            p % layout.stride,
+                            m as usize,
+                            "word row column is the check"
+                        );
+                        assert!(!seen[p], "word {p} owned twice");
+                        seen[p] = true;
+                    }
+                }
+            }
+            assert_eq!(next_bit, graph.n_bits());
+            assert_eq!(seen.iter().filter(|&&s| s).count(), graph.n_edges());
+        }
+    }
+
+    #[test]
     #[ignore = "manual profiling aid: run with --release --nocapture"]
     fn profile_phase_split() {
         let code = crate::codes::ccsds_c2::code();
         let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let ch = mixed_batch(&code, 8, 99);
+        let llrs: Vec<f32> = ch.iter().map(|&c| f32::from(c) * 0.5).collect();
         let _ = dec.decode_quantized_batch(&ch, 2); // warm buffers
         let reps = 200u32;
         let time = |label: &str, f: &mut dyn FnMut()| {
@@ -610,29 +784,39 @@ mod tests {
             }
             println!("  {label}: {:?}/iter", start.elapsed() / reps);
         };
-        time("full decode ", &mut || {
+        println!(
+            "C2 8-frame word, {} runs, stride {} words, {} slots, vector path {}",
+            dec.layout.runs.len(),
+            dec.layout.stride,
+            dec.layout.slots,
+            if PackedFixedDecoder::simd_active() {
+                "AVX2"
+            } else {
+                "inactive"
+            }
+        );
+        time("word fixed cost (0 it)", &mut || {
+            let _ = dec.decode_batch(&llrs, 0);
+        });
+        time("full decode (18 it)   ", &mut || {
             let _ = dec.decode_quantized_batch(&ch, 18);
         });
-        time("decode 1 it ", &mut || {
-            let _ = dec.decode_quantized_batch(&ch, 1);
-        });
+        time("phases, selected path ", &mut || dec.phases());
         #[cfg(feature = "simd")]
-        time("simd phases ", &mut || {
-            let _ = dec.simd_phases();
-        });
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        #[allow(unsafe_code)]
         if PackedFixedDecoder::simd_active() {
-            // SAFETY: feature presence checked on the line above.
-            time("cn (sse)    ", &mut || unsafe { dec.cn_phase_sse() });
-            time("bn (sse)    ", &mut || unsafe { dec.bn_phase_sse() });
+            time("cn (avx2)             ", &mut || {
+                assert!(dec.cn_phase_simd())
+            });
+            time("bn (avx2)             ", &mut || {
+                assert!(dec.bn_phase_simd())
+            });
         }
-        time("cn (swar)   ", &mut || dec.cn_phase());
-        time("bn (swar)   ", &mut || dec.bn_phase());
-        time("syndrome    ", &mut || dec.syndrome_pass());
-        time("materialize ", &mut || {
+        time("cn (swar)             ", &mut || dec.cn_phase());
+        time("bn (swar)             ", &mut || dec.bn_phase());
+        time("syndrome              ", &mut || dec.syndrome_pass());
+        time("hard decisions (8 fr) ", &mut || {
             for f in 0..8 {
-                dec.materialize_hard(f);
+                let _ = dec.hard_decision(f);
             }
         });
     }

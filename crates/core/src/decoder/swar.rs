@@ -25,7 +25,7 @@
 //!   spend fewer ops by letting the sign bit absorb borrows.
 //!
 //! When the `simd` cargo feature is enabled the packed decoder runs a
-//! `core::arch` SSE4.1 mirror of the composed phases instead (runtime
+//! `core::arch` AVX2 mirror of the composed phases instead (runtime
 //! feature-detected, same results bit for bit); these portable kernels
 //! remain the reference and the fallback.
 

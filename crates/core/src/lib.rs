@@ -34,7 +34,7 @@
 //! ```
 
 // The crate is `unsafe`-free; the only exception is the feature-gated
-// SSE4.1 mirror of the packed SWAR datapath, whose intrinsics module
+// AVX2 mirror of the packed SWAR datapath, whose intrinsics module
 // carries a scoped `allow` — so `forbid` must relax to `deny` when the
 // `simd` feature is enabled.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]

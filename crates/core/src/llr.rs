@@ -63,11 +63,36 @@ impl LlrQuantizer {
         self.max
     }
 
-    /// Quantizes one LLR, rounding to the nearest level and saturating.
+    /// Quantizes one LLR, rounding to the nearest level (ties away from
+    /// zero) and saturating; NaN maps to 0.
+    ///
+    /// Branch-free, and with no [`f32::round`] (the x86-64 baseline has
+    /// no instruction for it, so it is a libm call per LLR) and no
+    /// saturating float-to-int cast (which the compiler scalarizes):
+    /// adding `1.5·2²³` rounds the clamped value to the nearest integer,
+    /// ties to even, and leaves it in the low mantissa bits; the
+    /// remainder then moves ties away from zero.
+    #[inline]
     pub fn quantize(&self, llr: f32) -> i16 {
-        let scaled = (llr / self.step).round();
+        const MAGIC: f32 = 12_582_912.0;
         let max = f32::from(self.max);
-        scaled.clamp(-max, max) as i16
+        let x = llr / self.step;
+        // The rails are integers, so clamping before rounding is exact.
+        let y = if x < -max {
+            -max
+        } else if x > max {
+            max
+        } else {
+            x
+        };
+        let even = (y + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32;
+        let rem = y - ((y + MAGIC) - MAGIC);
+        let away = i32::from(rem == 0.5 && y > 0.0) - i32::from(rem == -0.5 && y < 0.0);
+        if x.is_nan() {
+            0
+        } else {
+            (even + away) as i16
+        }
     }
 
     /// Quantizes a slice of LLRs.
@@ -132,6 +157,64 @@ mod tests {
         let got = q.quantize_slice(&xs);
         let want: Vec<i16> = xs.iter().map(|&x| q.quantize(x)).collect();
         assert_eq!(got, want);
+    }
+
+    /// The textbook formula the branch-free [`LlrQuantizer::quantize`]
+    /// must reproduce bit for bit.
+    fn oracle(q: &LlrQuantizer, llr: f32) -> i16 {
+        let max = f32::from(q.max_level());
+        (llr / q.step()).round().clamp(-max, max) as i16
+    }
+
+    #[test]
+    fn branch_free_rounding_matches_round_clamp() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1), // smallest subnormal
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF), // largest subnormal
+            f32::MAX,
+            f32::MIN,
+            3.0e9, // beyond the i32 range
+            -3.0e9,
+            1.0e20,
+            0.499_999_97, // largest float below one half
+            -0.499_999_97,
+            0.500_000_06,
+        ];
+        for k in 0..40 {
+            // Exact ties ±(k + ½)·step and their float neighbours.
+            let tie = k as f32 + 0.5;
+            for x in [tie, tie.next_down(), tie.next_up()] {
+                cases.push(x);
+                cases.push(-x);
+            }
+        }
+        for (bits, step) in [(5, 0.5f32), (6, 0.25), (8, 1.0 / 16.0), (4, 1.0), (15, 0.1)] {
+            let q = LlrQuantizer::new(bits, step);
+            for &c in &cases {
+                for llr in [c, c * step] {
+                    assert_eq!(
+                        q.quantize(llr),
+                        oracle(&q, llr),
+                        "bits {bits} step {step} llr {llr:e}"
+                    );
+                }
+            }
+            // A dense sweep across the range and past both rails.
+            let span = f32::from(q.max_level() + 2) * step;
+            for i in -20_000..=20_000 {
+                let llr = span * i as f32 / 20_000.0;
+                assert_eq!(q.quantize(llr), oracle(&q, llr), "bits {bits} llr {llr:e}");
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,95 @@
+//! `fixed@pack=8` against scalar `fixed`, lane by lane, on every code in
+//! the registry.
+//!
+//! The packed decoder stores its messages slot-major: the `k`-th edge of
+//! check `m` at word `k·M′ + m`, with unused slots of low-degree checks
+//! padded by neutral lanes, and walks the bit nodes in runs of bits whose
+//! words advance together. Demo and C2 are check-regular, so only the
+//! AR4JA codes (check degrees 3 to 18) pad slots, and only codes without
+//! long circulant runs (demo) exercise short runs and run tails. Every
+//! registry code is therefore decoded here, in words of 1, 2, 7 and 8
+//! frames whose lanes converge at different iterations.
+//!
+//! Under plain `cargo test` this pins the portable SWAR path; with
+//! `--features simd` on an AVX2 machine it pins the vector path.
+
+use ldpc_core::{CodeSpec, DecoderSpec, PackedFixedDecoder};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const MAX_ITERATIONS: u32 = 12;
+
+/// Frame `f` of a word: clean lanes converge at once, lightly noisy ones
+/// after a few iterations, and random ones never. LLRs sit on a 0.25
+/// grid, so some land exactly on quantizer ties, and some are 0 (the
+/// value punctured positions carry).
+fn frame(n: usize, f: usize, rng: &mut StdRng) -> Vec<f32> {
+    (0..n)
+        .map(|_| match f % 3 {
+            0 => 4.0,
+            1 => {
+                let v = rng.gen_range(0..=12) as f32 * 0.25;
+                if rng.gen_bool(0.06) {
+                    -v
+                } else {
+                    v
+                }
+            }
+            _ => rng.gen_range(-30..=30) as f32 * 0.25,
+        })
+        .collect()
+}
+
+#[test]
+fn packed_fixed_matches_scalar_fixed_on_every_registry_code() {
+    let fixed = DecoderSpec::parse("fixed").expect("registry spec");
+    let packed = DecoderSpec::parse("fixed@pack=8").expect("registry spec");
+    let mut rng = StdRng::seed_from_u64(0x51_07);
+    for spec in CodeSpec::all_codes() {
+        let code = spec.build().expect("registry code builds").code().clone();
+        let n = code.n();
+        let mut scalar = fixed.build(&code);
+        let mut lanes = packed.build(&code);
+        for frames in [1, 2, 7, 8] {
+            let llrs: Vec<f32> = (0..frames).flat_map(|f| frame(n, f, &mut rng)).collect();
+            let want = scalar.decode_block(&llrs, MAX_ITERATIONS);
+            let got = lanes.decode_block(&llrs, MAX_ITERATIONS);
+            assert_eq!(got.len(), frames, "{spec}: result count");
+            if frames >= 7 {
+                assert!(
+                    want.iter().any(|r| r.converged) && want.iter().any(|r| !r.converged),
+                    "{spec}: a {frames}-frame word must mix convergence"
+                );
+            }
+            for (f, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(g, w, "{spec}: lane {f} of a {frames}-frame word");
+            }
+        }
+    }
+    println!(
+        "packed path: {}",
+        if PackedFixedDecoder::simd_active() {
+            "AVX2 mirror"
+        } else {
+            "portable SWAR"
+        }
+    );
+}
+
+/// The vector path must actually run wherever it can: a `simd` build on
+/// an x86-64 CPU with AVX2 that silently fell back to SWAR would still
+/// pass every bit-exactness test.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[test]
+fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    println!(
+        "CPU AVX2: {avx2}; packed path: {}",
+        if PackedFixedDecoder::simd_active() {
+            "AVX2 mirror"
+        } else {
+            "portable SWAR"
+        }
+    );
+    assert_eq!(PackedFixedDecoder::simd_active(), avx2);
+}

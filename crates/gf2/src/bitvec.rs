@@ -58,26 +58,32 @@ impl BitVec {
 
     /// Builds a vector from a slice of booleans.
     pub fn from_bools(bits: &[bool]) -> Self {
-        let mut v = Self::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v.set(i, true);
-            }
-        }
-        v
+        Self::from_flags(bits, |&b| b)
     }
 
     /// Builds a vector from 0/1 bytes.
     ///
     /// Any non-zero byte is treated as a one bit.
     pub fn from_bits(bits: &[u8]) -> Self {
-        let mut v = Self::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b != 0 {
-                v.set(i, true);
-            }
+        Self::from_flags(bits, |&b| b != 0)
+    }
+
+    /// Packs one flag per element, a word at a time; the last word's
+    /// tail stays zero, so the result is canonical.
+    fn from_flags<T>(flags: &[T], is_one: impl Fn(&T) -> bool) -> Self {
+        let words = flags
+            .chunks(WORD_BITS)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (j, x)| w | (u64::from(is_one(x)) << j))
+            })
+            .collect();
+        Self {
+            len: flags.len(),
+            words,
         }
-        v
     }
 
     /// Builds a `len`-bit vector directly from packed little-endian words
@@ -514,6 +520,18 @@ mod tests {
         let bits = [1u8, 0, 0, 1, 1, 0, 1];
         let v = BitVec::from_bits(&bits);
         assert_eq!(v.to_bits(), bits);
+        // Word boundaries, a canonical tail, and non-0/1 bytes as ones.
+        for len in [0usize, 1, 63, 64, 65, 8176] {
+            let bytes: Vec<u8> = (0..len).map(|i| ((i * 7 + i / 3) % 5) as u8).collect();
+            let want: Vec<u8> = bytes.iter().map(|&b| u8::from(b != 0)).collect();
+            let v = BitVec::from_bits(&bytes);
+            assert_eq!(v.len(), len);
+            assert_eq!(v.to_bits(), want, "len {len}");
+            assert_eq!(v, BitVec::from_words(len, v.words().to_vec()), "len {len}");
+            let bools: Vec<bool> = want.iter().map(|&b| b == 1).collect();
+            assert_eq!(BitVec::from_bools(&bools), v, "len {len}");
+            assert_eq!(v.to_bools(), bools, "len {len}");
+        }
     }
 
     #[test]

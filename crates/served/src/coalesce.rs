@@ -36,7 +36,7 @@
 //! `ldpc_sim`'s Monte-Carlo engine.
 
 use crate::metrics::Metrics;
-use crate::protocol::{pack_bits, DecodedFrame};
+use crate::protocol::{pack_bitvec, DecodedFrame};
 use ldpc_core::{BlockDecoder, CodeHandle, DecoderSpec};
 use ldpc_sim::{Scenario, ScenarioError};
 use std::collections::{HashMap, VecDeque};
@@ -298,7 +298,7 @@ impl Coalescer {
         self.metrics.record_batch(jobs.len());
         for (job, result) in jobs.into_iter().zip(results) {
             let frame = DecodedFrame {
-                bits: pack_bits((0..n).map(|i| result.hard_decision.get(i))),
+                bits: pack_bitvec(&result.hard_decision),
                 bit_len: n,
                 iterations: result.iterations,
                 converged: result.converged,

@@ -46,6 +46,7 @@
 //! request and response (proptested), and no input line — truncated,
 //! reordered, or random bytes — can make the parser panic.
 
+use gf2::BitVec;
 use std::fmt;
 
 /// LLR magnitude represented by one quantization step of the `llr8`
@@ -366,6 +367,22 @@ pub fn pack_bits(bits: impl ExactSizeIterator<Item = bool>) -> Vec<u8> {
             out[i / 8] |= 1 << (7 - (i % 8));
         }
     }
+    out
+}
+
+/// Packs a bit vector MSB-first into bytes, zero-padding the final
+/// byte: the same bytes as [`pack_bits`] over its bits, built a word at
+/// a time. A [`BitVec`] keeps bit `i` at bit `i % 64` of word `i / 64`
+/// and zeros past its length, so each little-endian byte bit-reversed is
+/// one output byte.
+pub fn pack_bitvec(bits: &BitVec) -> Vec<u8> {
+    let mut out: Vec<u8> = bits
+        .words()
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .map(u8::reverse_bits)
+        .collect();
+    out.truncate(bits.len().div_ceil(8));
     out
 }
 
@@ -707,6 +724,21 @@ mod tests {
         assert_eq!(llrs, vec![-4.0, 4.0, -4.0, 4.0]);
         let packed = pack_bits([true, false, true, false].into_iter());
         assert_eq!(packed, vec![0b1010_0000]);
+    }
+
+    #[test]
+    fn pack_bitvec_matches_pack_bits() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for len in (1..=130).chain([248, 8176]) {
+            let bools: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+            let v = BitVec::from_bools(&bools);
+            assert_eq!(
+                pack_bitvec(&v),
+                pack_bits(bools.iter().copied()),
+                "len {len}"
+            );
+        }
     }
 
     #[test]
