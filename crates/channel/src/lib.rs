@@ -38,6 +38,7 @@
 
 pub mod spec;
 mod variants;
+mod ziggurat;
 
 pub use spec::{
     Channel, ChannelKind, ChannelSpec, ChannelSpecError, QuantizedChannel, DEFAULT_BSC_P,
@@ -50,7 +51,7 @@ pub use variants::{
 
 use gf2::BitVec;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Converts Eb/N0 (dB) to the AWGN noise standard deviation σ for BPSK
 /// with unit symbol energy and the given code rate.
@@ -109,17 +110,23 @@ pub fn hard_decision(y: f64) -> u8 {
     u8::from(y < 0.0)
 }
 
+/// LLR magnitude of the noiseless (σ = 0) AWGN demapper: a certainty
+/// large enough to pin any soft decoder's belief.
+const NOISELESS_LLR: f32 = 1e4;
+
 /// An additive white Gaussian noise channel with a deterministic,
 /// per-instance random stream.
 ///
 /// The noise generator is `StdRng` seeded explicitly, so simulations are
-/// reproducible and parallel workers can use disjoint seeds.
+/// reproducible and parallel workers can use disjoint seeds. Each noise
+/// sample is one standard normal deviate from a 256-layer ziggurat
+/// (Marsaglia–Tsang) scaled by σ; DESIGN.md §6.2 defines the stream.
 #[derive(Debug, Clone)]
 pub struct AwgnChannel {
     sigma: f64,
+    /// `2/σ²`: the LLR per unit of received amplitude.
+    llr_scale: f64,
     rng: StdRng,
-    /// Cached spare deviate of the Box–Muller pair.
-    spare: Option<f64>,
 }
 
 impl AwgnChannel {
@@ -135,8 +142,8 @@ impl AwgnChannel {
         );
         Self {
             sigma,
+            llr_scale: 2.0 / (sigma * sigma),
             rng: StdRng::seed_from_u64(seed),
-            spare: None,
         }
     }
 
@@ -154,26 +161,9 @@ impl AwgnChannel {
         self.sigma
     }
 
-    /// One standard normal deviate (Box–Muller, with the pair cached).
-    fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        loop {
-            let u1: f64 = self.rng.gen();
-            if u1 > f64::MIN_POSITIVE {
-                let u2: f64 = self.rng.gen();
-                let r = (-2.0 * u1.ln()).sqrt();
-                let theta = 2.0 * std::f64::consts::PI * u2;
-                self.spare = Some(r * theta.sin());
-                return r * theta.cos();
-            }
-        }
-    }
-
     /// Transmits one symbol, returning the noisy observation.
     pub fn transmit(&mut self, symbol: f64) -> f64 {
-        symbol + self.sigma * self.standard_normal()
+        symbol + self.sigma * ziggurat::standard_normal(&mut self.rng)
     }
 
     /// Transmits a symbol block.
@@ -181,30 +171,47 @@ impl AwgnChannel {
         symbols.iter().map(|&s| self.transmit(s)).collect()
     }
 
+    /// Transmits one symbol and demaps it to its channel LLR `2y/σ²`.
+    ///
+    /// For the degenerate noiseless case (σ = 0) the LLR is
+    /// ±[`NOISELESS_LLR`] by the symbol sign, and no noise is drawn.
+    fn llr(&mut self, symbol: f64) -> f32 {
+        if self.sigma == 0.0 {
+            return if symbol < 0.0 {
+                -NOISELESS_LLR
+            } else {
+                NOISELESS_LLR
+            };
+        }
+        (self.transmit(symbol) * self.llr_scale) as f32
+    }
+
     /// Transmits a symbol block and demaps directly to channel LLRs.
     ///
     /// For the degenerate noiseless case (σ = 0) LLRs are ±`1e4` according
     /// to the symbol sign.
     pub fn llrs(&mut self, symbols: &[f64]) -> Vec<f32> {
-        if self.sigma == 0.0 {
-            return symbols
-                .iter()
-                .map(|&s| if s < 0.0 { -1e4 } else { 1e4 })
-                .collect();
-        }
-        symbols
-            .iter()
-            .map(|&s| {
-                let y = self.transmit(s);
-                llr_from_symbol(y, self.sigma)
-            })
-            .collect()
+        symbols.iter().map(|&s| self.llr(s)).collect()
     }
 
-    /// Modulates a codeword, transmits it, and demaps to LLRs in one step.
+    /// Modulates a codeword, transmits it, and demaps to LLRs in one step
+    /// ([`Channel::transmit_codeword`]).
     pub fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        let symbols = bpsk_modulate(codeword);
-        self.llrs(&symbols)
+        Channel::transmit_codeword(self, codeword)
+    }
+}
+
+impl Channel for AwgnChannel {
+    /// BPSK symbols come straight from the codeword's words; the output
+    /// grows once and is written in place.
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        let start = out.len();
+        out.resize(start + codeword.len(), 0.0);
+        for (llrs, &word) in out[start..].chunks_mut(64).zip(codeword.words()) {
+            for (j, llr) in llrs.iter_mut().enumerate() {
+                *llr = self.llr(if (word >> j) & 1 == 1 { -1.0 } else { 1.0 });
+            }
+        }
     }
 }
 

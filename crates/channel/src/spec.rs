@@ -83,37 +83,19 @@ pub const QUANT_LLR_STEP: f32 = 0.5;
 /// decoders applies throughout.
 pub trait Channel {
     /// Modulates `codeword`, transmits it through the channel, and
-    /// demaps the received observations to one LLR per bit.
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32>;
-}
+    /// appends the demapped observations to `out`, one LLR per bit.
+    ///
+    /// This is each model's one sampling body. Appending into a
+    /// caller-owned buffer lets a frame loop reuse one allocation, and
+    /// `k` calls draw exactly the stream of one call on the `k`
+    /// codewords concatenated.
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>);
 
-impl Channel for AwgnChannel {
+    /// [`transmit_into`](Self::transmit_into) a fresh vector.
     fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        AwgnChannel::transmit_codeword(self, codeword)
-    }
-}
-
-impl Channel for BscChannel {
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        BscChannel::transmit_codeword(self, codeword)
-    }
-}
-
-impl Channel for RayleighChannel {
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        RayleighChannel::transmit_codeword(self, codeword)
-    }
-}
-
-impl Channel for ErasureChannel {
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        ErasureChannel::transmit_codeword(self, codeword)
-    }
-}
-
-impl Channel for GilbertElliottChannel {
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        GilbertElliottChannel::transmit_codeword(self, codeword)
+        let mut llrs = Vec::with_capacity(codeword.len());
+        self.transmit_into(codeword, &mut llrs);
+        llrs
     }
 }
 
@@ -149,15 +131,15 @@ impl QuantizedChannel {
 }
 
 impl Channel for QuantizedChannel {
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        let mut llrs = self.inner.transmit_codeword(codeword);
-        for llr in &mut llrs {
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        let start = out.len();
+        self.inner.transmit_into(codeword, out);
+        for llr in &mut out[start..] {
             let level = (*llr / QUANT_LLR_STEP)
                 .round()
                 .clamp(-self.max_level, self.max_level);
             *llr = level * QUANT_LLR_STEP;
         }
-        llrs
     }
 }
 
@@ -739,6 +721,39 @@ mod tests {
             let c = spec.build(3.0, 0.5, 12).transmit_codeword(&cw);
             assert_eq!(a, b, "{spec}");
             assert_ne!(a, c, "{spec}");
+        }
+    }
+
+    #[test]
+    fn appending_calls_draw_the_stream_of_one_concatenated_call() {
+        let lengths = [1usize, 37, 64, 130, 255];
+        let frames: Vec<BitVec> = lengths
+            .iter()
+            .enumerate()
+            .map(|(f, &len)| (0..len).map(|i| (i * 7 + f) % 5 < 2).collect())
+            .collect();
+        let whole = frames
+            .iter()
+            .fold(BitVec::zeros(0), |acc, frame| acc.concat(frame));
+        let mut specs = ChannelSpec::all_channels();
+        for extra in ["bsc:0.02@quant=3", "rayleigh@quant=4", "burst@quant=5"] {
+            specs.push(ChannelSpec::parse(extra).unwrap());
+        }
+        for spec in specs {
+            // k appending calls after existing content…
+            let mut split = vec![-7.0f32; 3];
+            let mut channel = spec.build(2.5, 0.5, 23);
+            for frame in &frames {
+                channel.transmit_into(frame, &mut split);
+            }
+            assert_eq!(split[..3], [-7.0; 3], "{spec}: clobbered the prefix");
+            // …equal one call on the concatenated codeword…
+            let mut joined = Vec::new();
+            spec.build(2.5, 0.5, 23).transmit_into(&whole, &mut joined);
+            assert_eq!(split[3..], joined[..], "{spec}");
+            // …and the allocating wrapper is the same call.
+            let wrapped = spec.build(2.5, 0.5, 23).transmit_codeword(&whole);
+            assert_eq!(wrapped, joined, "{spec}");
         }
     }
 

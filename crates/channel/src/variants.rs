@@ -15,7 +15,7 @@
 //!   per-state crossover probability, the classical model of bursty
 //!   interference.
 
-use crate::AwgnChannel;
+use crate::{AwgnChannel, Channel};
 use gf2::BitVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,21 +73,26 @@ impl BscChannel {
         self.p
     }
 
-    /// Transmits a codeword, returning BSC channel LLRs.
+    /// Transmits a codeword, returning BSC channel LLRs
+    /// ([`Channel::transmit_codeword`]).
     pub fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        (0..codeword.len())
-            .map(|i| {
-                let mut bit = codeword.get(i);
-                if self.rng.gen_bool(self.p) {
-                    bit = !bit;
-                }
-                if bit {
-                    -self.llr_magnitude
-                } else {
-                    self.llr_magnitude
-                }
-            })
-            .collect()
+        Channel::transmit_codeword(self, codeword)
+    }
+}
+
+impl Channel for BscChannel {
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        out.extend((0..codeword.len()).map(|i| {
+            let mut bit = codeword.get(i);
+            if self.rng.gen_bool(self.p) {
+                bit = !bit;
+            }
+            if bit {
+                -self.llr_magnitude
+            } else {
+                self.llr_magnitude
+            }
+        }));
     }
 }
 
@@ -141,16 +146,21 @@ impl RayleighChannel {
         (-u.ln()).sqrt()
     }
 
-    /// Transmits a codeword, returning CSI-aware channel LLRs.
+    /// Transmits a codeword, returning CSI-aware channel LLRs
+    /// ([`Channel::transmit_codeword`]).
     pub fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        (0..codeword.len())
-            .map(|i| {
-                let s = if codeword.get(i) { -1.0 } else { 1.0 };
-                let a = self.amplitude();
-                let y = self.awgn.transmit(a * s);
-                (2.0 * a * y / (self.sigma * self.sigma)) as f32
-            })
-            .collect()
+        Channel::transmit_codeword(self, codeword)
+    }
+}
+
+impl Channel for RayleighChannel {
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        out.extend((0..codeword.len()).map(|i| {
+            let s = if codeword.get(i) { -1.0 } else { 1.0 };
+            let a = self.amplitude();
+            let y = self.awgn.transmit(a * s);
+            (2.0 * a * y / (self.sigma * self.sigma)) as f32
+        }));
     }
 }
 
@@ -201,19 +211,23 @@ impl ErasureChannel {
     }
 
     /// Transmits a codeword, returning zero LLRs at erased positions and
-    /// ±[`ERASURE_KNOWN_LLR`] elsewhere.
+    /// ±[`ERASURE_KNOWN_LLR`] elsewhere ([`Channel::transmit_codeword`]).
     pub fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        (0..codeword.len())
-            .map(|i| {
-                if self.rng.gen_bool(self.p) {
-                    0.0
-                } else if codeword.get(i) {
-                    -ERASURE_KNOWN_LLR
-                } else {
-                    ERASURE_KNOWN_LLR
-                }
-            })
-            .collect()
+        Channel::transmit_codeword(self, codeword)
+    }
+}
+
+impl Channel for ErasureChannel {
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        out.extend((0..codeword.len()).map(|i| {
+            if self.rng.gen_bool(self.p) {
+                0.0
+            } else if codeword.get(i) {
+                -ERASURE_KNOWN_LLR
+            } else {
+                ERASURE_KNOWN_LLR
+            }
+        }));
     }
 }
 
@@ -296,31 +310,35 @@ impl GilbertElliottChannel {
         (self.p_good, self.p_bad, self.p_switch)
     }
 
-    /// Transmits a codeword, returning per-state CSI-aware LLRs. The
-    /// Markov state persists across calls, so consecutive frames see one
-    /// continuous burst process.
+    /// Transmits a codeword, returning per-state CSI-aware LLRs
+    /// ([`Channel::transmit_codeword`]). The Markov state persists across
+    /// calls, so consecutive frames see one continuous burst process.
     pub fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        (0..codeword.len())
-            .map(|i| {
-                if self.rng.gen_bool(self.p_switch) {
-                    self.in_bad_state = !self.in_bad_state;
-                }
-                let (p, magnitude) = if self.in_bad_state {
-                    (self.p_bad, self.llr_bad)
-                } else {
-                    (self.p_good, self.llr_good)
-                };
-                let mut bit = codeword.get(i);
-                if self.rng.gen_bool(p) {
-                    bit = !bit;
-                }
-                if bit {
-                    -magnitude
-                } else {
-                    magnitude
-                }
-            })
-            .collect()
+        Channel::transmit_codeword(self, codeword)
+    }
+}
+
+impl Channel for GilbertElliottChannel {
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        out.extend((0..codeword.len()).map(|i| {
+            if self.rng.gen_bool(self.p_switch) {
+                self.in_bad_state = !self.in_bad_state;
+            }
+            let (p, magnitude) = if self.in_bad_state {
+                (self.p_bad, self.llr_bad)
+            } else {
+                (self.p_good, self.llr_good)
+            };
+            let mut bit = codeword.get(i);
+            if self.rng.gen_bool(p) {
+                bit = !bit;
+            }
+            if bit {
+                -magnitude
+            } else {
+                magnitude
+            }
+        }));
     }
 }
 

@@ -288,7 +288,10 @@ pub(crate) const WORKER_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 /// through the channel; the received LLRs are expanded back to
 /// full-length decoder input by the handle (identity for plain codes,
 /// known-bit certainty for shortened positions, erasures for punctured
-/// ones). Errors are counted over `count_positions`.
+/// ones). Errors are counted over `count_positions`, which must be
+/// distinct, a word at a time; each worker reuses its buffers, so the
+/// loop allocates nothing per frame outside the decoder and the
+/// random-message encoder (DESIGN.md §6.2).
 ///
 /// `progress` (when given) is incremented by the number of frames each
 /// worker claims, at claim time. Because claims go through a capped CAS,
@@ -359,25 +362,18 @@ where
         cfg.threads
     };
     let info_bits_per_frame = count_positions.len() as u64;
+    let count_mask = count_mask(n, count_positions);
 
     let frames_claimed = AtomicU64::new(0);
-    let frames_done = AtomicU64::new(0);
-    let bit_errors = AtomicU64::new(0);
-    let frame_errors = AtomicU64::new(0);
-    let undetected = AtomicU64::new(0);
-    let total_iterations = AtomicU64::new(0);
+    let totals = SharedTally::default();
 
     std::thread::scope(|scope| {
         for t in 0..threads {
             let factory = &factory;
             let handle = &handle;
-            let count_positions = &count_positions;
+            let count_mask = &count_mask;
             let frames_claimed = &frames_claimed;
-            let frames_done = &frames_done;
-            let bit_errors = &bit_errors;
-            let frame_errors = &frame_errors;
-            let undetected = &undetected;
-            let total_iterations = &total_iterations;
+            let totals = &totals;
             let encoder = encoder.cloned();
             let cfg = cfg.clone();
             scope.spawn(move || {
@@ -390,13 +386,21 @@ where
                     .wrapping_add(WORKER_SEED_STRIDE.wrapping_mul(t as u64 + 1));
                 let mut channel = channel_factory(worker_seed);
                 let mut msg_rng = StdRng::seed_from_u64(worker_seed ^ 0xABCD_EF01);
+                // An all-zero run borrows these for every frame: with a
+                // partial transmission profile only the all-zero codeword
+                // is simulated (asserted above), so the transmitted bits
+                // are all zero too.
                 let zero = BitVec::zeros(n);
                 let zero_tx = BitVec::zeros(tx_len);
+                // Buffers reused by every block: the loop allocates
+                // nothing per frame outside the decoder (and the encoder
+                // of a random-message run).
+                let mut received: Vec<f32> = Vec::with_capacity(tx_len);
                 let mut llrs: Vec<f32> = Vec::with_capacity(block as usize * n);
-                let mut codewords: Vec<BitVec> = Vec::with_capacity(block as usize);
+                let mut codewords: Vec<BitVec> = Vec::new();
                 loop {
                     if cfg.target_frame_errors > 0
-                        && frame_errors.load(Ordering::Relaxed) >= cfg.target_frame_errors
+                        && totals.frame_errors.load(Ordering::Relaxed) >= cfg.target_frame_errors
                     {
                         break;
                     }
@@ -430,45 +434,34 @@ where
                     llrs.clear();
                     codewords.clear();
                     for _ in 0..count {
-                        let codeword = match cfg.transmission {
-                            Transmission::AllZero => zero.clone(),
+                        let sent = match cfg.transmission {
+                            Transmission::AllZero => &zero_tx,
                             Transmission::Random => {
                                 let enc = encoder.as_ref().expect("checked above");
                                 let msg: BitVec = (0..enc.dimension())
                                     .map(|_| msg_rng.gen_bool(0.5))
                                     .collect();
-                                enc.encode(&msg).expect("message length matches dimension")
+                                codewords.push(
+                                    enc.encode(&msg).expect("message length matches dimension"),
+                                );
+                                codewords.last().expect("just pushed")
                             }
                         };
-                        // With a partial transmission profile only the
-                        // all-zero codeword is simulated (asserted above),
-                        // so the transmitted bits are all zero too.
-                        let received = if tx_len == n {
-                            channel.transmit_codeword(&codeword)
-                        } else {
-                            channel.transmit_codeword(&zero_tx)
-                        };
+                        received.clear();
+                        channel.transmit_into(sent, &mut received);
                         handle.expand_llrs_into(&received, &mut llrs);
-                        codewords.push(codeword);
                     }
                     let results = decoder.decode_block(&llrs, cfg.max_iterations);
-                    for (out, codeword) in results.iter().zip(&codewords) {
-                        total_iterations.fetch_add(u64::from(out.iterations), Ordering::Relaxed);
-                        let mut errors_this_frame = 0u64;
-                        for &pos in count_positions.iter() {
-                            if out.hard_decision.get(pos as usize) != codeword.get(pos as usize) {
-                                errors_this_frame += 1;
-                            }
-                        }
-                        if errors_this_frame > 0 {
-                            bit_errors.fetch_add(errors_this_frame, Ordering::Relaxed);
-                            frame_errors.fetch_add(1, Ordering::Relaxed);
-                            if out.converged {
-                                undetected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        frames_done.fetch_add(1, Ordering::Relaxed);
+                    let mut tally = Tally::default();
+                    for (f, out) in results.iter().enumerate() {
+                        let codeword = codewords.get(f).unwrap_or(&zero);
+                        tally.add(
+                            count_errors(&out.hard_decision, codeword, count_mask),
+                            out.iterations,
+                            out.converged,
+                        );
                     }
+                    totals.flush(&tally);
                 }
             });
         }
@@ -476,12 +469,91 @@ where
 
     PointResult {
         ebn0_db: cfg.ebn0_db,
-        frames: frames_done.load(Ordering::Relaxed),
-        bit_errors: bit_errors.load(Ordering::Relaxed),
-        frame_errors: frame_errors.load(Ordering::Relaxed),
-        undetected_frame_errors: undetected.load(Ordering::Relaxed),
-        total_iterations: total_iterations.load(Ordering::Relaxed),
+        frames: totals.frames.load(Ordering::Relaxed),
+        bit_errors: totals.bit_errors.load(Ordering::Relaxed),
+        frame_errors: totals.frame_errors.load(Ordering::Relaxed),
+        undetected_frame_errors: totals.undetected.load(Ordering::Relaxed),
+        total_iterations: totals.total_iterations.load(Ordering::Relaxed),
         info_bits_per_frame,
+    }
+}
+
+/// The error-count positions as a mask over the code's `n` bits.
+///
+/// # Panics
+///
+/// Panics if a position is `>= n` or given twice (a repeat would count
+/// twice per position but once per mask bit).
+fn count_mask(n: usize, positions: &[u32]) -> BitVec {
+    let mut mask = BitVec::zeros(n);
+    for &pos in positions {
+        mask.set(pos as usize, true);
+    }
+    assert_eq!(
+        mask.count_ones(),
+        positions.len(),
+        "error-count positions must be distinct"
+    );
+    mask
+}
+
+/// Positions where `hard` and `sent` differ among those set in `mask`:
+/// `popcount((hard ^ sent) & mask)`, a word at a time.
+fn count_errors(hard: &BitVec, sent: &BitVec, mask: &BitVec) -> u64 {
+    assert_eq!(hard.len(), mask.len(), "hard decision length");
+    hard.words()
+        .iter()
+        .zip(sent.words())
+        .zip(mask.words())
+        .map(|((h, s), m)| u64::from(((h ^ s) & m).count_ones()))
+        .sum()
+}
+
+/// One worker's counts over one decoded block.
+#[derive(Default)]
+struct Tally {
+    frames: u64,
+    bit_errors: u64,
+    frame_errors: u64,
+    undetected: u64,
+    total_iterations: u64,
+}
+
+impl Tally {
+    fn add(&mut self, errors: u64, iterations: u32, converged: bool) {
+        self.frames += 1;
+        self.total_iterations += u64::from(iterations);
+        if errors > 0 {
+            self.bit_errors += errors;
+            self.frame_errors += 1;
+            self.undetected += u64::from(converged);
+        }
+    }
+}
+
+/// The point's counts, shared by its workers: each flushes its block's
+/// [`Tally`] once, and the stop rule reads `frame_errors` between
+/// blocks.
+#[derive(Default)]
+struct SharedTally {
+    frames: AtomicU64,
+    bit_errors: AtomicU64,
+    frame_errors: AtomicU64,
+    undetected: AtomicU64,
+    total_iterations: AtomicU64,
+}
+
+impl SharedTally {
+    fn flush(&self, tally: &Tally) {
+        self.frames.fetch_add(tally.frames, Ordering::Relaxed);
+        self.bit_errors
+            .fetch_add(tally.bit_errors, Ordering::Relaxed);
+        self.frame_errors
+            .fetch_add(tally.frame_errors, Ordering::Relaxed);
+        self.undetected
+            .fetch_add(tally.undetected, Ordering::Relaxed);
+        self.total_iterations
+            .fetch_add(tally.total_iterations, Ordering::Relaxed);
     }
 }
 
@@ -523,7 +595,79 @@ pub fn to_csv(points: &[PointResult]) -> String {
 mod tests {
     use super::*;
     use ldpc_core::codes::small::demo_code;
-    use ldpc_core::{DecoderSpec, MinSumConfig, MinSumDecoder};
+    use ldpc_core::{CodeSpec, DecoderSpec, MinSumConfig, MinSumDecoder};
+    use proptest::prelude::*;
+
+    /// The reference count: one `get` per position.
+    fn per_position_errors(hard: &BitVec, sent: &BitVec, positions: &[u32]) -> u64 {
+        positions
+            .iter()
+            .filter(|&&p| hard.get(p as usize) != sent.get(p as usize))
+            .count() as u64
+    }
+
+    fn random_bits(len: usize, density: f64, rng: &mut StdRng) -> BitVec {
+        (0..len).map(|_| rng.gen_bool(density)).collect()
+    }
+
+    /// Checks the word-wise count against the per-position one on random
+    /// hard decisions and codewords of length `n`, over `positions` as
+    /// given and shuffled.
+    fn assert_counts_agree(n: usize, mut positions: Vec<u32>, rng: &mut StdRng) {
+        for density in [0.0, 0.01, 0.5, 1.0] {
+            let hard = random_bits(n, density, rng);
+            let sent = random_bits(n, rng.gen::<f64>(), rng);
+            for round in 0..2 {
+                let want = per_position_errors(&hard, &sent, &positions);
+                let got = count_errors(&hard, &sent, &count_mask(n, &positions));
+                assert_eq!(got, want, "n={n} density={density} round={round}");
+                // Unsorted: a Fisher-Yates shuffle of the same set.
+                for i in (1..positions.len()).rev() {
+                    positions.swap(i, rng.gen_range(0..=i));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn word_wise_error_count_matches_per_position_count(
+            n in 1usize..=300,
+            keep in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let positions: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(keep)).collect();
+            assert_counts_agree(n, positions, &mut rng);
+        }
+    }
+
+    #[test]
+    fn word_wise_error_count_matches_on_c2_and_transmitted_sets() {
+        let mut rng = StdRng::seed_from_u64(0xC0_0E7);
+        let all: Vec<u32> = (0..8176).collect();
+        assert_counts_agree(8176, all, &mut rng);
+        let sparse: Vec<u32> = (0..8176).filter(|_| rng.gen_bool(0.3)).collect();
+        assert_counts_agree(8176, sparse, &mut rng);
+        for spec in [
+            "shortened:c2,k=4096",
+            "shortened:demo,k=120",
+            "ar4ja:r=1/2,k=1024",
+        ] {
+            let handle = CodeSpec::parse(spec).unwrap().build().unwrap();
+            let positions = handle.transmitted_positions();
+            assert!(positions.len() < handle.code().n(), "{spec}");
+            assert_counts_agree(handle.code().n(), positions, &mut rng);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn repeated_count_positions_are_rejected() {
+        count_mask(10, &[1, 4, 1]);
+    }
 
     fn quick_cfg(ebn0_db: f64) -> MonteCarloConfig {
         MonteCarloConfig {

@@ -258,10 +258,13 @@ const CHUNK_SEPARATOR: &str = "----\n";
 /// canonical scenario string (specs render canonically, so `minsum` and
 /// `ms` address the same chunks), the operating point (`{:?}` on `f64`
 /// is the shortest round-trip form), the chunk's own engine seed, its
-/// frame budget, and the decoder iteration budget. The error *target*
-/// is deliberately absent: chunks always run their full budget with no
-/// early stop, so the same cache serves any target — adaptive stopping
-/// is applied between chunks at merge time.
+/// frame budget, and the decoder iteration budget. The version line
+/// names the noise streams a seed expands to: `v2` is the ziggurat
+/// Gaussian sampler, so chunks cached under `v1` (Box–Muller) are never
+/// merged with new ones. The error *target* is deliberately absent:
+/// chunks always run their full budget with no early stop, so the same
+/// cache serves any target — adaptive stopping is applied between
+/// chunks at merge time.
 ///
 /// The chunk file stored at `sha256_hex(key).chunk` embeds this key and
 /// is rejected on mismatch, so a (astronomically unlikely) hash
@@ -275,7 +278,7 @@ pub fn chunk_key(
     max_iterations: u32,
 ) -> String {
     format!(
-        "ldpc-sweep-chunk-v1\nscenario={scenario}\nebn0_db={ebn0_db:?}\nseed={seed}\n\
+        "ldpc-sweep-chunk-v2\nscenario={scenario}\nebn0_db={ebn0_db:?}\nseed={seed}\n\
          frames={frames}\nmax_iterations={max_iterations}\ntransmission=all-zero\n"
     )
 }
@@ -877,6 +880,47 @@ mod tests {
         );
         fs::write(&path, body).unwrap();
         assert_eq!(load_chunk(&dir, &key, 100), None, "embedded key must match");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chunks_cached_under_the_v1_key_are_misses() {
+        // A cache filled before the sampler change holds v1 chunks for
+        // the same units: they must be re-simulated, never merged.
+        let dir = temp_cache("v1");
+        let units = sweep_grid(&[sc("demo / awgn / nms:1.25")], &[2.0], 31);
+        let cfg = SweepConfig {
+            max_frames: 100,
+            chunk_frames: 50,
+            cache_dir: Some(dir.clone()),
+            ..quick_sweep_cfg()
+        };
+        let stale = ChunkCounts {
+            frames: 50,
+            bit_errors: 1,
+            frame_errors: 1,
+            undetected_frame_errors: 0,
+            total_iterations: 50,
+            info_bits_per_frame: 248,
+        };
+        for c in 0..2 {
+            let key = chunk_key(&units[0].scenario, 2.0, units[0].chunk_seed(c), 50, 20);
+            let v1 = key.replacen("ldpc-sweep-chunk-v2", "ldpc-sweep-chunk-v1", 1);
+            assert_ne!(v1, key);
+            store_chunk(&dir, &v1, &stale).unwrap();
+        }
+        let warm = &run_sweep(&units, &cfg).unwrap()[0];
+        assert_eq!(warm.frames_from_cache, 0, "a v1 chunk was adopted");
+        assert_eq!(warm.frames_simulated, 100);
+        let cold = &run_sweep(
+            &units,
+            &SweepConfig {
+                cache_dir: None,
+                ..cfg
+            },
+        )
+        .unwrap()[0];
+        assert_eq!(warm.point, cold.point);
         let _ = fs::remove_dir_all(&dir);
     }
 

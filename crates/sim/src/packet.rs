@@ -140,16 +140,14 @@ impl PacketLossReport {
 struct IntactChannel;
 
 impl Channel for IntactChannel {
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        (0..codeword.len())
-            .map(|i| {
-                if codeword.get(i) {
-                    -ERASURE_KNOWN_LLR
-                } else {
-                    ERASURE_KNOWN_LLR
-                }
-            })
-            .collect()
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        out.extend((0..codeword.len()).map(|i| {
+            if codeword.get(i) {
+                -ERASURE_KNOWN_LLR
+            } else {
+                ERASURE_KNOWN_LLR
+            }
+        }));
     }
 }
 
@@ -199,11 +197,12 @@ impl PacketChannel {
 }
 
 impl Channel for PacketChannel {
-    fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        let mut llrs = self.inner.transmit_codeword(codeword);
+    fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
+        let start = out.len();
+        self.inner.transmit_into(codeword, out);
         let mut sent = 0u64;
         let mut dropped = 0u64;
-        for packet in llrs.chunks_mut(self.packet_symbols) {
+        for packet in out[start..].chunks_mut(self.packet_symbols) {
             sent += 1;
             let lost = match self.drop {
                 PacketDropModel::Never => false,
@@ -227,7 +226,6 @@ impl Channel for PacketChannel {
         }
         self.stats.sent.fetch_add(sent, Ordering::Relaxed);
         self.stats.dropped.fetch_add(dropped, Ordering::Relaxed);
-        llrs
     }
 }
 

@@ -369,3 +369,41 @@ fn registry_family_golden_vectors() {
         "GOLDEN_REGISTRY has stale entries"
     );
 }
+
+/// FNV-1a over the LLRs' bit patterns.
+fn llr_fingerprint(llrs: &[f32]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for llr in llrs {
+        for byte in llr.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Frozen LLR streams of the non-Gaussian channels: two consecutive
+/// 1021-bit patterned frames (so burst state carries across a call, and
+/// the last word is partial) at a pinned seed. Frozen before the
+/// Gaussian sampler changed: only AWGN and Rayleigh draw normal
+/// deviates, so these streams must never move with it.
+const GOLDEN_CHANNEL_STREAMS: &[(&str, u64)] = &[
+    ("bsc:0.02", 16547856937278836469),
+    ("erasure:0.05", 14819388078775370207),
+    ("burst:0.005,0.06,0.02", 2024711985650613269),
+    ("bsc:0.02@quant=3", 7830018390185892021),
+];
+
+#[test]
+fn non_gaussian_channel_streams_are_frozen() {
+    use ccsds_ldpc::channel::ChannelSpec;
+    let frame = BitVec::from_bits(&pattern(1021, 0x0005_EED5));
+    for &(spec, want) in GOLDEN_CHANNEL_STREAMS {
+        let mut channel = ChannelSpec::parse(spec)
+            .unwrap()
+            .build(4.0, 0.5, 0x2009_0420);
+        let mut llrs = channel.transmit_codeword(&frame);
+        llrs.extend(channel.transmit_codeword(&frame));
+        assert_eq!(llr_fingerprint(&llrs), want, "{spec}: channel stream moved");
+    }
+}
