@@ -5,14 +5,13 @@
 //! and a Rayleigh-faded link, and (b) how far the classical bit-flipping
 //! baselines trail the paper's min-sum datapath at equal iterations.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use gf2::BitVec;
 use ldpc_bench::announce;
 use ldpc_channel::{AwgnChannel, BscChannel, RayleighChannel};
 use ldpc_core::codes::small::demo_code;
 use ldpc_core::{
-    BlockDecoder, FixedConfig, FixedDecoder, GallagerBDecoder, MinSumConfig, MinSumDecoder,
-    SelfCorrectedMinSumDecoder, WeightedBitFlipDecoder,
+    BlockDecoder, FixedConfig, FixedDecoder, GallagerBDecoder, SelfCorrectedMinSumDecoder,
+    WeightedBitFlipDecoder,
 };
 
 /// Boxed per-frame channel realization, keyed by frame index.
@@ -79,27 +78,6 @@ fn regenerate_a6() {
     println!("expected shape: message passing dominates bit flipping on every channel");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_a6();
-    let code = demo_code();
-    let mut ch = AwgnChannel::from_ebn0(4.0, code.rate(), 20);
-    let llrs = ch.transmit_codeword(&BitVec::zeros(code.n()));
-    let mut group = c.benchmark_group("a6");
-    group.sample_size(30);
-    group.bench_function("gallager_b_decode", |b| {
-        let mut dec = GallagerBDecoder::new(code.clone(), 3);
-        b.iter(|| dec.decode(std::hint::black_box(&llrs), 25))
-    });
-    group.bench_function("self_corrected_decode", |b| {
-        let mut dec = SelfCorrectedMinSumDecoder::new(code.clone(), 4.0 / 3.0);
-        b.iter(|| dec.decode(std::hint::black_box(&llrs), 25))
-    });
-    group.bench_function("nms_decode", |b| {
-        let mut dec = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(4.0 / 3.0));
-        b.iter(|| dec.decode(std::hint::black_box(&llrs), 25))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

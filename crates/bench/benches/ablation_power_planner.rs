@@ -4,7 +4,6 @@
 //! model and shows the planner rediscovering the paper's two design
 //! points from throughput requirements alone.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::announce;
 use ldpc_core::codes::ccsds_c2;
 use ldpc_hwsim::{
@@ -65,22 +64,6 @@ fn regenerate_a5() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_a5();
-    let dims = CodeDims::ccsds_c2();
-    c.bench_function("a5/full_design_space_sweep", |b| {
-        b.iter(|| {
-            plan(
-                &PlannerRequest {
-                    min_info_mbps: std::hint::black_box(300.0),
-                    iterations: 18,
-                    clock_mhz: 200.0,
-                },
-                &dims,
-            )
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

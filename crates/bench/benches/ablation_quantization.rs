@@ -4,7 +4,6 @@
 //! the paper's Table 2/3 budgets) scale linearly with it while error-rate
 //! performance saturates. This ablation locates the knee.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config};
 use ldpc_core::codes::small::demo_code;
 use ldpc_core::{FixedConfig, FixedDecoder};
@@ -54,20 +53,6 @@ fn regenerate_a1() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_a1();
-    let code = demo_code();
-    let mut group = c.benchmark_group("a1");
-    group.sample_size(20);
-    for q in [4u32, 6, 8] {
-        group.bench_function(format!("decode_demo_q{q}"), |b| {
-            let mut dec = FixedDecoder::new(code.clone(), FixedConfig::default().with_q_msg(q));
-            let llrs = vec![1.5f32; code.n()];
-            b.iter(|| dec.decode(std::hint::black_box(&llrs), 18))
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

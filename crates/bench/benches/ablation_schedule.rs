@@ -5,10 +5,9 @@
 //! iterations but serializes the hardware; this ablation quantifies the
 //! iteration gap the architecture trades away.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config};
 use ldpc_core::codes::small::demo_code;
-use ldpc_core::{DecoderSpec, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder};
+use ldpc_core::DecoderSpec;
 use ldpc_hwsim::render_table;
 use ldpc_sim::run_point_blocks;
 
@@ -49,27 +48,6 @@ fn regenerate_a3() {
     println!("expected shape: serial needs ~half the iterations at equal reliability");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_a3();
-    let code = demo_code();
-    let llrs: Vec<f32> = (0..code.n())
-        .map(|i| if i % 11 == 0 { -1.0 } else { 2.0 })
-        .collect();
-    let mut group = c.benchmark_group("a3");
-    group.sample_size(30);
-    group.bench_function("flooding_iteration", |b| {
-        let mut dec = MinSumDecoder::new(
-            code.clone(),
-            MinSumConfig::normalized(4.0 / 3.0).with_early_stop(false),
-        );
-        b.iter(|| dec.decode(std::hint::black_box(&llrs), 10))
-    });
-    group.bench_function("serial_iteration", |b| {
-        let mut dec = LayeredMinSumDecoder::new(code.clone(), 4.0 / 3.0).with_early_stop(false);
-        b.iter(|| dec.decode(std::hint::black_box(&llrs), 10))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

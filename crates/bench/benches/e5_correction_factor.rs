@@ -6,7 +6,6 @@
 //!   plain sign-min at 50 iterations;
 //! * the matched-α profile from the density-evolution optimizer.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config};
 use ldpc_core::codes::small::demo_code;
 use ldpc_core::decoder::{fine_alpha_schedule, mean_matching_alpha, nearest_hardware_scaling};
@@ -89,18 +88,6 @@ fn regenerate_e5() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_e5();
-    let mut group = c.benchmark_group("e5");
-    group.sample_size(10);
-    group.bench_function("alpha_optimizer_10k_samples", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            mean_matching_alpha(32, 11.0, 10_000, &mut rng)
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! E8 — Paper Figure 3 / §3: the generic parallel architecture, validated
 //! by cycle-driven simulation on the real C2 code.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use gf2::BitVec;
 use ldpc_bench::announce;
 use ldpc_channel::AwgnChannel;
@@ -54,18 +53,6 @@ fn regenerate_e8() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_e8();
-    let code = ccsds_c2::code();
-    let frame = quantized_frame(9);
-    let sim = ArchSimulator::new(ArchConfig::low_cost(), code.clone());
-    let mut group = c.benchmark_group("e8");
-    group.sample_size(10);
-    group.bench_function("cycle_sim_c2_18_iterations", |b| {
-        b.iter(|| sim.decode(std::hint::black_box(std::slice::from_ref(&frame)), 18))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -24,7 +24,6 @@
 //! the emitted CSV is byte-reproducible; its FNV-1a fingerprint and the
 //! measured rows go to `BENCH_A13.json` at the workspace root.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::announce;
 use ldpc_channel::ChannelSpec;
 use ldpc_core::codes::ccsds_c2;
@@ -278,33 +277,8 @@ fn write_json(rows: &[Row], fingerprint: u64, packets: (u64, u64, u64, f64)) {
     println!("  wrote {path}");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let (rows, _csv, fingerprint) = regenerate_a13();
     let packets = packet_numbers();
     write_json(&rows, fingerprint, packets);
-
-    // Criterion timing of the two peeling regimes on C2: pure degree-1
-    // peeling at 5% erasures, and the dense inactivation fallback at
-    // 11% (past the BP threshold — the expensive path).
-    let code = ccsds_c2::code();
-    let mut group = c.benchmark_group("a13_peeling");
-    group.sample_size(10);
-    for &(label, rate) in &[
-        ("peel_5pct", "erasure:0.05"),
-        ("inactivate_11pct", "erasure:0.11"),
-    ] {
-        let spec = ChannelSpec::parse(rate).expect("valid channel spec");
-        let mut ch = spec.build(4.0, code.rate(), CHANNEL_SEED);
-        let llrs = ch.transmit_codeword(&gf2::BitVec::zeros(code.n()));
-        let mut dec = DecoderSpec::parse("peeling")
-            .expect("valid decoder spec")
-            .build(&code);
-        group.bench_function(label, |b| {
-            b.iter(|| dec.decode_block(std::hint::black_box(&llrs), MAX_ITERATIONS))
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

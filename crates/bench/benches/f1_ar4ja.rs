@@ -1,7 +1,6 @@
 //! F1 — Paper §6 future work: AR4JA deep-space codes on the same decoder
 //! stack, demonstrating the genericity claim across CCSDS recommendations.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::announce;
 use ldpc_channel::{bpsk_modulate, AwgnChannel};
 use ldpc_core::codes::ar4ja::{Ar4jaCode, Ar4jaRate};
@@ -79,21 +78,6 @@ fn regenerate_f1() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_f1();
-    let ar4ja = Ar4jaCode::build(Ar4jaRate::Half, 128, 11);
-    let code = ar4ja.code().clone();
-    let zero = gf2::BitVec::zeros(ar4ja.transmitted_len());
-    let mut channel = AwgnChannel::from_ebn0(3.0, ar4ja.rate(), 9);
-    let llrs = ar4ja.expand_llrs(&channel.llrs(&bpsk_modulate(&zero)));
-    let mut group = c.benchmark_group("f1");
-    group.sample_size(20);
-    group.bench_function("decode_ar4ja_half_m128", |b| {
-        let mut dec = MinSumDecoder::new(code.clone(), MinSumConfig::normalized(1.25));
-        b.iter(|| dec.decode(std::hint::black_box(&llrs), 20))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

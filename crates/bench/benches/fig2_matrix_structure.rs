@@ -1,7 +1,6 @@
 //! E6/E7 — Paper Figures 1 and 2: the Tanner graph and the scatter
 //! structure of the CCSDS C2 parity-check matrix.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::announce;
 use ldpc_core::codes::ccsds_c2;
 use ldpc_hwsim::render_table;
@@ -63,19 +62,6 @@ fn regenerate_fig2() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_fig2();
-    c.bench_function("fig2/expand_c2_spec", |b| {
-        b.iter(|| {
-            let spec = ccsds_c2::spec();
-            std::hint::black_box(spec.expand().nnz())
-        })
-    });
-    c.bench_function("fig2/column_weights", |b| {
-        let code = ccsds_c2::code();
-        b.iter(|| std::hint::black_box(code.h().col_weights().len()))
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -7,14 +7,9 @@
 //!   depth bounded so `cargo bench` stays fast — EXPERIMENTS.md records a
 //!   deeper offline run).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config, c2_mc_config};
-use ldpc_core::codes::small::demo_code;
-use ldpc_core::DecoderSpec;
 use ldpc_hwsim::render_table;
-use ldpc_sim::{
-    run_point_blocks, run_sweep, sweep_grid, MonteCarloConfig, PointResult, Scenario, SweepConfig,
-};
+use ldpc_sim::{run_sweep, sweep_grid, MonteCarloConfig, PointResult, Scenario, SweepConfig};
 
 /// The waterfall of `scenario` over `points`: one whole-budget chunk of
 /// `mc.max_frames` frames per point, no error target.
@@ -89,22 +84,6 @@ fn regenerate_fig4() {
     println!("shape checks: BER falls monotonically; no undetected-error floor observed");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_fig4();
-    let code = demo_code();
-    let fixed = DecoderSpec::parse("fixed").unwrap();
-    let mut group = c.benchmark_group("fig4");
-    group.sample_size(10);
-    group.bench_function("mc_point_demo_3p5db", |b| {
-        b.iter(|| {
-            let mut cfg = bench_mc_config(3.5, 18);
-            cfg.max_frames = 200;
-            cfg.target_frame_errors = 0;
-            run_point_blocks(&code, None, &cfg, || fixed.build(&code))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! E1 — Paper Table 1: number of iterations vs output data rate of the
 //! low-cost and high-speed decoders at a 200 MHz system clock.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::announce;
 use ldpc_hwsim::{render_table, ArchConfig, CodeDims, ThroughputModel};
 
@@ -41,19 +40,6 @@ fn regenerate_table1() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_table1();
-    let model = ThroughputModel::new(ArchConfig::low_cost(), CodeDims::ccsds_c2());
-    c.bench_function("table1/model_evaluation", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for iters in [10u32, 18, 50] {
-                acc += std::hint::black_box(model.info_throughput_mbps(iters));
-            }
-            acc
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

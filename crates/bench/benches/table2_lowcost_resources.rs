@@ -1,7 +1,6 @@
 //! E2 — Paper Table 2: implementation results of the low-cost decoder on
 //! an Altera Cyclone II EP2C50F.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::announce;
 use ldpc_hwsim::{
     render_table, ArchConfig, CodeDims, MemoryPlan, ResourceEstimate, CYCLONE_II_EP2C50,
@@ -36,13 +35,6 @@ fn regenerate_table2() {
     println!("{}", MemoryPlan::new(&cfg, &dims));
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_table2();
-    let dims = CodeDims::ccsds_c2();
-    c.bench_function("table2/resource_estimation", |b| {
-        b.iter(|| ResourceEstimate::new(&ArchConfig::low_cost(), std::hint::black_box(&dims)))
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

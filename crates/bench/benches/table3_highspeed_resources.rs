@@ -1,7 +1,6 @@
 //! E3 — Paper Table 3: implementation results of the high-speed decoder
 //! on an Altera Stratix II EP2S180, plus the §4.2 scaling claim.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::announce;
 use ldpc_hwsim::{
     render_table, ArchConfig, CodeDims, MemoryPlan, ResourceEstimate, STRATIX_II_EP2S180,
@@ -44,15 +43,6 @@ fn regenerate_table3() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_table3();
-    let dims = CodeDims::ccsds_c2();
-    c.bench_function("table3/memory_planning", |b| {
-        b.iter(|| {
-            MemoryPlan::new(&ArchConfig::high_speed(), std::hint::black_box(&dims)).total_bits()
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,20 +1,16 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the reproduction targets.
 //!
-//! Each bench target under `benches/` regenerates one table or figure of
-//! the paper (see DESIGN.md §10 for the experiment index) and additionally
-//! measures the runtime of the computation behind it with Criterion. The
-//! regenerated rows are printed to stdout so `cargo bench` output doubles
-//! as the reproduction record collected in EXPERIMENTS.md.
+//! Each bench target under `benches/` is a plain `harness = false` main
+//! that regenerates one table or figure of the paper (see DESIGN.md §10
+//! for the experiment index), asserts its claims, and prints the rows to
+//! stdout, so `cargo bench -p ldpc-bench` output is the reproduction
+//! record collected in EXPERIMENTS.md. Throughput is measured by the
+//! separate `perfbench` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gf2::BitVec;
-use ldpc_channel::AwgnChannel;
-use ldpc_core::codes::small::demo_code;
-use ldpc_core::LdpcCode;
 use ldpc_sim::{MonteCarloConfig, Transmission};
-use std::sync::Arc;
 
 /// A Monte-Carlo configuration sized for benchmark runs: statistically
 /// meaningful on the demo code yet fast enough to keep `cargo bench`
@@ -47,32 +43,6 @@ pub fn c2_mc_config(ebn0_db: f64, max_iterations: u32) -> MonteCarloConfig {
 /// Header line announcing which paper artifact a bench regenerates.
 pub fn announce(experiment: &str, artifact: &str) {
     println!("\n=== {experiment}: regenerating {artifact} ===");
-}
-
-/// Noisy all-zero frames at `ebn0` dB over AWGN, stored back to back —
-/// the shared workload generator of the throughput benches (A5/A6/A7),
-/// so per-family setup is not copy-pasted per target.
-pub fn noisy_frames(code: &Arc<LdpcCode>, count: usize, ebn0: f64, seed: u64) -> Vec<f32> {
-    let mut channel = AwgnChannel::from_ebn0(ebn0, code.rate(), seed);
-    let zero = BitVec::zeros(code.n());
-    let mut llrs = Vec::with_capacity(count * code.n());
-    for _ in 0..count {
-        llrs.extend(channel.transmit_codeword(&zero));
-    }
-    llrs
-}
-
-/// Wall-clock frames/second of one invocation of `run` over
-/// `total_frames` frames.
-pub fn frames_per_sec(total_frames: usize, mut run: impl FnMut()) -> f64 {
-    let start = std::time::Instant::now();
-    run();
-    total_frames as f64 / start.elapsed().as_secs_f64()
-}
-
-/// The demo code's length, for sizing workloads.
-pub fn demo_n() -> usize {
-    demo_code().n()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! testable; `main` only does I/O.
 
 use crate::args::{ArgError, ParsedArgs};
-use ldpc_channel::ChannelSpec;
+use ldpc_channel::{ebn0_to_sigma, ChannelSpec};
 use ldpc_core::codes::ccsds_c2;
 use ldpc_core::{CodeSpec, DecoderSpec};
 use ldpc_hwsim::{
@@ -79,7 +79,7 @@ COMMANDS:
                             simulates only the extension; merged counts
                             are independent of --threads and of resuming.
                             --json PATH also writes machine-readable
-                            results (the BENCH_SWEEP.json format)
+                            results
   serve [--port N | --addr HOST:PORT] [--max-wait-us N] [--workers N]
         [--iters N] [--queue-frames N]
                             decode-as-a-service: newline-delimited TCP
@@ -235,11 +235,36 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         ebn0_db: args.get_or("ebn0", 4.0)?,
         ..mc_config_from_args(args, std::slice::from_ref(&scenario.code))?
     };
-    let point = run_point_scenario_with(&scenario.build_code()?, &scenario, &cfg);
+    let code = scenario.build_code()?;
+    check_ebn0(
+        "ebn0",
+        args.get("ebn0").unwrap_or("4.0"),
+        cfg.ebn0_db,
+        code.rate(),
+    )?;
+    let point = run_point_scenario_with(&code, &scenario, &cfg);
     Ok(format!(
         "{CSV_HEADER}\n{}\n",
         scenario_csv_row(&scenario, &point)
     ))
+}
+
+/// Rejects an Eb/N0 the channel cannot turn into a noise level, naming
+/// the option and its raw value: a non-finite value (`nan`, `inf`), or
+/// one whose σ at the code's rate is not finite (`-1e300` dB).
+fn check_ebn0(option: &str, raw: &str, ebn0: f64, rate: f64) -> Result<(), String> {
+    if !ebn0.is_finite() {
+        return Err(format!(
+            "invalid value {raw:?} for --{option}: Eb/N0 must be a finite number of dB"
+        ));
+    }
+    if !ebn0_to_sigma(ebn0, rate).is_finite() {
+        return Err(format!(
+            "invalid value {raw:?} for --{option}: the channel noise level overflows \
+             at code rate {rate:.4}"
+        ));
+    }
+    Ok(())
 }
 
 /// `sweep`: every code × channel × decoder × Eb/N0 point through the
@@ -283,18 +308,27 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
             .collect::<Result<_, _>>()?,
         None => vec![ChannelSpec::awgn()],
     };
-    let ebn0s: Vec<f64> = match args.get("ebn0s") {
-        Some(list) => list
-            .split(',')
-            .map(|v| {
-                v.trim().parse().map_err(|_| ArgError::InvalidValue {
-                    option: "ebn0s".into(),
-                    value: v.into(),
-                })
-            })
-            .collect::<Result<_, _>>()?,
-        None => vec![args.get_or("ebn0", 4.0)?],
+    let (ebn0_option, ebn0_raw): (&str, Vec<&str>) = match args.get("ebn0s") {
+        Some(list) => ("ebn0s", list.split(',').collect()),
+        None => ("ebn0", vec![args.get("ebn0").unwrap_or("4.0")]),
     };
+    let ebn0s: Vec<f64> = ebn0_raw
+        .iter()
+        .map(|v| {
+            v.trim().parse().map_err(|_| ArgError::InvalidValue {
+                option: ebn0_option.into(),
+                value: (*v).into(),
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    // Every point is checked before any worker starts: a worker that
+    // panics on a bad noise level would leave the others waiting.
+    for code in &codes {
+        let rate = code.build()?.rate();
+        for (raw, &ebn0) in ebn0_raw.iter().zip(&ebn0s) {
+            check_ebn0(ebn0_option, raw, ebn0, rate)?;
+        }
+    }
     let base = mc_config_from_args(args, &codes)?;
     let adaptive = args.flag("adaptive") || args.flag("resume");
     if !adaptive {
@@ -468,11 +502,11 @@ fn json_rate(x: f64) -> String {
     }
 }
 
-/// The machine-readable result set written by `sweep --json PATH` (the
-/// `BENCH_SWEEP.json` format). Deliberately excludes wall time so that
-/// a warm re-run produces byte-identical JSON except for the resume
-/// accounting — `total_frames_simulated` is the field CI greps to
-/// assert a warm cache simulated nothing.
+/// The machine-readable result set written by `sweep --json PATH`.
+/// Deliberately excludes wall time so that a warm re-run produces
+/// byte-identical JSON except for the resume accounting —
+/// `total_frames_simulated` is the field CI greps to assert a warm cache
+/// simulated nothing.
 fn sweep_json(results: &[SweepUnitResult], cfg: &SweepConfig) -> String {
     let mut json = String::from("{\n  \"tool\": \"ldpc-tool sweep\",\n  \"adaptive\": true,\n");
     json.push_str(&format!(
@@ -1413,6 +1447,44 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("chunk-frames"), "{err}");
+    }
+
+    #[test]
+    fn unusable_ebn0_is_rejected_before_any_worker_starts() {
+        // Non-finite values, and -1e300 dB, whose noise sigma overflows.
+        for bad in ["nan", "inf", "-inf", "-1e300"] {
+            let err = error_of(&["simulate", "--demo", "--ebn0", bad, "--frames", "8"]);
+            assert!(err.contains("--ebn0") && err.contains(bad), "{bad}: {err}");
+            let list = format!("3,{bad}");
+            let err = error_of(&[
+                "sweep",
+                "--demo",
+                "--decoders",
+                "fixed",
+                "--ebn0s",
+                &list,
+                "--frames",
+                "8",
+                "--threads",
+                "2",
+            ]);
+            assert!(err.contains("--ebn0s") && err.contains(bad), "{bad}: {err}");
+            let err = error_of(&["sweep", "--demo", "--decoders", "fixed", "--ebn0", bad]);
+            assert!(err.contains("--ebn0:") && err.contains(bad), "{bad}: {err}");
+        }
+        // A huge finite Eb/N0 is a noiseless channel: it still runs.
+        let out = run(&parsed(&[
+            "simulate",
+            "--demo",
+            "--ebn0",
+            "1e300",
+            "--frames",
+            "8",
+            "--threads",
+            "1",
+        ]))
+        .unwrap();
+        assert!(out.lines().nth(1).unwrap().contains(",8,"), "{out}");
     }
 
     #[test]

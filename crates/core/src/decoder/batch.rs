@@ -1,11 +1,17 @@
-//! Frame-batched decoders: `F` frames decoded in lockstep over a
-//! frame-major interleaved message memory.
+//! Frame batching: `F` frames decoded in lockstep, and the iteration
+//! driver every batched decoder shares.
 //!
 //! The paper's high-speed architecture gets its throughput from packing
 //! several frames into each message-memory word (Table 3 packs 8 frames
 //! per 42-bit word), so that one memory access feeds one datapath step of
-//! every in-flight frame. These decoders are the software mirror of that
-//! idea: edge messages of the whole batch live in a single array laid out
+//! every in-flight frame. [`drive_batch`] is the frame-level half of that
+//! idea: it runs a decoder's lockstep phases and retires each frame the
+//! moment its syndrome is zero, as the hardware retires a finished frame
+//! from its share of the packed word. Two decoders plug into it: the
+//! fixed-point datapath's [`PackedFixedDecoder`](crate::PackedFixedDecoder)
+//! (8 frames' i8 messages per `u64`) and, for the float min-sum
+//! variants, [`BatchMinSumDecoder`], whose edge messages live in a single
+//! frame-major array laid out
 //!
 //! ```text
 //!            edge 0                edge 1                edge 2
@@ -18,19 +24,15 @@
 //! so each graph index (edge id, check range, bit adjacency) is loaded
 //! once and amortized over the whole batch, and the per-frame inner loops
 //! run over contiguous memory. Batched decoding is **bit-exact** against
-//! the per-frame [`MinSumDecoder`](crate::MinSumDecoder) /
-//! [`FixedDecoder`](crate::FixedDecoder): the same kernels
-//! and the same operation order are applied to every frame, so the only
-//! difference is the memory layout. Frames that converge keep decoding
-//! slots but are masked out of the message updates (per-frame early
-//! termination), exactly as the hardware would retire a finished frame
-//! from its share of the packed word.
+//! the per-frame [`MinSumDecoder`](crate::MinSumDecoder): the same
+//! kernels and the same operation order are applied to every frame, so
+//! the only difference is the memory layout. Frames that converge are
+//! masked out of the message updates (per-frame early termination).
 
 use crate::decoder::block::runs;
-use crate::decoder::kernels::{bn_output, bn_posterior, cn_scan, saturate};
 use crate::decoder::minsum::{alpha_for_iteration, apply_correction, CnScanF32};
-use crate::decoder::{BlockDecoder, DecodeResult, FixedConfig, MinSumConfig};
-use crate::{LdpcCode, LlrQuantizer};
+use crate::decoder::{BlockDecoder, DecodeResult, MinSumConfig};
+use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
 
@@ -447,365 +449,11 @@ impl BlockDecoder for BatchMinSumDecoder {
     }
 }
 
-/// Frame-batched fixed-point normalized min-sum decoder, bit-exact against
-/// [`FixedDecoder`](crate::FixedDecoder) run frame by frame with the same [`FixedConfig`].
-///
-/// Check nodes go through the shared
-/// [`cn_scan`](crate::decoder::kernels::cn_scan) /
-/// [`Scaling`](crate::decoder::kernels::Scaling) kernels — the same
-/// arithmetic the `ldpc-hwsim` simulator executes cycle by cycle — so the
-/// batch is the software model of several hardware frames sharing one
-/// packed message word.
-///
-/// # Example
-///
-/// ```
-/// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{BatchFixedDecoder, FixedConfig};
-///
-/// let code = demo_code();
-/// let mut dec = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), 8);
-/// let llrs = vec![3.0_f32; 8 * code.n()];
-/// let out = dec.decode_batch(&llrs, 18);
-/// assert!(out.iter().all(|r| r.converged));
-/// ```
-pub struct BatchFixedDecoder {
-    code: Arc<LdpcCode>,
-    config: FixedConfig,
-    quantizer: LlrQuantizer,
-    capacity: usize,
-    /// Bit→check messages, interleaved `bc[e*frames + f]`.
-    bc: Vec<i16>,
-    /// Check→bit messages, same layout.
-    cb: Vec<i16>,
-    /// Quantized channel LLRs, interleaved `ch[n*frames + f]`.
-    ch: Vec<i16>,
-    /// Hard decisions, frame-contiguous `hard[f*n + b]`.
-    hard: Vec<u8>,
-    /// Per-check gather buffer (one frame's messages, contiguous) so the
-    /// masked path goes through the same `cn_scan` kernel as the
-    /// per-frame path.
-    scratch: Vec<i16>,
-    state: BatchState,
-}
-
-impl BatchFixedDecoder {
-    /// Creates a batched decoder with room for `capacity` frames per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(code: Arc<LdpcCode>, config: FixedConfig, capacity: usize) -> Self {
-        assert!(capacity > 0, "batch capacity must be positive");
-        let edges = code.graph().n_edges();
-        let n = code.n();
-        let max_deg = code.graph().max_cn_degree();
-        Self {
-            quantizer: config.channel_quantizer(),
-            code,
-            config,
-            capacity,
-            bc: vec![0; edges * capacity],
-            cb: vec![0; edges * capacity],
-            ch: vec![0; n * capacity],
-            hard: vec![0; n * capacity],
-            scratch: vec![0; max_deg],
-            state: BatchState::default(),
-        }
-    }
-
-    /// The datapath configuration.
-    pub fn config(&self) -> &FixedConfig {
-        &self.config
-    }
-
-    /// The code this decoder operates on.
-    pub fn code(&self) -> &Arc<LdpcCode> {
-        &self.code
-    }
-
-    /// Decodes a batch of already-quantized frames stored back to back
-    /// (frame `f` occupies `channel[f*n .. (f+1)*n]`), the hardware input
-    /// format. See [`decode_batch`](Self::decode_batch) for the result contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel.len()` is not a positive multiple of the code
-    /// length, if the frame count exceeds the capacity, or if any value
-    /// exceeds the channel quantizer range.
-    pub fn decode_quantized_batch(
-        &mut self,
-        channel: &[i16],
-        max_iterations: u32,
-    ) -> Vec<DecodeResult> {
-        let code = self.code.clone();
-        let graph = code.graph();
-        let n = graph.n_bits();
-        assert!(
-            !channel.is_empty() && channel.len().is_multiple_of(n),
-            "channel length must be a positive multiple of the code length"
-        );
-        let frames = channel.len() / n;
-        assert!(
-            frames <= self.capacity,
-            "batch of {frames} frames exceeds capacity {}",
-            self.capacity
-        );
-        let ch_max = self.quantizer.max_level();
-        assert!(
-            channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
-            "channel value outside quantizer range"
-        );
-        for (f, frame) in channel.chunks_exact(n).enumerate() {
-            for (b, &c) in frame.iter().enumerate() {
-                self.ch[b * frames + f] = c;
-            }
-        }
-        let msg_max = self.config.msg_max();
-        for e in 0..graph.n_edges() {
-            let b = graph.edge_bit(e);
-            for f in 0..frames {
-                self.bc[e * frames + f] = saturate(i32::from(self.ch[b * frames + f]), msg_max);
-            }
-        }
-        drive_batch(self, frames, max_iterations)
-    }
-
-    /// Check-node phase with every one of the `F` lanes active: the
-    /// vector form of [`CnState`](crate::decoder::kernels::CnState) — the
-    /// select-based two-minimum update is value-identical to `absorb`,
-    /// and the output rule (min-excluding-self, [`Scaling::apply`], sign
-    /// product excluding self) is `output` lane by lane. The scan state
-    /// lives in stack arrays of uniform 16-bit lanes so the frame-inner
-    /// loops compile to straight-line vector code.
-    fn cn_phase_full_lanes<const F: usize>(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
-        let scaling = self.config.scaling;
-        for m in 0..graph.n_checks() {
-            let range = graph.cn_edge_range(m);
-            let mut min1 = [i16::MAX; F];
-            let mut min2 = [i16::MAX; F];
-            let mut argmin = [0u16; F];
-            let mut sign = [0i16; F];
-            for (idx, e) in range.clone().enumerate() {
-                let row: [i16; F] = self.bc[e * F..e * F + F].try_into().expect("row is F wide");
-                for f in 0..F {
-                    let x = row[f];
-                    let neg = x < 0;
-                    let mag = if neg { -x } else { x };
-                    sign[f] ^= i16::from(neg);
-                    let is_new = mag < min1[f];
-                    min2[f] = if is_new { min1[f] } else { min2[f].min(mag) };
-                    min1[f] = if is_new { mag } else { min1[f] };
-                    argmin[f] = if is_new { idx as u16 } else { argmin[f] };
-                }
-            }
-            for (idx, e) in range.enumerate() {
-                let base = e * F;
-                let bc_row: [i16; F] = self.bc[base..base + F].try_into().expect("row is F wide");
-                let cb_row: &mut [i16; F] = (&mut self.cb[base..base + F])
-                    .try_into()
-                    .expect("row is F wide");
-                for f in 0..F {
-                    let mag = if idx as u16 == argmin[f] {
-                        min2[f]
-                    } else {
-                        min1[f]
-                    };
-                    let mag = scaling.apply(mag);
-                    let negative = (sign[f] ^ i16::from(bc_row[f] < 0)) != 0;
-                    cb_row[f] = if negative { -mag } else { mag };
-                }
-            }
-        }
-    }
-
-    /// Check-node phase over the still-active lanes only: gathers each
-    /// lane's messages contiguously and runs the exact per-frame
-    /// [`cn_scan`] kernel over them.
-    fn cn_phase_masked(&mut self, frames: usize, lanes: &[u32]) {
-        let code = self.code.clone();
-        let graph = code.graph();
-        let scaling = self.config.scaling;
-        for m in 0..graph.n_checks() {
-            let range = graph.cn_edge_range(m);
-            let degree = range.len();
-            for &lane in lanes {
-                let f = lane as usize;
-                for (idx, e) in range.clone().enumerate() {
-                    self.scratch[idx] = self.bc[e * frames + f];
-                }
-                let st = cn_scan(&self.scratch[..degree]);
-                for (idx, e) in range.clone().enumerate() {
-                    self.cb[e * frames + f] = st.output(idx as u32, scaling);
-                }
-            }
-        }
-    }
-
-    /// Bit-node phase with every one of the `F` lanes active.
-    fn bn_phase_full_lanes<const F: usize>(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
-        let n_bits = graph.n_bits();
-        let msg_max = self.config.msg_max();
-        for n in 0..n_bits {
-            let edges = graph.bn_edge_ids(n);
-            let mut total = [0i32; F];
-            for &e in edges {
-                let base = e as usize * F;
-                let row: [i16; F] = self.cb[base..base + F].try_into().expect("row is F wide");
-                for f in 0..F {
-                    total[f] += i32::from(row[f]);
-                }
-            }
-            let ch_row: [i16; F] = self.ch[n * F..n * F + F].try_into().expect("row is F wide");
-            for &e in edges {
-                let base = e as usize * F;
-                let cb_row: [i16; F] = self.cb[base..base + F].try_into().expect("row is F wide");
-                let bc_row: &mut [i16; F] = (&mut self.bc[base..base + F])
-                    .try_into()
-                    .expect("row is F wide");
-                for f in 0..F {
-                    bc_row[f] = bn_output(ch_row[f], total[f], cb_row[f], msg_max);
-                }
-            }
-            for f in 0..F {
-                let posterior = bn_posterior(ch_row[f], total[f], i16::MAX);
-                self.hard[f * n_bits + n] = u8::from(posterior < 0);
-            }
-        }
-    }
-
-    /// Bit-node phase over the still-active lanes only.
-    fn bn_phase_masked(&mut self, frames: usize, lanes: &[u32]) {
-        let code = self.code.clone();
-        let graph = code.graph();
-        let n_bits = graph.n_bits();
-        let msg_max = self.config.msg_max();
-        for n in 0..n_bits {
-            let edges = graph.bn_edge_ids(n);
-            for &lane in lanes {
-                let f = lane as usize;
-                let mut total: i32 = 0;
-                for &e in edges {
-                    total += i32::from(self.cb[e as usize * frames + f]);
-                }
-                let ch = self.ch[n * frames + f];
-                for &e in edges {
-                    let base = e as usize * frames;
-                    self.bc[base + f] = bn_output(ch, total, self.cb[base + f], msg_max);
-                }
-                let posterior = bn_posterior(ch, total, i16::MAX);
-                self.hard[f * n_bits + n] = u8::from(posterior < 0);
-            }
-        }
-    }
-
-    /// One lockstep iteration with every lane active.
-    fn phases_full<const F: usize>(&mut self) {
-        self.cn_phase_full_lanes::<F>();
-        self.bn_phase_full_lanes::<F>();
-    }
-
-    /// One iteration over the still-active lanes only.
-    fn phases_masked(&mut self, frames: usize, lanes: &[u32]) {
-        self.cn_phase_masked(frames, lanes);
-        self.bn_phase_masked(frames, lanes);
-    }
-
-    /// Hard-decision bytes of frame `f` after the last iteration.
-    fn hard_frame(&self, f: usize) -> &[u8] {
-        let n = self.code.n();
-        &self.hard[f * n..(f + 1) * n]
-    }
-}
-
-impl BatchPhases for BatchFixedDecoder {
-    fn run_phases(&mut self, _iter: u32, frames: usize, state: &BatchState) {
-        // Lockstep fast path for common batch widths; lane-masked
-        // fallback for odd widths and once frames start retiring.
-        match frames {
-            _ if state.n_active() < frames => self.phases_masked(frames, &state.lanes),
-            2 => self.phases_full::<2>(),
-            4 => self.phases_full::<4>(),
-            8 => self.phases_full::<8>(),
-            16 => self.phases_full::<16>(),
-            32 => self.phases_full::<32>(),
-            _ => self.phases_masked(frames, &state.lanes),
-        }
-    }
-
-    fn hard_decision(&self, f: usize) -> BitVec {
-        BitVec::from_bits(self.hard_frame(f))
-    }
-
-    fn syndrome_ok_frame(&self, f: usize) -> bool {
-        self.code.graph().syndrome_ok(self.hard_frame(f))
-    }
-
-    fn early_stop(&self) -> bool {
-        self.config.early_stop
-    }
-
-    fn batch_state(&mut self) -> &mut BatchState {
-        &mut self.state
-    }
-}
-
-impl BatchFixedDecoder {
-    /// Decodes between 1 and the capacity frames stored back to back
-    /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) in one lockstep batch.
-    ///
-    /// Returns one [`DecodeResult`] per frame, in input order, each
-    /// bit-identical to what the per-frame decoder would produce on that
-    /// frame alone. [`BlockDecoder::decode_block`] takes any number of
-    /// frames and splits them into batches of this size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len()` is not a positive multiple of the code
-    /// length, or if the frame count exceeds the capacity.
-    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        let n = self.code.n();
-        assert!(
-            !llrs.is_empty() && llrs.len().is_multiple_of(n),
-            "LLR length must be a positive multiple of the code length"
-        );
-        let quantized = self.quantizer.quantize_slice(llrs);
-        self.decode_quantized_batch(&quantized, max_iterations)
-    }
-}
-
-impl BlockDecoder for BatchFixedDecoder {
-    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        runs(llrs, self.n(), self.capacity)
-            .flat_map(|run| self.decode_batch(run, max_iterations))
-            .collect()
-    }
-
-    fn block_frames(&self) -> usize {
-        self.capacity
-    }
-
-    fn n(&self) -> usize {
-        self.code.n()
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "batched fixed-point normalized min-sum (batch {})",
-            self.capacity
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codes::small::demo_code;
-    use crate::{FixedDecoder, MinSumDecoder};
+    use crate::{FixedConfig, FixedDecoder, MinSumDecoder, PackedFixedDecoder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -856,7 +504,7 @@ mod tests {
             FixedConfig::default().with_early_stop(false),
         ] {
             let llrs = mixed_batch(5, 17);
-            let mut batched = BatchFixedDecoder::new(code.clone(), cfg, 8);
+            let mut batched = PackedFixedDecoder::new(code.clone(), cfg);
             let mut single = FixedDecoder::new(code.clone(), cfg);
             let got = batched.decode_batch(&llrs, 20);
             let want = single.decode_block(&llrs, 20);
@@ -872,7 +520,7 @@ mod tests {
         let channel: Vec<i16> = (0..frames * code.n())
             .map(|_| rng.gen_range(-15i16..=15))
             .collect();
-        let mut batched = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), frames);
+        let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
         let got = batched.decode_quantized_batch(&channel, 15);
         for (f, got_f) in got.iter().enumerate() {
@@ -904,7 +552,7 @@ mod tests {
     #[test]
     fn all_converged_batch_stops_iterating() {
         let code = demo_code();
-        let mut dec = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), 3);
+        let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let out = dec.decode_batch(&vec![4.0_f32; 3 * code.n()], 50);
         for r in out {
             assert!(r.converged);
@@ -927,7 +575,7 @@ mod tests {
     fn results_stable_across_reuse() {
         let code = demo_code();
         let llrs = mixed_batch(4, 7);
-        let mut dec = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), 4);
+        let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let a = dec.decode_batch(&llrs, 12);
         let b = dec.decode_batch(&llrs, 12);
         assert_eq!(a, b);

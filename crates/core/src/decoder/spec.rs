@@ -28,7 +28,7 @@
 //!
 //! | Modifier | Effect | Applies to |
 //! |----------|--------|------------|
-//! | `@batch=8` | lockstep frame batching ([`BatchMinSumDecoder`] / [`BatchFixedDecoder`]) | `ms`, `nms`, `oms`, `fixed` |
+//! | `@batch=8` | lockstep frame batching ([`BatchMinSumDecoder`]; on `fixed`, [`PackedFixedDecoder`] in 8-frame words for any N) | `ms`, `nms`, `oms`, `fixed` |
 //! | `@bitslice` | 64 frames per `u64` word ([`BitsliceGallagerBDecoder`]) | `gallager-b` |
 //! | `@pack=8` | SWAR soft datapath: 8 frames' i8 messages per `u64` word ([`PackedFixedDecoder`]) | `fixed` |
 //!
@@ -51,10 +51,10 @@
 
 use crate::decoder::block::BlockDecoder;
 use crate::decoder::{
-    BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, FixedConfig, FixedDecoder,
-    GallagerBDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, PackedFixedDecoder,
-    PeelingDecoder, QcLayeredDecoder, SelfCorrectedMinSumDecoder, SumProductDecoder,
-    WeightedBitFlipDecoder, PACK_LANES,
+    BatchMinSumDecoder, BitsliceGallagerBDecoder, FixedConfig, FixedDecoder, GallagerBDecoder,
+    LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, PackedFixedDecoder, PeelingDecoder,
+    QcLayeredDecoder, SelfCorrectedMinSumDecoder, SumProductDecoder, WeightedBitFlipDecoder,
+    PACK_LANES,
 };
 use crate::LdpcCode;
 use std::fmt;
@@ -166,7 +166,9 @@ pub struct DecoderSpec {
     /// The decoder family and its parameters.
     pub family: DecoderFamily,
     /// `@batch=N`: decode N frames in lockstep (families with a batched
-    /// mirror only). `None` = scalar per-frame decoding.
+    /// mirror only). `None` = scalar per-frame decoding. On `fixed` the
+    /// packed datapath runs in words of [`PACK_LANES`] frames whatever N
+    /// is; N stays part of the canonical string.
     pub batch: Option<usize>,
     /// `@bitslice`: 64 frames per `u64` word (`gallager-b` only).
     pub bitslice: bool,
@@ -388,9 +390,10 @@ impl DecoderSpec {
             };
             return Box::new(BitsliceGallagerBDecoder::new(code, threshold));
         }
-        if self.pack.is_some() {
-            // Validation pinned the family to `fixed` and the lane count
-            // to PACK_LANES, so the packed mirror is the only target.
+        if self.pack.is_some() || (self.batch.is_some() && self.family == DecoderFamily::Fixed) {
+            // Validation pinned `@pack` to `fixed` and PACK_LANES. The
+            // fixed-point datapath has one batched form, the packed
+            // mirror, so `fixed@batch=N` builds it too, in 8-frame words.
             return Box::new(PackedFixedDecoder::new(code, FixedConfig::default()));
         }
         if let Some(batch) = self.batch {
@@ -408,9 +411,6 @@ impl DecoderSpec {
                     MinSumConfig::offset(beta),
                     batch,
                 )),
-                DecoderFamily::Fixed => {
-                    Box::new(BatchFixedDecoder::new(code, FixedConfig::default(), batch))
-                }
                 _ => unreachable!("validated above"),
             };
         }
@@ -892,11 +892,13 @@ mod tests {
     #[test]
     fn pack_spec_builds_the_packed_mirror() {
         let code = demo_code();
-        let mut dec = DecoderSpec::parse("fixed@pack=8").unwrap().build(&code);
-        assert_eq!(dec.block_frames(), PACK_LANES);
-        assert!(dec.name().contains("packed"), "{}", dec.name());
-        let out = dec.decode_block(&vec![3.0_f32; 2 * code.n()], 10);
-        assert!(out.iter().all(|r| r.converged && r.hard_decision.is_zero()));
+        for spec in ["fixed@pack=8", "fixed@batch=8", "fixed@batch=3"] {
+            let mut dec = DecoderSpec::parse(spec).unwrap().build(&code);
+            assert_eq!(dec.block_frames(), PACK_LANES, "{spec}");
+            assert!(dec.name().contains("packed"), "{spec}: {}", dec.name());
+            let out = dec.decode_block(&vec![3.0_f32; 2 * code.n()], 10);
+            assert!(out.iter().all(|r| r.converged && r.hard_decision.is_zero()));
+        }
     }
 
     #[test]

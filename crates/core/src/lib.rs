@@ -59,11 +59,11 @@ pub use codespec::{
     CodeHandle, CodeSpec, CodeSpecError, PlainCode, ShortenedBase, AR4JA_LIFT_SEED, DEFAULT_AR4JA_K,
 };
 pub use decoder::{
-    BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, BlockDecoder, DecodeResult,
-    DecodeTrace, DecoderFamily, DecoderSpec, FixedConfig, FixedDecoder, GallagerBDecoder,
-    IterationStats, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, MinSumVariant,
-    PackedFixedDecoder, PeelingDecoder, QcLayeredDecoder, Scaling, SelfCorrectedMinSumDecoder,
-    SpecError, SumProductDecoder, WeightedBitFlipDecoder, PACK_LANES, PEELING_ERASURE_FRACTION,
+    BatchMinSumDecoder, BitsliceGallagerBDecoder, BlockDecoder, DecodeResult, DecodeTrace,
+    DecoderFamily, DecoderSpec, FixedConfig, FixedDecoder, GallagerBDecoder, IterationStats,
+    LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, MinSumVariant, PackedFixedDecoder,
+    PeelingDecoder, QcLayeredDecoder, Scaling, SelfCorrectedMinSumDecoder, SpecError,
+    SumProductDecoder, WeightedBitFlipDecoder, PACK_LANES, PEELING_ERASURE_FRACTION,
 };
 pub use encoder::Encoder;
 pub use error::{CodeError, EncodeError};

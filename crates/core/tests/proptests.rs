@@ -5,9 +5,9 @@ use ldpc_core::codes::ar4ja::{base_matrix, Ar4jaCode, Ar4jaRate};
 use ldpc_core::codes::small::{demo_code, random_c2_like};
 use ldpc_core::decoder::kernels::{cn_scan, Scaling};
 use ldpc_core::{
-    BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, BlockDecoder, DecoderSpec,
-    Encoder, FixedConfig, FixedDecoder, GallagerBDecoder, LlrQuantizer, MinSumConfig,
-    MinSumDecoder, SpecError, SumProductDecoder,
+    BatchMinSumDecoder, BitsliceGallagerBDecoder, BlockDecoder, DecoderSpec, Encoder, FixedConfig,
+    FixedDecoder, GallagerBDecoder, LlrQuantizer, MinSumConfig, MinSumDecoder, PackedFixedDecoder,
+    SpecError, SumProductDecoder,
 };
 use proptest::prelude::*;
 
@@ -153,8 +153,9 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Batched fixed-point decoding equals per-frame decoding bit for bit
-    /// on mixed-convergence batches (the hardware-exact datapath).
+    /// Batched (packed) fixed-point decoding equals per-frame decoding
+    /// bit for bit on mixed-convergence batches of 1 to 8 frames (the
+    /// hardware-exact datapath).
     #[test]
     fn batch_fixed_equals_per_frame(
         qualities in prop::collection::vec(any::<u8>(), 1..9),
@@ -164,14 +165,14 @@ proptest! {
         let code = demo_code();
         let cfg = FixedConfig::default().with_early_stop(early_stop);
         let llrs = mixed_quality_batch(&qualities, &noise, code.n());
-        let mut batched = BatchFixedDecoder::new(code.clone(), cfg, qualities.len());
+        let mut batched = PackedFixedDecoder::new(code.clone(), cfg);
         let mut single = FixedDecoder::new(code.clone(), cfg);
         let got = batched.decode_batch(&llrs, 12);
         let want = single.decode_block(&llrs, 12);
         prop_assert_eq!(got, want);
     }
 
-    /// The batched fixed decoder accepts quantized (hardware-format)
+    /// The packed fixed decoder accepts quantized (hardware-format)
     /// input and matches `decode_quantized` frame by frame.
     #[test]
     fn batch_fixed_quantized_equals_per_frame(
@@ -187,7 +188,7 @@ proptest! {
                 ((x >> 33) % 31) as i16 - 15 // uniform in the 5-bit range -15..=15
             })
             .collect();
-        let mut batched = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), frames);
+        let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
         let got = batched.decode_quantized_batch(&channel, 10);
         for (f, got_f) in got.iter().enumerate() {

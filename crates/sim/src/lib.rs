@@ -59,12 +59,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod gain;
 mod orchestrator;
 mod packet;
 mod scenario;
 
-pub use gain::{ebn0_at_per, gain_db, ThresholdResult};
 pub use orchestrator::{
     chunk_key, run_sweep, sha256_hex, sweep_grid, SweepConfig, SweepError, SweepUnit,
     SweepUnitResult,

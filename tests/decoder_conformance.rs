@@ -156,12 +156,15 @@ fn documented_bit_exact_pairs_agree() {
     let llrs = corpus();
     // Every grammar-reachable packed mirror, not just the registry's
     // canonical four: ms@batch and oms@batch share the batched min-sum
-    // datapath but exercise the plain/offset correction arms.
+    // datapath but exercise the plain/offset correction arms, and
+    // fixed@batch=N builds the packed datapath in 8-frame words for any N.
     let pairs = [
         ("ms", "ms@batch=8"),
         ("nms", "nms@batch=8"),
         ("oms", "oms@batch=8"),
         ("fixed", "fixed@batch=8"),
+        ("fixed", "fixed@batch=3"),
+        ("fixed", "fixed@batch=16"),
         ("fixed", "fixed@pack=8"),
         ("gallager-b", "gallager-b@bitslice"),
     ];

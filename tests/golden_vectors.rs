@@ -7,8 +7,8 @@
 
 use ccsds_ldpc::core::codes::{ccsds_c2, small::demo_code};
 use ccsds_ldpc::core::{
-    BatchFixedDecoder, BatchMinSumDecoder, DecodeResult, DecoderSpec, FixedConfig, FixedDecoder,
-    LayeredMinSumDecoder, MinSumConfig, MinSumDecoder,
+    BatchMinSumDecoder, DecodeResult, DecoderSpec, FixedConfig, FixedDecoder, LayeredMinSumDecoder,
+    MinSumConfig, MinSumDecoder, PackedFixedDecoder,
 };
 use ccsds_ldpc::gf2::BitVec;
 
@@ -150,7 +150,7 @@ fn batch_fixed_decoder_golden_vectors() {
     let code = demo_code();
     let n = code.n();
     let channel = golden_quantized_batch(n, 6);
-    let mut batched = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), 6);
+    let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
     let out = batched.decode_quantized_batch(&channel, 18);
     let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
     for (f, r) in out.iter().enumerate() {
