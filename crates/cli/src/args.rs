@@ -92,7 +92,7 @@ const COMMANDS: &[(&str, &[&str], &[&str])] = &[
     (
         "simulate",
         &[
-            "code", "channel", "decoder", "ebn0", "frames", "iters", "threads", "seed",
+            "code", "channel", "decoder", "ebn0", "frames", "iters", "seed",
         ],
         &["demo", "c2"],
     ),

@@ -56,9 +56,11 @@ COMMANDS:
   encode [--random|--zeros] [--seed N]
                             encode one 7154-bit frame; prints codeword bits
   simulate [--code SPEC|--demo|--c2] [--channel SPEC] [--decoder SPEC]
-           [--ebn0 DB] [--frames N] [--iters N] [--threads N] [--seed N]
+           [--ebn0 DB] [--frames N] [--iters N] [--seed N]
                             Monte-Carlo one scenario at one operating
-                            point; prints CSV (--threads 0 = all cores)
+                            point on one worker; prints CSV. To spread
+                            one point over cores, run it as
+                            sweep --adaptive --chunk-frames N
   sweep --decoders SPEC,SPEC,... [--codes SPEC,...] [--channels SPEC,...]
         [--demo|--c2] [--ebn0s DB,DB,...] [--frames N] [--iters N]
         [--threads N] [--seed N]
@@ -181,13 +183,12 @@ fn cmd_encode(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
 }
 
 /// The shared Monte-Carlo configuration of `simulate` and `sweep`,
-/// parsed from the common flags (`--frames/--iters/--seed/--threads`).
-/// One definition, so a sweep row always reproduces a single-threaded
-/// simulate run with the same flags at point index 0. `ebn0_db` is left
-/// at 0.0 — the caller sets it (simulate) or the sweep grid derives it
-/// per point (sweep). The frame default is sized to the smallest code in
-/// play: 2000 frames for demo-only runs, 50 once a full-scale code is
-/// involved.
+/// parsed from the common flags (`--frames/--iters/--seed`). One
+/// definition, so a sweep row always reproduces a simulate run with the
+/// same flags at point index 0. `ebn0_db` is left at 0.0 — the caller
+/// sets it (simulate) or the sweep grid derives it per point (sweep).
+/// The frame default is sized to the smallest code in play: 2000 frames
+/// for demo-only runs, 50 once a full-scale code is involved.
 fn mc_config_from_args(
     args: &ParsedArgs,
     codes: &[CodeSpec],
@@ -216,7 +217,7 @@ fn mc_config_from_args(
         target_frame_errors: 0,
         max_iterations: args.get_or("iters", 18u32)?,
         seed: args.get_or("seed", 0xC11u64)?,
-        threads: args.get_or("threads", 0usize)?,
+        threads: 1,
         transmission: Transmission::AllZero,
     })
 }
@@ -274,12 +275,12 @@ fn check_ebn0(option: &str, raw: &str, ebn0: f64, rate: f64) -> Result<(), Strin
 ///
 /// Without `--adaptive` each point is one chunk of `--frames` frames
 /// with no error target — the same engine call, seed included, as a
-/// single-threaded `simulate` at that point — and the CSV has the 8
-/// shared columns. `--adaptive` chunks every point, stops each at
-/// `--target-errors`, and with `--resume` / `--cache-dir` keeps a
-/// content-addressed chunk cache that makes re-runs incremental; its
-/// rows extend the 8 columns (identical prefix, pinned by tests) with
-/// the error count, the Wilson 95 % PER interval, and the stop rule.
+/// `simulate` at that point — and the CSV has the 8 shared columns.
+/// `--adaptive` chunks every point, stops each at `--target-errors`,
+/// and with `--resume` / `--cache-dir` keeps a content-addressed chunk
+/// cache that makes re-runs incremental; its rows extend the 8 columns
+/// (identical prefix, pinned by tests) with the error count, the Wilson
+/// 95 % PER interval, and the stop rule.
 /// `--json PATH` additionally writes the machine-readable result set.
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let decoders: Vec<DecoderSpec> = split_spec_list(
@@ -360,7 +361,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         target_frame_errors: args.get_or("target-errors", default_target)?,
         chunk_frames,
         max_iterations: base.max_iterations,
-        threads: base.threads,
+        threads: args.get_or("threads", 0usize)?,
         cache_dir: match args.get("cache-dir") {
             Some(path) => Some(PathBuf::from(path)),
             None if args.flag("resume") => Some(PathBuf::from(".ldpc-sweep-cache")),
@@ -718,6 +719,11 @@ mod tests {
                 );
             }
         }
+        // `simulate` runs one worker; its retired --threads points at
+        // `sweep`, which still schedules its chunks over a pool.
+        let err = error_of(&["simulate", "--demo", "--threads", "2"]);
+        assert!(err.contains("unknown option --threads"), "{err}");
+        assert!(err.contains("an option of sweep"), "{err}");
     }
 
     #[test]
@@ -852,8 +858,6 @@ mod tests {
                 "12",
                 "--seed",
                 "9",
-                "--threads",
-                "1",
             ]))
             .unwrap()
         };
@@ -906,8 +910,6 @@ mod tests {
                 "20",
                 "--seed",
                 "4",
-                "--threads",
-                "1",
             ]))
             .unwrap()
         };
@@ -1036,17 +1038,7 @@ mod tests {
     fn sweep_first_point_matches_simulate_counts() {
         // Same seed derivation at point index 0: sweep rows reproduce a
         // plain simulate run exactly.
-        let shared = [
-            "--demo",
-            "--frames",
-            "32",
-            "--iters",
-            "8",
-            "--seed",
-            "5",
-            "--threads",
-            "1",
-        ];
+        let shared = ["--demo", "--frames", "32", "--iters", "8", "--seed", "5"];
         let mut sim_args = vec!["simulate", "--decoder", "nms:1.25"];
         sim_args.extend(shared);
         let mut sweep_args = vec!["sweep", "--decoders", "nms:1.25"];
@@ -1213,16 +1205,7 @@ mod tests {
 
     #[test]
     fn sweep_row_reproduces_simulate_with_matching_flags() {
-        let shared = [
-            "--frames",
-            "24",
-            "--iters",
-            "6",
-            "--seed",
-            "5",
-            "--threads",
-            "1",
-        ];
+        let shared = ["--frames", "24", "--iters", "6", "--seed", "5"];
         let mut sim = vec![
             "simulate",
             "--demo",
@@ -1474,14 +1457,7 @@ mod tests {
         }
         // A huge finite Eb/N0 is a noiseless channel: it still runs.
         let out = run(&parsed(&[
-            "simulate",
-            "--demo",
-            "--ebn0",
-            "1e300",
-            "--frames",
-            "8",
-            "--threads",
-            "1",
+            "simulate", "--demo", "--ebn0", "1e300", "--frames", "8",
         ]))
         .unwrap();
         assert!(out.lines().nth(1).unwrap().contains(",8,"), "{out}");

@@ -32,8 +32,8 @@
 //!
 //! Decoder instances are *not* shared: [`BlockDecoder`] is stateful
 //! workspace and not `Send`, so each worker lazily builds and caches
-//! its own decoder per key, mirroring the per-worker build in
-//! `ldpc_sim`'s Monte-Carlo engine.
+//! its own decoder per key, as each chunk of `ldpc_sim`'s sweep pool
+//! builds its own.
 
 use crate::metrics::Metrics;
 use crate::protocol::{pack_bitvec, DecodedFrame};

@@ -1,4 +1,4 @@
-//! Multithreaded Monte-Carlo BER/PER evaluation (paper §5, Figure 4).
+//! Deterministic Monte-Carlo BER/PER evaluation (paper §5, Figure 4).
 //!
 //! The paper evaluates its decoder by simulating frames over a BPSK/AWGN
 //! channel and counting bit and packet (frame) errors versus Eb/N0. This
@@ -22,15 +22,22 @@
 //!   stopping (run to a frame-error target or a cap) and a
 //!   content-addressed on-disk cache ([`SweepConfig`]). A curve is a
 //!   sweep with `target_frame_errors: 0` and one chunk of the frame
-//!   budget per point.
+//!   budget per point; one point chunked finely is how a single point
+//!   uses several cores.
 //!
 //! [`MonteCarloConfig`] describes one operating point; [`PointResult`]
 //! holds its error counts with BER/PER accessors and Wilson confidence
 //! intervals, and [`to_csv`] renders a curve for plotting.
 //!
-//! Every door funnels into the same worker loop, which is generic over
+//! Every door funnels into the same engine loop, which is generic over
 //! the code's transmission profile ([`CodeHandle`]) and the channel
-//! model ([`ChannelSpec`]) — AWGN is the default, not a hardcode.
+//! model ([`ChannelSpec`]) — AWGN is the default, not a hardcode. The
+//! loop is one worker on the caller's thread: one channel, one decoder,
+//! one noise stream, and no shared counter, so a point's counts depend
+//! only on its configuration. The three single-point doors therefore
+//! give the same counts whatever [`MonteCarloConfig::threads`] says
+//! (the field is ignored), and `run_sweep`'s pool — every chunk a
+//! seeded engine run — is the crate's only parallelism.
 //!
 //! # Example
 //!
@@ -46,7 +53,7 @@
 //!     target_frame_errors: 10,
 //!     max_iterations: 20,
 //!     seed: 1,
-//!     threads: 2,
+//!     threads: 1,
 //!     transmission: Transmission::AllZero,
 //! };
 //! let spec = DecoderSpec::parse("nms:1.25@batch=8")?;
@@ -67,17 +74,14 @@ pub use orchestrator::{
     chunk_key, run_sweep, sha256_hex, sweep_grid, SweepConfig, SweepError, SweepUnit,
     SweepUnitResult,
 };
-pub use packet::{
-    run_point_packets, PacketChannel, PacketDropModel, PacketLossReport, PacketStats,
-};
+pub use packet::{run_point_packets, PacketChannel, PacketDropModel, PacketLossReport};
 pub use scenario::{run_point_scenario_with, split_spec_list, Scenario, ScenarioError};
 
 use gf2::BitVec;
-use ldpc_channel::ChannelSpec;
+use ldpc_channel::{Channel, ChannelSpec};
 use ldpc_core::{BlockDecoder, CodeHandle, Encoder, LdpcCode, PlainCode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What is transmitted in each simulated frame.
@@ -104,9 +108,13 @@ pub struct MonteCarloConfig {
     pub target_frame_errors: u64,
     /// Decoder iteration budget per frame.
     pub max_iterations: u32,
-    /// Base seed; worker `t` derives its noise stream from `seed` and `t`.
+    /// Base seed; the engine's noise stream is derived from it.
     pub seed: u64,
-    /// Worker threads (0 = use available parallelism).
+    /// Ignored. A point runs as one worker on the caller's thread,
+    /// whatever this says; to spread one point over cores, chunk it with
+    /// [`run_sweep`] ([`SweepConfig::chunk_frames`],
+    /// [`SweepConfig::threads`]). The field stays until the benchmark
+    /// package stops setting it.
     pub threads: usize,
     /// Frame content.
     pub transmission: Transmission,
@@ -216,17 +224,17 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
     ((centre - half).max(0.0), (centre + half).min(1.0))
 }
 
-/// The one Monte-Carlo engine: workers claim
-/// [`block_frames`](BlockDecoder::block_frames) frames at a time from a
-/// shared counter, generate them from deterministic per-worker noise
-/// streams, decode through the object-safe [`BlockDecoder`] front door,
-/// and accumulate error counts.
+/// The explicit-factory door: one AWGN operating point of an explicit
+/// code, decoded by the [`BlockDecoder`] that `factory` builds — any
+/// concrete decoder type, or a
+/// [`DecoderSpec::build`](ldpc_core::DecoderSpec::build) result. It is
+/// for configurations the spec grammar does not cover (alpha schedules,
+/// custom quantization), and the only door that takes an [`Encoder`].
 ///
-/// `factory` builds one decoder per worker (decoders are stateful
-/// workspaces and not shared): any concrete decoder type, or a
-/// [`DecoderSpec::build`](ldpc_core::DecoderSpec::build) result. The
-/// scenario and packet doors — with their non-AWGN channels and
-/// punctured/shortened codes — wrap the same engine loop, so seed
+/// The point runs on the caller's thread as one worker of the one
+/// engine loop, so its counts depend only on `cfg` (`cfg.threads` is
+/// ignored). The scenario and packet doors — with their non-AWGN
+/// channels and punctured/shortened codes — run the same loop, so seed
 /// derivation and error counting are identical by construction across
 /// all of them.
 ///
@@ -237,8 +245,9 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
 ///
 /// # Panics
 ///
-/// Panics if `max_frames == 0`, or if `Transmission::Random` is requested
-/// without an encoder.
+/// Panics if `max_frames == 0`, if `Transmission::Random` is requested
+/// without an encoder, or if `cfg.ebn0_db` gives no finite noise level
+/// (`nan`, `±inf`, `-1e300`): the AWGN channel rejects it.
 pub fn run_point_blocks<F, B>(
     code: &Arc<LdpcCode>,
     encoder: Option<&Arc<Encoder>>,
@@ -246,234 +255,139 @@ pub fn run_point_blocks<F, B>(
     factory: F,
 ) -> PointResult
 where
-    F: Fn() -> B + Sync,
+    F: FnOnce() -> B,
     B: BlockDecoder,
 {
-    if cfg.transmission == Transmission::Random {
-        assert!(encoder.is_some(), "random transmission requires an encoder");
-    }
     let handle = PlainCode::new(Arc::clone(code));
     // Error counting positions: systematic info bits if we know them.
     let info_positions: Vec<u32> = match encoder {
         Some(enc) => enc.info_positions().to_vec(),
         None => (0..code.n() as u32).collect(),
     };
+    let mut decoder = factory();
+    let mut channel = ChannelSpec::awgn().build(cfg.ebn0_db, handle.rate(), engine_seed(cfg.seed));
     run_point_engine(
         &handle,
-        encoder,
+        encoder.map(|enc| &**enc),
         &info_positions,
-        &ChannelSpec::awgn(),
+        channel.as_mut(),
+        &mut decoder,
         cfg,
-        factory,
-        None,
     )
 }
 
-/// Seed offset between the engine's per-worker noise streams (worker
-/// `t` of a point seeded `s` draws from `s + (t + 1) * WORKER_SEED_STRIDE`).
-/// The orchestrator reuses the same stride for its chunk streams, so
-/// chunk `c` (always single-threaded) draws exactly the stream worker
-/// `t = c` of a multithreaded run of the same point would.
+/// Seed offset of the engine's noise stream: a point seeded `s` draws
+/// from `s + WORKER_SEED_STRIDE`. The orchestrator reuses the stride for
+/// its chunk seeds (chunk `c` of a unit seeded `s` runs the engine at
+/// `s + c · WORKER_SEED_STRIDE`), so chunk 0 is the plain point run.
 pub(crate) const WORKER_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The shared worker loop behind every door, generic over
-/// the code's transmission profile and the channel model.
-///
-/// Per worker `t`: a deterministic seed is derived from `cfg.seed`, the
-/// channel is built from `channel_spec` at the operating point
-/// (`cfg.ebn0_db`, `handle.rate()`), and frames are claimed in blocks of
-/// the decoder's preferred granularity. Each frame's transmitted bits go
-/// through the channel; the received LLRs are expanded back to
-/// full-length decoder input by the handle (identity for plain codes,
-/// known-bit certainty for shortened positions, erasures for punctured
-/// ones). Errors are counted over `count_positions`, which must be
-/// distinct, a word at a time; each worker reuses its buffers, so the
-/// loop allocates nothing per frame outside the decoder and the
-/// random-message encoder (DESIGN.md §6.2).
-///
-/// `progress` (when given) is incremented by the number of frames each
-/// worker claims, at claim time. Because claims go through a capped CAS,
-/// the increments over one engine run never exceed `cfg.max_frames` —
-/// the counter is a live progress gauge, not an overshooting one (the
-/// sweep orchestrator shares one counter across every chunk it runs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_point_engine<F, B>(
-    handle: &dyn CodeHandle,
-    encoder: Option<&Arc<Encoder>>,
-    count_positions: &[u32],
-    channel_spec: &ChannelSpec,
-    cfg: &MonteCarloConfig,
-    factory: F,
-    progress: Option<&AtomicU64>,
-) -> PointResult
-where
-    F: Fn() -> B + Sync,
-    B: BlockDecoder,
-{
-    let rate = handle.rate();
-    run_point_engine_with(
-        handle,
-        encoder,
-        count_positions,
-        &|worker_seed| channel_spec.build(cfg.ebn0_db, rate, worker_seed),
-        cfg,
-        factory,
-        progress,
-    )
+/// The seed the engine's channel is built from for a point seeded `seed`.
+pub(crate) fn engine_seed(seed: u64) -> u64 {
+    seed.wrapping_add(WORKER_SEED_STRIDE)
 }
 
-/// [`run_point_engine`] with an explicit channel factory instead of a
-/// [`ChannelSpec`]: `channel_factory(worker_seed)` builds worker `t`'s
-/// channel from its derived seed. This is the door the packet-loss
-/// workload uses to wrap the spec-built channel in a
-/// [`PacketChannel`](crate::PacketChannel) — the worker-seed derivation
-/// is shared, so a wrapper that drops nothing reproduces the plain
-/// spec-built run bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_point_engine_with<F, B>(
+/// The one Monte-Carlo engine behind every door: one worker loop on the
+/// caller's thread, over one built channel and one decoder.
+///
+/// Frames go in blocks of the decoder's
+/// [`block_frames`](BlockDecoder::block_frames); the final block may be
+/// partial. Each frame's transmitted bits go through `channel`; the
+/// received LLRs are expanded back to full-length decoder input by the
+/// handle (identity for plain codes, known-bit certainty for shortened
+/// positions, erasures for punctured ones). Errors are counted over
+/// `count_positions`, which must be distinct, a word at a time. The loop
+/// reuses its buffers, so it allocates nothing per frame outside the
+/// decoder and the random-message encoder (DESIGN.md §6.2). The
+/// frame-error target is checked between blocks, so a point stops at
+/// most one block past it.
+///
+/// The loop spawns no thread and shares no counter, so the counts
+/// depend only on the channel's seed, the decoder and `cfg`.
+/// Parallelism lives one level up, in [`run_sweep`]'s chunk pool.
+pub(crate) fn run_point_engine(
     handle: &dyn CodeHandle,
-    encoder: Option<&Arc<Encoder>>,
+    encoder: Option<&Encoder>,
     count_positions: &[u32],
-    channel_factory: &(dyn Fn(u64) -> Box<dyn ldpc_channel::Channel> + Sync),
+    channel: &mut dyn Channel,
+    decoder: &mut dyn BlockDecoder,
     cfg: &MonteCarloConfig,
-    factory: F,
-    progress: Option<&AtomicU64>,
-) -> PointResult
-where
-    F: Fn() -> B + Sync,
-    B: BlockDecoder,
-{
+) -> PointResult {
     assert!(cfg.max_frames > 0, "max_frames must be positive");
     let n = handle.code().n();
     let tx_len = handle.transmitted_len();
-    if cfg.transmission == Transmission::Random {
-        assert!(encoder.is_some(), "random transmission requires an encoder");
-        assert_eq!(
-            tx_len, n,
-            "random transmission requires a code that transmits every position \
-             (punctured/shortened scenarios simulate the all-zero codeword)"
-        );
-    }
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        cfg.threads
-    };
-    let info_bits_per_frame = count_positions.len() as u64;
-    let count_mask = count_mask(n, count_positions);
-
-    let frames_claimed = AtomicU64::new(0);
-    let totals = SharedTally::default();
-
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let factory = &factory;
-            let handle = &handle;
-            let count_mask = &count_mask;
-            let frames_claimed = &frames_claimed;
-            let totals = &totals;
-            let encoder = encoder.cloned();
-            let cfg = cfg.clone();
-            scope.spawn(move || {
-                let mut decoder = factory();
-                let block = decoder.block_frames() as u64;
-                assert!(block > 0, "decoder claims zero frames per block");
-                // Disjoint deterministic streams per worker.
-                let worker_seed = cfg
-                    .seed
-                    .wrapping_add(WORKER_SEED_STRIDE.wrapping_mul(t as u64 + 1));
-                let mut channel = channel_factory(worker_seed);
-                let mut msg_rng = StdRng::seed_from_u64(worker_seed ^ 0xABCD_EF01);
-                // An all-zero run borrows these for every frame: with a
-                // partial transmission profile only the all-zero codeword
-                // is simulated (asserted above), so the transmitted bits
-                // are all zero too.
-                let zero = BitVec::zeros(n);
-                let zero_tx = BitVec::zeros(tx_len);
-                // Buffers reused by every block: the loop allocates
-                // nothing per frame outside the decoder (and the encoder
-                // of a random-message run).
-                let mut received: Vec<f32> = Vec::with_capacity(tx_len);
-                let mut llrs: Vec<f32> = Vec::with_capacity(block as usize * n);
-                let mut codewords: Vec<BitVec> = Vec::new();
-                loop {
-                    if cfg.target_frame_errors > 0
-                        && totals.frame_errors.load(Ordering::Relaxed) >= cfg.target_frame_errors
-                    {
-                        break;
-                    }
-                    // Claim up to one block, never past the cap: a capped
-                    // CAS (instead of an unconditional fetch_add) keeps
-                    // `frames_claimed` ≤ max_frames under any number of
-                    // racing workers, so the counter doubles as an exact
-                    // progress gauge. The final claim may be partial.
-                    let mut current = frames_claimed.load(Ordering::Relaxed);
-                    let count = loop {
-                        if current >= cfg.max_frames {
-                            break 0;
-                        }
-                        let next = cfg.max_frames.min(current + block);
-                        match frames_claimed.compare_exchange_weak(
-                            current,
-                            next,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break next - current,
-                            Err(seen) => current = seen,
-                        }
-                    };
-                    if count == 0 {
-                        break;
-                    }
-                    if let Some(progress) = progress {
-                        progress.fetch_add(count, Ordering::Relaxed);
-                    }
-                    llrs.clear();
-                    codewords.clear();
-                    for _ in 0..count {
-                        let sent = match cfg.transmission {
-                            Transmission::AllZero => &zero_tx,
-                            Transmission::Random => {
-                                let enc = encoder.as_ref().expect("checked above");
-                                let msg: BitVec = (0..enc.dimension())
-                                    .map(|_| msg_rng.gen_bool(0.5))
-                                    .collect();
-                                codewords.push(
-                                    enc.encode(&msg).expect("message length matches dimension"),
-                                );
-                                codewords.last().expect("just pushed")
-                            }
-                        };
-                        received.clear();
-                        channel.transmit_into(sent, &mut received);
-                        handle.expand_llrs_into(&received, &mut llrs);
-                    }
-                    let results = decoder.decode_block(&llrs, cfg.max_iterations);
-                    let mut tally = Tally::default();
-                    for (f, out) in results.iter().enumerate() {
-                        let codeword = codewords.get(f).unwrap_or(&zero);
-                        tally.add(
-                            count_errors(&out.hard_decision, codeword, count_mask),
-                            out.iterations,
-                            out.converged,
-                        );
-                    }
-                    totals.flush(&tally);
-                }
-            });
+    let encoder = match cfg.transmission {
+        Transmission::AllZero => None,
+        Transmission::Random => {
+            let enc = encoder.expect("random transmission requires an encoder");
+            assert_eq!(
+                tx_len, n,
+                "random transmission requires a code that transmits every position \
+                 (punctured/shortened scenarios simulate the all-zero codeword)"
+            );
+            Some(enc)
         }
-    });
-
-    PointResult {
+    };
+    let block = decoder.block_frames() as u64;
+    assert!(block > 0, "decoder claims zero frames per block");
+    let count_mask = count_mask(n, count_positions);
+    let mut msg_rng = StdRng::seed_from_u64(engine_seed(cfg.seed) ^ 0xABCD_EF01);
+    // An all-zero run borrows these for every frame: with a partial
+    // transmission profile only the all-zero codeword is simulated
+    // (asserted above), so the transmitted bits are all zero too.
+    let zero = BitVec::zeros(n);
+    let zero_tx = BitVec::zeros(tx_len);
+    // Buffers reused by every block: the loop allocates nothing per
+    // frame outside the decoder (and the encoder of a random-message
+    // run).
+    let mut received: Vec<f32> = Vec::with_capacity(tx_len);
+    let mut llrs: Vec<f32> = Vec::with_capacity(block as usize * n);
+    let mut codewords: Vec<BitVec> = Vec::new();
+    let mut point = PointResult {
         ebn0_db: cfg.ebn0_db,
-        frames: totals.frames.load(Ordering::Relaxed),
-        bit_errors: totals.bit_errors.load(Ordering::Relaxed),
-        frame_errors: totals.frame_errors.load(Ordering::Relaxed),
-        undetected_frame_errors: totals.undetected.load(Ordering::Relaxed),
-        total_iterations: totals.total_iterations.load(Ordering::Relaxed),
-        info_bits_per_frame,
+        frames: 0,
+        bit_errors: 0,
+        frame_errors: 0,
+        undetected_frame_errors: 0,
+        total_iterations: 0,
+        info_bits_per_frame: count_positions.len() as u64,
+    };
+    while point.frames < cfg.max_frames
+        && (cfg.target_frame_errors == 0 || point.frame_errors < cfg.target_frame_errors)
+    {
+        let count = block.min(cfg.max_frames - point.frames);
+        llrs.clear();
+        codewords.clear();
+        for _ in 0..count {
+            let sent = match encoder {
+                None => &zero_tx,
+                Some(enc) => {
+                    let msg: BitVec = (0..enc.dimension())
+                        .map(|_| msg_rng.gen_bool(0.5))
+                        .collect();
+                    codewords.push(enc.encode(&msg).expect("message length matches dimension"));
+                    codewords.last().expect("just pushed")
+                }
+            };
+            received.clear();
+            channel.transmit_into(sent, &mut received);
+            handle.expand_llrs_into(&received, &mut llrs);
+        }
+        let results = decoder.decode_block(&llrs, cfg.max_iterations);
+        assert_eq!(results.len() as u64, count, "one decoder result per frame");
+        for (f, out) in results.iter().enumerate() {
+            let codeword = codewords.get(f).unwrap_or(&zero);
+            let errors = count_errors(&out.hard_decision, codeword, &count_mask);
+            point.frames += 1;
+            point.total_iterations += u64::from(out.iterations);
+            if errors > 0 {
+                point.bit_errors += errors;
+                point.frame_errors += 1;
+                point.undetected_frame_errors += u64::from(out.converged);
+            }
+        }
     }
+    point
 }
 
 /// The error-count positions as a mask over the code's `n` bits.
@@ -505,54 +419,6 @@ fn count_errors(hard: &BitVec, sent: &BitVec, mask: &BitVec) -> u64 {
         .zip(mask.words())
         .map(|((h, s), m)| u64::from(((h ^ s) & m).count_ones()))
         .sum()
-}
-
-/// One worker's counts over one decoded block.
-#[derive(Default)]
-struct Tally {
-    frames: u64,
-    bit_errors: u64,
-    frame_errors: u64,
-    undetected: u64,
-    total_iterations: u64,
-}
-
-impl Tally {
-    fn add(&mut self, errors: u64, iterations: u32, converged: bool) {
-        self.frames += 1;
-        self.total_iterations += u64::from(iterations);
-        if errors > 0 {
-            self.bit_errors += errors;
-            self.frame_errors += 1;
-            self.undetected += u64::from(converged);
-        }
-    }
-}
-
-/// The point's counts, shared by its workers: each flushes its block's
-/// [`Tally`] once, and the stop rule reads `frame_errors` between
-/// blocks.
-#[derive(Default)]
-struct SharedTally {
-    frames: AtomicU64,
-    bit_errors: AtomicU64,
-    frame_errors: AtomicU64,
-    undetected: AtomicU64,
-    total_iterations: AtomicU64,
-}
-
-impl SharedTally {
-    fn flush(&self, tally: &Tally) {
-        self.frames.fetch_add(tally.frames, Ordering::Relaxed);
-        self.bit_errors
-            .fetch_add(tally.bit_errors, Ordering::Relaxed);
-        self.frame_errors
-            .fetch_add(tally.frame_errors, Ordering::Relaxed);
-        self.undetected
-            .fetch_add(tally.undetected, Ordering::Relaxed);
-        self.total_iterations
-            .fetch_add(tally.total_iterations, Ordering::Relaxed);
-    }
 }
 
 /// Renders a curve as CSV with header
@@ -820,38 +686,76 @@ mod tests {
             .contains("0.000000e0"));
     }
 
-    /// Drives the engine directly with an external progress counter: the
-    /// capped CAS claim must keep the claimed-frames gauge at or below
-    /// `max_frames` no matter how many workers race over a tiny budget
-    /// (the old unconditional `fetch_add` overshot by up to
-    /// `threads × block`).
+    /// `run_sweep`'s progress gauge counts each chunk's frames once, when
+    /// the chunk finishes: however many workers race over a tiny budget,
+    /// the gauge ends at exactly `max_frames`.
     #[test]
     fn claim_counter_never_overshoots_max_frames() {
-        let code = demo_code();
-        let handle = PlainCode::new(Arc::clone(&code));
-        let positions: Vec<u32> = (0..code.n() as u32).collect();
-        // 8 workers × block 8 over a 10-frame budget: maximal contention.
-        let cfg = MonteCarloConfig {
-            max_frames: 10,
-            threads: 8,
-            ..quick_cfg(4.0)
-        };
+        let units = sweep_grid(
+            &[Scenario::parse("demo / awgn / fixed@batch=8").unwrap()],
+            &[4.0],
+            7,
+        );
         for _ in 0..5 {
-            let progress = AtomicU64::new(0);
-            let point = run_point_engine(
-                &handle,
-                None,
-                &positions,
-                &ChannelSpec::awgn(),
-                &cfg,
-                || spec("fixed@batch=8").build(&code),
-                Some(&progress),
-            );
-            assert_eq!(point.frames, 10);
+            let progress = Arc::new(std::sync::atomic::AtomicU64::new(0));
+            // 8 workers over a 10-frame budget in 1-frame chunks:
+            // maximal contention.
+            let cfg = SweepConfig {
+                max_frames: 10,
+                target_frame_errors: 0,
+                chunk_frames: 1,
+                max_iterations: 25,
+                threads: 8,
+                cache_dir: None,
+                progress_frames: Some(Arc::clone(&progress)),
+            };
+            let result = &run_sweep(&units, &cfg).unwrap()[0];
+            assert_eq!(result.point.frames, 10);
             assert_eq!(
-                progress.load(Ordering::Relaxed),
+                progress.load(std::sync::atomic::Ordering::Relaxed),
                 10,
-                "claimed frames overshot the cap"
+                "the progress gauge overshot the cap"
+            );
+        }
+    }
+
+    /// Every single-point door runs one worker on the caller's thread,
+    /// so `threads` cannot change a count: every registry family on
+    /// every registry channel, through the scenario and packet doors,
+    /// and the explicit-factory door.
+    #[test]
+    fn every_single_point_door_is_thread_count_invariant() {
+        let code = demo_code();
+        let cfg = |threads| MonteCarloConfig {
+            max_frames: 16,
+            max_iterations: 5,
+            threads,
+            ..quick_cfg(2.0)
+        };
+        let handle: Arc<dyn CodeHandle> = Arc::new(PlainCode::new(Arc::clone(&code)));
+        for decoder in DecoderSpec::all_families() {
+            for channel in ldpc_channel::ChannelSpec::all_channels() {
+                let scenario = Scenario {
+                    code: CodeSpec::Demo,
+                    channel,
+                    decoder: decoder.clone(),
+                };
+                let point = run_point_scenario_with(&handle, &scenario, &cfg(1));
+                let packets = run_point_packets(&scenario, 32, &cfg(1)).unwrap();
+                for threads in [2, 3, 8] {
+                    let again = run_point_scenario_with(&handle, &scenario, &cfg(threads));
+                    assert_eq!(again, point, "{scenario} threads={threads}");
+                    let again = run_point_packets(&scenario, 32, &cfg(threads)).unwrap();
+                    assert_eq!(again, packets, "{scenario} packets threads={threads}");
+                }
+            }
+        }
+        let blocks = run_spec(&code, None, &cfg(1), &spec("nms:1.25"));
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                run_spec(&code, None, &cfg(threads), &spec("nms:1.25")),
+                blocks,
+                "threads={threads}"
             );
         }
     }

@@ -29,18 +29,22 @@
 //!
 //! # Determinism
 //!
-//! Chunk `c` of a unit seeded `s` runs single-threaded with engine seed
-//! `s + c · WORKER_SEED_STRIDE` — exactly the noise stream worker `t = c`
-//! of a multithreaded engine run of the same point would draw, and chunk
-//! 0 is bit-identical to a plain single-threaded
+//! Chunk `c` of a unit seeded `s` is one engine run — one worker on one
+//! pool thread — seeded `s + c · WORKER_SEED_STRIDE`, so chunk 0 is
+//! bit-identical to a plain
 //! [`run_point_scenario_with`](crate::run_point_scenario_with) run of the
-//! chunk budget. A point stops at the shortest chunk *prefix* whose cumulative
-//! frame errors reach the target, and its merged [`PointResult`] sums
-//! exactly that prefix — so the merged counts are **invariant under the
-//! worker-thread count and under cold/warm/resumed execution** (pinned
-//! by tests). Speculative chunks beyond the stop prefix are bounded by
+//! chunk budget at seed `s`. A point stops at the shortest chunk
+//! *prefix* whose cumulative frame errors reach the target, and its
+//! merged [`PointResult`] sums exactly that prefix — so the merged
+//! counts are **invariant under the worker-thread count and under
+//! cold/warm/resumed execution** (pinned by tests). Speculative chunks beyond the stop prefix are bounded by
 //! the in-flight window (one chunk per worker) and are cached for
 //! future resumes rather than discarded.
+//!
+//! This pool is the only parallelism in the crate: the single-point
+//! doors run one worker on the caller's thread. A chunk that panics (a
+//! noise level the channel rejects, say) fails the sweep with
+//! [`SweepError::Panic`] instead of leaving the other workers waiting.
 //!
 //! # Example
 //!
@@ -61,14 +65,15 @@
 //! # Ok::<(), ldpc_sim::ScenarioError>(())
 //! ```
 
-use crate::scenario::run_point_scenario_observed;
 use crate::{
-    MonteCarloConfig, PointResult, Scenario, ScenarioError, Transmission, WORKER_SEED_STRIDE,
+    run_point_scenario_with, MonteCarloConfig, PointResult, Scenario, ScenarioError, Transmission,
+    WORKER_SEED_STRIDE,
 };
 use ldpc_core::CodeHandle;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -181,9 +186,8 @@ fn sha256(data: &[u8]) -> [u8; 32] {
 // ---------------------------------------------------------------------------
 
 /// Raw additive counts of one finished chunk — the unit of caching and
-/// merging. A chunk is a single-threaded engine run of a fixed frame
-/// budget with no early stopping, so its counts are a pure function of
-/// its key.
+/// merging. A chunk is one engine run of a fixed frame budget with no
+/// early stopping, so its counts are a pure function of its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChunkCounts {
     frames: u64,
@@ -361,7 +365,7 @@ const CURVE_SEED_STRIDE: u64 = 0x5151_5151;
 /// workspace's standard seed derivation: point `i` of every scenario is
 /// seeded `base_seed + i · 0x5151_5151`. A sweep at
 /// `target_frame_errors: 0` with a whole-budget chunk is therefore a
-/// curve: point `i` equals a single-threaded
+/// curve: point `i` equals a
 /// [`run_point_scenario_with`](crate::run_point_scenario_with) run at
 /// that seed, bit for bit (pinned by tests). Unit order is
 /// scenario-major with Eb/N0 innermost, matching `ldpc-tool sweep`'s CSV
@@ -402,8 +406,9 @@ pub struct SweepConfig {
     /// Chunk cache directory (`None` disables caching and resume).
     pub cache_dir: Option<PathBuf>,
     /// Optional live gauge: incremented by every frame the sweep
-    /// accounts for — simulated frames at claim time, cached frames at
-    /// adoption time — for progress reporting from another thread.
+    /// accounts for — a chunk's frames when the chunk finishes, cached
+    /// frames at adoption time — for progress reporting from another
+    /// thread.
     pub progress_frames: Option<Arc<AtomicU64>>,
 }
 
@@ -457,6 +462,13 @@ pub enum SweepError {
         /// The underlying I/O error.
         message: String,
     },
+    /// A chunk panicked, e.g. on a noise level the channel rejects.
+    Panic {
+        /// The chunk: `<scenario> at <Eb/N0> dB, chunk <c>`.
+        unit: String,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -466,6 +478,7 @@ impl fmt::Display for SweepError {
             Self::Cache { path, message } => {
                 write!(f, "writing sweep cache entry {}: {message}", path.display())
             }
+            Self::Panic { unit, message } => write!(f, "sweep unit {unit} panicked: {message}"),
         }
     }
 }
@@ -492,8 +505,6 @@ struct PointState {
     n_chunks: usize,
     /// Next chunk index not yet handed to a worker.
     next: usize,
-    /// Chunks handed out but not yet recorded.
-    in_flight: usize,
     completed: Vec<Option<ChunkCounts>>,
     /// Contiguous completed chunks from 0 already counted into the
     /// prefix error tally.
@@ -509,7 +520,6 @@ impl PointState {
         Self {
             n_chunks,
             next: 0,
-            in_flight: 0,
             completed: vec![None; n_chunks],
             prefix_len: 0,
             prefix_errors: 0,
@@ -565,11 +575,22 @@ impl Sched {
             {
                 let c = point.next;
                 point.next += 1;
-                point.in_flight += 1;
                 return Some((p, c));
             }
         }
         None
+    }
+}
+
+/// The message of a caught panic: the `&str` or `String` payload that
+/// `panic!` and `assert!` carry.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s.to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -600,9 +621,11 @@ fn code_handle(
 /// # Errors
 ///
 /// [`SweepError::Code`] if a unit's code spec cannot be built;
-/// [`SweepError::Cache`] if a finished chunk cannot be persisted.
-/// Cache *read* problems are never errors — unreadable or corrupt
-/// entries are re-simulated.
+/// [`SweepError::Cache`] if a finished chunk cannot be persisted;
+/// [`SweepError::Panic`] if a chunk panics (for example on an Eb/N0 that
+/// gives no finite noise level) — the other workers finish their chunks
+/// and stop. Cache *read* problems are never errors — unreadable or
+/// corrupt entries are re-simulated.
 ///
 /// # Panics
 ///
@@ -688,16 +711,15 @@ pub fn run_sweep(
                         cfg.max_iterations,
                     );
                     let mut from_cache = false;
-                    let outcome = (|| {
+                    // A panicking chunk must fail the sweep, not leave the
+                    // other workers waiting on the Condvar for it.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
                         if let Some(dir) = &cfg.cache_dir {
                             // Beyond-prefix chunks cached by an earlier
                             // speculative run are found here, after the
                             // serial preload stopped at its first miss.
                             if let Some(counts) = load_chunk(dir, &key, chunk) {
                                 from_cache = true;
-                                if let Some(progress) = progress {
-                                    progress.fetch_add(counts.frames, Ordering::Relaxed);
-                                }
                                 return Ok(counts);
                             }
                         }
@@ -711,19 +733,26 @@ pub fn run_sweep(
                             threads: 1,
                             transmission: Transmission::AllZero,
                         };
-                        let point =
-                            run_point_scenario_observed(&handle, &unit.scenario, &mc, progress);
+                        let point = run_point_scenario_with(&handle, &unit.scenario, &mc);
                         let counts = ChunkCounts::from_point(&point);
                         if let Some(dir) = &cfg.cache_dir {
                             store_chunk(dir, &key, &counts)?;
                         }
                         Ok(counts)
-                    })();
+                    }))
+                    .unwrap_or_else(|payload| {
+                        Err(SweepError::Panic {
+                            unit: format!("{} at {} dB, chunk {c}", unit.scenario, unit.ebn0_db),
+                            message: panic_message(payload.as_ref()),
+                        })
+                    });
                     let mut st = sched.lock().unwrap();
                     match outcome {
                         Ok(counts) => {
+                            if let Some(progress) = progress {
+                                progress.fetch_add(counts.frames, Ordering::Relaxed);
+                            }
                             let point = &mut st.points[p];
-                            point.in_flight -= 1;
                             if from_cache {
                                 point.frames_from_cache += counts.frames;
                             } else {
@@ -1110,6 +1139,37 @@ mod tests {
             assert_eq!(a.hit_target, b.hit_target);
             assert_eq!(a.chunks_merged, b.chunks_merged);
         }
+    }
+
+    #[test]
+    fn panicking_chunk_fails_the_sweep_instead_of_hanging_it() {
+        // One worker panics in the AWGN channel on the NaN point; the
+        // other must be woken and stop, and the sweep must name the unit.
+        let units = sweep_grid(&[sc("demo / awgn / fixed")], &[f64::NAN, 4.0], 3);
+        let cfg = SweepConfig {
+            max_frames: 40,
+            chunk_frames: 40,
+            threads: 2,
+            ..quick_sweep_cfg()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(run_sweep(&units, &cfg).map(|r| r.len()));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_sweep hung on a panicking chunk");
+        helper
+            .join()
+            .expect("the helper thread returns after sending");
+        let err = outcome.unwrap_err();
+        assert!(matches!(err, SweepError::Panic { .. }), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains("demo / awgn / fixed at NaN dB, chunk 0"),
+            "{text}"
+        );
+        assert!(text.contains("sigma must be finite"), "{text}");
     }
 
     #[test]

@@ -23,20 +23,20 @@
 //! (`peeling`) treats dropped packets as the erasures they are.
 //!
 //! The workload is a *wrapper*, not a second engine:
-//! [`run_point_packets`] drives the same worker loop, worker-seed
-//! derivation, and error counting as
+//! [`run_point_packets`] drives the same engine loop, seed derivation,
+//! and error counting as
 //! [`run_point_scenario_with`](crate::run_point_scenario_with). A drop model of
 //! [`PacketDropModel::Never`] consumes no randomness at all, so a
 //! packet-level run that drops nothing is bit-identical to the plain
 //! channel path (pinned by tests here and in the golden-vector suite).
 
-use crate::{run_point_engine_with, MonteCarloConfig, PointResult, Scenario, ScenarioError};
+use crate::{
+    engine_seed, run_point_engine, MonteCarloConfig, PointResult, Scenario, ScenarioError,
+};
 use gf2::BitVec;
 use ldpc_channel::{Channel, ChannelKind, ERASURE_KNOWN_LLR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Seed perturbation separating the packet-drop stream from the inner
 /// channel's noise stream, so adding the wrapper never disturbs the
@@ -95,26 +95,8 @@ impl PacketDropModel {
     }
 }
 
-/// Shared packet counters, aggregated across every worker's
-/// [`PacketChannel`] clone of one run.
-#[derive(Debug, Default)]
-pub struct PacketStats {
-    sent: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl PacketStats {
-    /// Snapshot of the counters as a [`PacketLossReport`].
-    pub fn report(&self) -> PacketLossReport {
-        PacketLossReport {
-            packets: self.sent.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Packet accounting of one packet-level run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketLossReport {
     /// Packets transmitted (every packet of every frame).
     pub packets: u64,
@@ -166,13 +148,12 @@ pub struct PacketChannel {
     drop: PacketDropModel,
     in_bad_state: bool,
     rng: StdRng,
-    stats: Arc<PacketStats>,
+    report: PacketLossReport,
 }
 
 impl PacketChannel {
     /// Wraps `inner`, splitting each transmission into packets of
-    /// `packet_symbols` symbols and dropping them per `drop`, counting
-    /// into `stats`.
+    /// `packet_symbols` symbols and dropping them per `drop`.
     ///
     /// # Panics
     ///
@@ -182,7 +163,6 @@ impl PacketChannel {
         packet_symbols: usize,
         drop: PacketDropModel,
         seed: u64,
-        stats: Arc<PacketStats>,
     ) -> Self {
         assert!(packet_symbols > 0, "packet size must be positive");
         Self {
@@ -191,8 +171,13 @@ impl PacketChannel {
             drop,
             in_bad_state: false,
             rng: StdRng::seed_from_u64(seed ^ DROP_SEED_XOR),
-            stats,
+            report: PacketLossReport::default(),
         }
+    }
+
+    /// Packets sent and dropped so far.
+    pub fn report(&self) -> PacketLossReport {
+        self.report
     }
 }
 
@@ -200,10 +185,8 @@ impl Channel for PacketChannel {
     fn transmit_into(&mut self, codeword: &BitVec, out: &mut Vec<f32>) {
         let start = out.len();
         self.inner.transmit_into(codeword, out);
-        let mut sent = 0u64;
-        let mut dropped = 0u64;
         for packet in out[start..].chunks_mut(self.packet_symbols) {
-            sent += 1;
+            self.report.packets += 1;
             let lost = match self.drop {
                 PacketDropModel::Never => false,
                 PacketDropModel::Iid { p } => self.rng.gen_bool(p),
@@ -220,12 +203,10 @@ impl Channel for PacketChannel {
                 }
             };
             if lost {
-                dropped += 1;
+                self.report.dropped += 1;
                 packet.fill(0.0);
             }
         }
-        self.stats.sent.fetch_add(sent, Ordering::Relaxed);
-        self.stats.dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 }
 
@@ -242,9 +223,9 @@ impl Channel for PacketChannel {
 /// `erasure:p` / `burst:…` runs deliver survivors intact and lose whole
 /// packets.
 ///
-/// Seeding, worker derivation, and error counting are those of the one
-/// engine; the packet wrapper's drop stream is seeded disjointly from
-/// the symbol stream.
+/// Seeding and error counting are those of the one engine, on the
+/// caller's thread (`cfg.threads` is ignored); the packet wrapper's drop
+/// stream is seeded disjointly from the symbol stream.
 ///
 /// # Errors
 ///
@@ -252,9 +233,11 @@ impl Channel for PacketChannel {
 ///
 /// # Panics
 ///
-/// Panics if `packet_symbols` is zero, `cfg.max_frames` is zero, or
+/// Panics if `packet_symbols` is zero, `cfg.max_frames` is zero,
 /// `cfg.transmission` is [`Transmission::Random`](crate::Transmission::Random)
-/// for a code that does not transmit every position.
+/// for a code that does not transmit every position, or a symbol-noise
+/// Gaussian channel gets no finite noise level from `cfg.ebn0_db`
+/// (`nan`, `±inf`, `-1e300`).
 pub fn run_point_packets(
     scenario: &Scenario,
     packet_symbols: usize,
@@ -262,38 +245,27 @@ pub fn run_point_packets(
 ) -> Result<(PointResult, PacketLossReport), ScenarioError> {
     assert!(packet_symbols > 0, "packet size must be positive");
     let handle = scenario.build_code()?;
-    let positions = handle.transmitted_positions();
-    let rate = handle.rate();
     let drop = PacketDropModel::from_spec(&scenario.channel);
-    let stats = Arc::new(PacketStats::default());
-    let point = run_point_engine_with(
+    let seed = engine_seed(cfg.seed);
+    let inner: Box<dyn Channel> = match drop {
+        // Loss-only families: the drop process is the channel; survivors
+        // arrive intact.
+        PacketDropModel::Iid { .. } | PacketDropModel::Burst { .. } => Box::new(IntactChannel),
+        // Symbol-noise families keep their spec-built channel on the same
+        // seed as the plain path.
+        PacketDropModel::Never => scenario.channel.build(cfg.ebn0_db, handle.rate(), seed),
+    };
+    let mut channel = PacketChannel::new(inner, packet_symbols, drop, seed);
+    let mut decoder = scenario.decoder.build(handle.code());
+    let point = run_point_engine(
         handle.as_ref(),
         None,
-        &positions,
-        &|worker_seed| {
-            let inner: Box<dyn Channel> = match drop {
-                // Loss-only families: the drop process is the channel;
-                // survivors arrive intact.
-                PacketDropModel::Iid { .. } | PacketDropModel::Burst { .. } => {
-                    Box::new(IntactChannel)
-                }
-                // Symbol-noise families keep their spec-built channel on
-                // the same worker seed as the plain path.
-                PacketDropModel::Never => scenario.channel.build(cfg.ebn0_db, rate, worker_seed),
-            };
-            Box::new(PacketChannel::new(
-                inner,
-                packet_symbols,
-                drop,
-                worker_seed,
-                Arc::clone(&stats),
-            ))
-        },
+        &handle.transmitted_positions(),
+        &mut channel,
+        decoder.as_mut(),
         cfg,
-        || scenario.decoder.build(handle.code()),
-        None,
     );
-    Ok((point, stats.report()))
+    Ok((point, channel.report()))
 }
 
 #[cfg(test)]
@@ -317,10 +289,6 @@ mod tests {
     fn zero_drop_packet_path_is_bit_identical_to_the_plain_path() {
         // The load-bearing pin: a symbol-noise channel drops no packets,
         // so the packet door must reproduce the scenario door exactly.
-        // Exact equality is pinned single-threaded only — with racing
-        // workers the claim split (and therefore which worker's RNG
-        // stream serves each frame) is scheduling-dependent, so two
-        // separate multi-threaded runs need not see the same noise.
         for s in ["demo / awgn / nms:1.25", "demo / bsc:0.03 / fixed"] {
             let sc = Scenario::parse(s).unwrap();
             let cfg = quick_cfg(1);
@@ -335,11 +303,12 @@ mod tests {
 
     #[test]
     fn zero_drop_packet_path_holds_its_invariants_multithreaded() {
-        // Multi-threaded, only the scheduling-independent facts are
-        // pinned: a symbol-noise channel never drops a packet, every
-        // frame is simulated, and the packet count is exact.
+        // `threads` is ignored — the door runs one worker at any value —
+        // so a two-thread config still reproduces the plain path exactly.
         let sc = Scenario::parse("demo / bsc:0.03 / fixed").unwrap();
+        let plain = run_point_scenario_with(&sc.build_code().unwrap(), &sc, &quick_cfg(1));
         let (point, report) = run_point_packets(&sc, 32, &quick_cfg(2)).unwrap();
+        assert_eq!(point, plain);
         assert_eq!(point.frames, 150);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.packets, 150 * 8);

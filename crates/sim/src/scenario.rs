@@ -29,10 +29,10 @@
 //!
 //! [`run_point_scenario_with`] drives the same Monte-Carlo engine as
 //! every other door in this crate: the code spec builds a [`CodeHandle`]
-//! (transmission profile included), the channel spec builds one
-//! [`Channel`](ldpc_channel::Channel) per worker, and the decoder spec
-//! builds one [`BlockDecoder`](ldpc_core::BlockDecoder) per worker. For
-//! plain codes on `awgn`, single-threaded counts are bit-identical to
+//! (transmission profile included), the channel spec builds the
+//! [`Channel`](ldpc_channel::Channel), and the decoder spec builds the
+//! [`BlockDecoder`](ldpc_core::BlockDecoder). For plain codes on `awgn`,
+//! the counts are bit-identical to
 //! [`run_point_blocks`](crate::run_point_blocks) with the spec-built
 //! decoder (pinned by tests) — the scenario door adds scope, not a
 //! second engine.
@@ -45,7 +45,7 @@
 //! The full grammar, the registry tables, and copy-pasteable recipes
 //! live in `docs/scenarios.md`.
 
-use crate::{run_point_engine, MonteCarloConfig, PointResult};
+use crate::{engine_seed, run_point_engine, MonteCarloConfig, PointResult};
 use ldpc_channel::{ChannelSpec, ChannelSpecError};
 use ldpc_core::{CodeHandle, CodeSpec, CodeSpecError, DecoderSpec, SpecError};
 use std::fmt;
@@ -216,9 +216,10 @@ impl std::error::Error for ScenarioError {}
 /// `handle`, so grid sweeps build each code once and reuse it across
 /// channels and decoders.
 ///
-/// Each worker thread builds its own channel (from the scenario's
-/// channel spec at `cfg.ebn0_db` and the code's effective rate, with the
-/// worker's derived seed) and its own decoder. `cfg.ebn0_db` sets σ for
+/// The point runs on the caller's thread: one channel (from the
+/// scenario's channel spec at `cfg.ebn0_db` and the code's effective
+/// rate) and one decoder drive the engine loop, so the counts depend
+/// only on `cfg` (`cfg.threads` is ignored). `cfg.ebn0_db` sets σ for
 /// the Gaussian models; a `bsc:p` channel's severity is its fixed
 /// crossover probability, so Eb/N0 is bookkeeping there.
 ///
@@ -226,36 +227,28 @@ impl std::error::Error for ScenarioError {}
 ///
 /// # Panics
 ///
-/// Panics if `cfg.max_frames == 0` or `cfg.transmission` is
-/// [`Transmission::Random`](crate::Transmission::Random): scenario runs
+/// Panics if `cfg.max_frames == 0`, if `cfg.transmission` is
+/// [`Transmission::Random`](crate::Transmission::Random) (scenario runs
 /// simulate the all-zero codeword, and only
-/// [`run_point_blocks`](crate::run_point_blocks) takes an encoder.
+/// [`run_point_blocks`](crate::run_point_blocks) takes an encoder), or
+/// if a Gaussian channel gets no finite noise level from `cfg.ebn0_db`
+/// (`nan`, `±inf`, `-1e300`).
 pub fn run_point_scenario_with(
     handle: &Arc<dyn CodeHandle>,
     scenario: &Scenario,
     cfg: &MonteCarloConfig,
 ) -> PointResult {
-    run_point_scenario_observed(handle, scenario, cfg, None)
-}
-
-/// [`run_point_scenario_with`] plus an optional external progress
-/// counter, incremented at frame-claim time (the orchestrator's live
-/// gauge; see `run_point_engine`).
-pub(crate) fn run_point_scenario_observed(
-    handle: &Arc<dyn CodeHandle>,
-    scenario: &Scenario,
-    cfg: &MonteCarloConfig,
-    progress: Option<&std::sync::atomic::AtomicU64>,
-) -> PointResult {
-    let positions = handle.transmitted_positions();
+    let mut decoder = scenario.decoder.build(handle.code());
+    let mut channel = scenario
+        .channel
+        .build(cfg.ebn0_db, handle.rate(), engine_seed(cfg.seed));
     run_point_engine(
         handle.as_ref(),
         None,
-        &positions,
-        &scenario.channel,
+        &handle.transmitted_positions(),
+        channel.as_mut(),
+        decoder.as_mut(),
         cfg,
-        || scenario.decoder.build(handle.code()),
-        progress,
     )
 }
 

@@ -19,7 +19,8 @@
 //! * [`hwsim`] — the paper's generic parallel architecture: cycle-accurate
 //!   simulator, throughput model (Table 1), and FPGA resource model
 //!   (Tables 2–3);
-//! * [`sim`] — multithreaded Monte-Carlo BER/PER engine (Figure 4);
+//! * [`sim`] — Monte-Carlo BER/PER engine (Figure 4), one worker per
+//!   point, with a chunked sweep pool for grids;
 //! * [`served`] — decode-as-a-service: a TCP server coalescing many
 //!   clients' frames into full `@pack`/`@batch`/`@bitslice` words under
 //!   a latency budget (the serving mirror of the paper's
