@@ -76,6 +76,11 @@ pub(super) trait BatchPhases {
     /// Runs one check-node + bit-node iteration over the active lanes.
     fn run_phases(&mut self, iter: u32, frames: usize, state: &BatchState);
 
+    /// Sets every frame's hard decision to its channel sign, after the
+    /// decoder's own quantization, and its syndrome to match: the
+    /// iteration-0 state a zero budget reports.
+    fn channel_decision(&mut self, frames: usize);
+
     /// Hard decision of frame `f` after the last iteration, built only
     /// when the frame's result is taken.
     fn hard_decision(&self, f: usize) -> BitVec;
@@ -110,6 +115,12 @@ pub(super) fn drive_batch<E: BatchPhases>(
         converged: false,
     };
     let mut results = vec![unfinished; frames];
+    if max_iterations == 0 {
+        engine.channel_decision(frames);
+        for (f, result) in results.iter_mut().enumerate() {
+            result.converged = engine.syndrome_ok_frame(f);
+        }
+    }
     for iter in 0..max_iterations {
         if state.n_active() == 0 {
             break;
@@ -363,6 +374,15 @@ impl BatchPhases for BatchMinSumDecoder {
             16 => self.phases_full::<16>(iter),
             32 => self.phases_full::<32>(iter),
             _ => self.phases_masked(iter, frames, &state.lanes),
+        }
+    }
+
+    fn channel_decision(&mut self, frames: usize) {
+        let n = self.code.n();
+        for (f, hard) in self.hard.chunks_exact_mut(n).take(frames).enumerate() {
+            for (b, h) in hard.iter_mut().enumerate() {
+                *h = u8::from(self.ch[b * frames + f] < 0.0);
+            }
         }
     }
 

@@ -218,8 +218,12 @@ impl FixedDecoder {
                 msg_max,
             );
         }
+        // Iteration 0 decides on the channel signs.
+        for (h, &c) in self.hard.iter_mut().zip(channel) {
+            *h = u8::from(c < 0);
+        }
         let mut iterations = 0;
-        let mut converged = false;
+        let mut converged = max_iterations == 0 && graph.syndrome_ok(&self.hard);
         for _ in 0..max_iterations {
             self.cn_phase();
             self.bn_phase();
@@ -270,6 +274,9 @@ impl FixedDecoder {
                 i32::from(self.channel[graph.edge_bit(e)]),
                 msg_max,
             );
+        }
+        for (h, &c) in self.hard.iter_mut().zip(channel) {
+            *h = u8::from(c < 0);
         }
         let mut trace = DecodeTrace::default();
         let mut prev_hard = vec![0u8; graph.n_bits()];

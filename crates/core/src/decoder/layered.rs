@@ -1,7 +1,7 @@
 //! Serial-schedule ("layered") normalized min-sum decoder.
 
 use crate::decoder::block::runs;
-use crate::decoder::{BlockDecoder, DecodeResult};
+use crate::decoder::{sign_decision, BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -90,7 +90,8 @@ impl LayeredMinSumDecoder {
         self.app.copy_from_slice(channel_llrs);
         self.cb.iter_mut().for_each(|m| *m = 0.0);
         let mut iterations = 0;
-        let mut converged = false;
+        let mut converged =
+            max_iterations == 0 && sign_decision(graph, channel_llrs, &mut self.hard);
         for _ in 0..max_iterations {
             for m in 0..graph.n_checks() {
                 let range = graph.cn_edge_range(m);

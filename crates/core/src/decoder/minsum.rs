@@ -1,7 +1,7 @@
 //! Floating-point min-sum decoders (plain, normalized, offset).
 
 use crate::decoder::block::runs;
-use crate::decoder::{BlockDecoder, DecodeResult};
+use crate::decoder::{sign_decision, BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -303,7 +303,8 @@ impl MinSumDecoder {
             self.bc[e] = channel_llrs[graph.edge_bit(e)];
         }
         let mut iterations = 0;
-        let mut converged = false;
+        let mut converged =
+            max_iterations == 0 && sign_decision(graph, channel_llrs, &mut self.hard);
         for iter in 0..max_iterations {
             self.cn_phase(iter as usize);
             self.bn_phase(channel_llrs);

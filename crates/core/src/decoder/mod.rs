@@ -11,11 +11,11 @@
 //! |---------|-----------|---------|------------|
 //! | [`SumProductDecoder`] | `f32` | tanh product | reference ("BP") |
 //! | [`MinSumDecoder`] | `f32` | sign·min with normalization/offset | eq. (2) |
-//! | [`FixedDecoder`] | saturating integer | sign·min, shift-add scaling | the FPGA datapath |
+//! | [`FixedDecoder`] | saturating integer, one edge at a time | sign·min, shift-add scaling | the FPGA datapath; the per-edge reference |
 //! | [`LayeredMinSumDecoder`] | `f32` | sign·min, serial schedule | ablation (A3) |
 //! | [`QcLayeredDecoder`] | `f32` | sign·min, block-layered over rotate-indexed circulant planes | the banked-memory datapath (Fig. 3) |
 //! | [`BatchMinSumDecoder`] | `f32`, ×F frames | lockstep over interleaved memory | frames-per-word packing (Table 3) |
-//! | [`PackedFixedDecoder`] | SWAR i8 lanes, ×8 frames per word | sign·min on byte lanes, one word op per edge | frames-per-word packing at register width (`fixed@pack=8` and `fixed@batch=N`) |
+//! | [`PackedFixedDecoder`] | SWAR i8 lanes: ×8 frames per word, or 1 frame × 8 adjacent nodes | sign·min on byte lanes, one word op per 8 lanes | the paper's two instances at register width: node lanes (`fixed`), frame lanes (`fixed@pack=8`, `fixed@batch=N`) |
 //! | [`BitsliceGallagerBDecoder`] | boolean planes, ×64 frames | majority vote via carry-save counters | frames-per-word at the hard-decision limit |
 //! | [`PeelingDecoder`] | GF(2) | degree-1 erasure peeling + dense inactivation solve | fountain-code baseline for the packet-loss workload |
 //!
@@ -63,6 +63,16 @@ pub use spec::{
 };
 
 use gf2::BitVec;
+
+/// The iteration-0 state of a float soft decoder: `hard` set to the
+/// channel signs (`llr < 0` ⇒ bit 1), and whether that word satisfies
+/// every check — what a zero iteration budget reports.
+pub(crate) fn sign_decision(graph: &crate::TannerGraph, llrs: &[f32], hard: &mut [u8]) -> bool {
+    for (h, &llr) in hard.iter_mut().zip(llrs) {
+        *h = u8::from(llr < 0.0);
+    }
+    graph.syndrome_ok(hard)
+}
 
 /// Outcome of a decoding attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,14 +1,16 @@
 //! AVX2 mirror of the packed SWAR phases (`simd` cargo feature).
 //!
-//! Same slot-major buffers, same algorithm, same results bit for bit —
-//! but on 256-bit vectors. The check-node scan covers **four checks per
-//! op**: a slot row holds slot `k` of every check side by side, so one
-//! load brings four checks' `k`-th messages, and native byte-lane ops
+//! Same slot-major byte planes, same algorithm, same results bit for bit
+//! — but on 256-bit vectors. The check-node scan covers **four word
+//! columns per op**: a slot row holds slot `k` of every check side by
+//! side, so one load brings slot `k` of four checks (frame lanes) or of
+//! 32 adjacent checks (node lanes), and native byte-lane ops
 //! (`vpabsb`/`vpminub`/`vpmaxub`/`vpblendvb`) replace the multi-op SWAR
-//! emulations. The bit-node phase covers **two bits of a run per op**:
-//! adjacent bits of a run own adjacent words in every row, so one
-//! 128-bit load sign-extends (`vpmovsxbw`) into sixteen i16 lanes, and
-//! `vpacksswb` + `vpermq` narrow them back for one 128-bit store.
+//! emulations. The bit-node phase covers **two words of a run per op**:
+//! adjacent bits of a run own adjacent positions in every row, so one
+//! 128-bit load sign-extends (`vpmovsxbw`) sixteen bytes — two bits of
+//! eight frames, or sixteen bits of one frame — into sixteen i16 lanes,
+//! and `vpacksswb` + `vpermq` narrow them back for one 128-bit store.
 //! Selected at runtime via `is_x86_feature_detected!`; any non-AVX2 host
 //! (or a build without the feature) falls back to the portable kernels.
 //!
@@ -49,13 +51,14 @@ impl PackedFixedDecoder {
         false
     }
 
-    /// Runs the bit-node phase on the AVX2 path; `false` (having done
-    /// nothing) without AVX2.
-    pub(super) fn bn_phase_simd(&mut self) -> bool {
+    /// Runs the bit-node words on the AVX2 path (the node-lane run
+    /// tails stay with the caller); `false` (having done nothing) without
+    /// AVX2.
+    pub(super) fn bn_words_simd(&mut self) -> bool {
         #[cfg(target_arch = "x86_64")]
         if available() {
             // SAFETY: as in `cn_phase_simd`.
-            unsafe { self.bn_phase_avx2() };
+            unsafe { self.bn_words_avx2() };
             return true;
         }
         false
@@ -64,7 +67,7 @@ impl PackedFixedDecoder {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::super::MAX_BN_DEGREE;
+    use super::super::{Lanes, MAX_BN_DEGREE, PACK_LANES};
     use super::*;
     use crate::decoder::kernels::Scaling;
     use std::arch::x86_64::*;
@@ -78,18 +81,18 @@ mod x86 {
         _mm256_castsi256_si128(_mm256_permute4x64_epi64(_mm256_packs_epi16(v, v), 0b10_00))
     }
 
-    /// Loads `W` consecutive message words (`W` = 1 or 2) and
+    /// Loads `W` consecutive words (`W` = 1 or 2) from byte `src` and
     /// sign-extends their bytes to i16 lanes: word 0 in the low half,
     /// word 1 (or zeros) in the high half.
     ///
     /// # Safety
     ///
-    /// `src .. src + W` must be readable words.
+    /// `src .. src + 8·W` must be readable bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load_widened<const W: usize>(src: *const u64) -> __m256i {
-        // SAFETY: the caller guarantees W readable words at `src`; the
-        // unaligned loads read exactly 8·W bytes.
+    unsafe fn load_widened<const W: usize>(src: *const u8) -> __m256i {
+        // SAFETY: the caller guarantees 8·W readable bytes at `src`; the
+        // unaligned loads read exactly those.
         let bytes = unsafe {
             if W == 2 {
                 _mm_loadu_si128(src.cast())
@@ -100,16 +103,16 @@ mod x86 {
         _mm256_cvtepi8_epi16(bytes)
     }
 
-    /// Stores the first `W` words of a narrowed vector.
+    /// Stores the first `W` words of a narrowed vector at byte `dst`.
     ///
     /// # Safety
     ///
-    /// `dst .. dst + W` must be writable words.
+    /// `dst .. dst + 8·W` must be writable bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn store_words<const W: usize>(dst: *mut u64, v: __m128i) {
-        // SAFETY: the caller guarantees W writable words at `dst`; the
-        // unaligned stores write exactly 8·W bytes.
+    unsafe fn store_words<const W: usize>(dst: *mut u8, v: __m128i) {
+        // SAFETY: the caller guarantees 8·W writable bytes at `dst`; the
+        // unaligned stores write exactly those.
         unsafe {
             if W == 2 {
                 _mm_storeu_si128(dst.cast(), v);
@@ -120,42 +123,44 @@ mod x86 {
     }
 
     impl PackedFixedDecoder {
-        /// Check-node phase, four checks per op: sign product as the XOR
-        /// of the raw signed words (sign bits XOR in place), two-minimum
-        /// scan as `min1' = pminub(min1, mag)`,
+        /// Check-node phase, four word columns per op: sign product as
+        /// the XOR of the raw signed words (sign bits XOR in place),
+        /// two-minimum scan as `min1' = pminub(min1, mag)`,
         /// `min2' = pminub(min2, pmaxub(min1, mag))` — value-identical to
         /// the strict-`<` scalar recurrence (ties keep the earlier slot
         /// via the strict `pcmpgtb` blend).
         ///
-        /// Every check scans all slot rows: unused slots hold `0x7F`
+        /// Every column scans all slot rows: unused slots hold `0x7F`
         /// lanes, which never beat the `127` seed under the strict
         /// compare and carry sign bit 0, so they change no state. Their
         /// outputs (and those of the padding checks past the real ones)
-        /// land in words no bit node reads.
+        /// land in positions no bit node reads.
         #[target_feature(enable = "avx2")]
         pub(in crate::decoder::packed) fn cn_phase_avx2(&mut self) {
-            let (stride, slots) = (self.layout.stride, self.layout.slots);
+            let (row, slots) = (self.row_words(), self.layout.slots);
+            let bytes = PACK_LANES * slots * row;
             assert!(
-                stride.is_multiple_of(4)
-                    && self.bc.len() == slots * stride
-                    && self.cb.len() == self.bc.len(),
+                row.is_multiple_of(4)
+                    && self.planes.bc.len() == bytes
+                    && self.planes.cb.len() == bytes,
                 "slot-major message memory out of shape"
             );
             let scaling = self.config.scaling;
             let seed = _mm256_set1_epi8(0x7F);
             let zero = _mm256_setzero_si256();
-            let bc = self.bc.as_ptr();
-            let cb = self.cb.as_mut_ptr();
-            for m in (0..stride).step_by(4) {
+            let bc = self.planes.bc.as_ptr();
+            let cb = self.planes.cb.as_mut_ptr();
+            for m in (0..row).step_by(4) {
                 let mut sp = zero;
                 let mut min1 = seed;
                 let mut min2 = seed;
                 let mut argmin = zero;
                 for k in 0..slots {
-                    // SAFETY: k < slots and m + 4 <= stride (stride is a
-                    // multiple of 4), so words k·stride + m .. +4 lie
-                    // inside the slots·stride words asserted above.
-                    let v = unsafe { _mm256_loadu_si256(bc.add(k * stride + m).cast()) };
+                    // SAFETY: k < slots and m + 4 <= row (row is a
+                    // multiple of 4), so words k·row + m .. +4 lie inside
+                    // the slots·row words asserted above.
+                    let v =
+                        unsafe { _mm256_loadu_si256(bc.add(PACK_LANES * (k * row + m)).cast()) };
                     sp = _mm256_xor_si256(sp, v);
                     let mag = _mm256_abs_epi8(v);
                     // Strict mag < min1; signed compare is safe because
@@ -168,9 +173,9 @@ mod x86 {
                 let s1 = scale(min1, scaling);
                 let s2 = scale(min2, scaling);
                 for k in 0..slots {
-                    let p = k * stride + m;
+                    let at = PACK_LANES * (k * row + m);
                     // SAFETY: the same in-bounds four words as the scan.
-                    let v = unsafe { _mm256_loadu_si256(bc.add(p).cast()) };
+                    let v = unsafe { _mm256_loadu_si256(bc.add(at).cast()) };
                     let eq = _mm256_cmpeq_epi8(argmin, _mm256_set1_epi8(k as i8));
                     let mag = _mm256_blendv_epi8(s1, s2, eq);
                     // Output sign mask = sign bits of (sign product XOR
@@ -178,78 +183,105 @@ mod x86 {
                     let neg = _mm256_cmpgt_epi8(zero, _mm256_xor_si256(sp, v));
                     let out = _mm256_sub_epi8(_mm256_xor_si256(mag, neg), neg);
                     // SAFETY: cb has the same length as bc.
-                    unsafe { _mm256_storeu_si256(cb.add(p).cast(), out) };
+                    unsafe { _mm256_storeu_si256(cb.add(at).cast(), out) };
                 }
             }
         }
 
-        /// Bit-node phase, two bits of a run per op, in plain i16 lanes:
-        /// `|ch + Σ messages| ≤ 127 + 64·127` fits i16, so no bias is
-        /// needed. Each edge's contribution is cached widened, the
+        /// Bit-node words, two words of a run per op, in plain i16
+        /// lanes: `|ch + Σ messages| ≤ 127 + 64·127` fits i16, so no bias
+        /// is needed. Each edge's contribution is cached widened, the
         /// exclude-self output is one `vpsubw`, clamped to the message
-        /// range, and the hard decision is the sign of the total.
+        /// range, and the hard decision is the sign of the total. With
+        /// node lanes the runs shorter than a word are the caller's.
         #[target_feature(enable = "avx2")]
-        pub(in crate::decoder::packed) fn bn_phase_avx2(&mut self) {
-            let words = self.layout.words();
-            let n = self.code.n();
+        pub(in crate::decoder::packed) fn bn_words_avx2(&mut self) {
+            match self.lanes {
+                Lanes::Frames => self.bn_words_lanes::<PACK_LANES>(),
+                Lanes::Nodes => self.bn_words_lanes::<1>(),
+            }
+        }
+
+        /// [`bn_words_avx2`](Self::bn_words_avx2) for `F` frames per
+        /// word, which must be the decoder's.
+        #[target_feature(enable = "avx2")]
+        fn bn_words_lanes<const F: usize>(&mut self) {
+            assert_eq!(F, self.lanes.frames(), "lane mapping mismatch");
+            let step = PACK_LANES / F;
+            let bytes = F * self.layout.words();
+            let bit_bytes = F * self.code.n();
             assert!(
-                self.bc.len() == words
-                    && self.cb.len() == words
-                    && self.ch.len() == n
-                    && self.hard_mask.len() == n,
+                self.planes.bc.len() == bytes
+                    && self.planes.cb.len() == bytes
+                    && self.planes.ch.len() == bit_bytes
+                    && self.planes.hard.len() == bit_bytes,
                 "slot-major message memory out of shape"
             );
-            let planes = Planes {
-                ch: self.ch.as_ptr().cast(),
-                cb: self.cb.as_ptr(),
-                bc: self.bc.as_mut_ptr(),
-                hard: self.hard_mask.as_mut_ptr(),
+            let planes = Pointers::<F> {
+                ch: self.planes.ch.as_ptr(),
+                cb: self.planes.cb.as_ptr(),
+                bc: self.planes.bc.as_mut_ptr(),
+                hard: self.planes.hard.as_mut_ptr(),
                 hi: _mm256_set1_epi16(self.config.msg_max()),
                 lo: _mm256_set1_epi16(-self.config.msg_max()),
             };
             let mut contrib = [_mm256_setzero_si256(); MAX_BN_DEGREE];
-            for run in &self.layout.runs {
+            for run in self.layout.runs.iter().filter(|run| run.len >= step) {
                 let pos = &self.layout.run_pos[run.pos.clone()];
+                // Double words while they fit, then one double or single
+                // word moved back onto the run's last bit; an overlap is
+                // recomputed to the same values. Every update covers bits
+                // j .. j + W·step with j + W·step <= run.len.
                 let mut j = 0;
-                while j + 2 <= run.len {
-                    // SAFETY: j + 2 <= run.len, and `SlotLayout::new`
+                while j + 2 * step <= run.len {
+                    // SAFETY: j + 2·step <= run.len, and `SlotLayout::new`
                     // asserted run.bit + run.len <= n, p + run.len <=
                     // words for every p, and pos.len() <= MAX_BN_DEGREE;
                     // the plane lengths are checked above.
                     unsafe { planes.update::<2>(run.bit + j, pos, j, &mut contrib) };
-                    j += 2;
+                    j += 2 * step;
                 }
-                if j < run.len {
-                    // SAFETY: j + 1 <= run.len; the same bounds.
-                    unsafe { planes.update::<1>(run.bit + j, pos, j, &mut contrib) };
+                if j < run.len && run.len >= 2 * step {
+                    let j = run.len - 2 * step;
+                    // SAFETY: j + 2·step = run.len; the same bounds.
+                    unsafe { planes.update::<2>(run.bit + j, pos, j, &mut contrib) };
+                } else if j < run.len {
+                    // SAFETY: step <= run.len; the same bounds.
+                    unsafe { planes.update::<1>(run.bit, pos, 0, &mut contrib) };
+                    if run.len > step {
+                        let j = run.len - step;
+                        // SAFETY: j + step = run.len; the same bounds.
+                        unsafe { planes.update::<1>(run.bit + j, pos, j, &mut contrib) };
+                    }
                 }
             }
         }
     }
 
-    /// The bit-node phase's view of the decoder's planes, one 8-byte
-    /// word per element (the channel plane's `[u8; 8]` words included;
-    /// every access is unaligned).
-    struct Planes {
-        ch: *const u64,
-        cb: *const u64,
-        bc: *mut u64,
-        hard: *mut u64,
+    /// The bit-node words' view of the decoder's byte planes, in which
+    /// position `p` owns the `F` bytes from byte `F·p` (every access is
+    /// unaligned).
+    struct Pointers<const F: usize> {
+        ch: *const u8,
+        cb: *const u8,
+        bc: *mut u8,
+        hard: *mut u8,
         /// `msg_max` in every i16 lane.
         hi: __m256i,
         /// `-msg_max` in every i16 lane.
         lo: __m256i,
     }
 
-    impl Planes {
-        /// Updates `W` adjacent bits `b .. b + W` of one run, whose edges
-        /// sit at words `p + j ..` for each `p` in `pos`.
+    impl<const F: usize> Pointers<F> {
+        /// Updates the `W` words from bit `b` of one run, whose edges sit
+        /// at positions `p + j ..` for each `p` in `pos`: `W` bits of
+        /// eight frames, or `8·W` bits of one frame.
         ///
         /// # Safety
         ///
-        /// `b + W` must not exceed the channel and hard-mask planes,
-        /// `p + j + W` must not exceed the message planes for every `p`
-        /// in `pos`, and `pos.len() <= MAX_BN_DEGREE`.
+        /// `F·b + 8·W` must not exceed the channel and hard planes,
+        /// `F·(p + j) + 8·W` must not exceed the message planes for
+        /// every `p` in `pos`, and `pos.len() <= MAX_BN_DEGREE`.
         #[inline]
         #[target_feature(enable = "avx2")]
         unsafe fn update<const W: usize>(
@@ -259,23 +291,30 @@ mod x86 {
             j: usize,
             contrib: &mut [__m256i; MAX_BN_DEGREE],
         ) {
-            // SAFETY: b + W is within the channel plane (caller).
-            let mut t = unsafe { load_widened::<W>(self.ch.add(b)) };
+            // SAFETY: F·b + 8·W is within the channel plane, and F·j <=
+            // F·(p + j) for any p, within the message planes (caller).
+            let (mut t, cb, bc) = unsafe {
+                (
+                    load_widened::<W>(self.ch.add(F * b)),
+                    self.cb.add(F * j),
+                    self.bc.add(F * j),
+                )
+            };
             for (c, &p) in contrib.iter_mut().zip(pos) {
-                // SAFETY: p + j + W is within cb (caller).
-                *c = unsafe { load_widened::<W>(self.cb.add(p as usize + j)) };
+                // SAFETY: F·(p + j) + 8·W is within cb (caller).
+                *c = unsafe { load_widened::<W>(cb.add(F * p as usize)) };
                 t = _mm256_add_epi16(t, *c);
             }
             for (c, &p) in contrib.iter().zip(pos) {
                 let v = _mm256_sub_epi16(t, *c);
                 let clamped = _mm256_max_epi16(_mm256_min_epi16(v, self.hi), self.lo);
-                // SAFETY: p + j + W is within bc (caller).
-                unsafe { store_words::<W>(self.bc.add(p as usize + j), narrow(clamped)) };
+                // SAFETY: F·(p + j) + 8·W is within bc (caller).
+                unsafe { store_words::<W>(bc.add(F * p as usize), narrow(clamped)) };
             }
             // Hard decision: posterior < 0.
             let hard = _mm256_cmpgt_epi16(_mm256_setzero_si256(), t);
-            // SAFETY: b + W is within the hard-mask plane (caller).
-            unsafe { store_words::<W>(self.hard.add(b), narrow(hard)) };
+            // SAFETY: F·b + 8·W is within the hard plane (caller).
+            unsafe { store_words::<W>(self.hard.add(F * b), narrow(hard)) };
         }
     }
 

@@ -13,7 +13,7 @@
 //! layout (one bank per block, rotate-indexed addressing).
 
 use crate::decoder::block::runs;
-use crate::decoder::{BlockDecoder, DecodeResult};
+use crate::decoder::{sign_decision, BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -168,7 +168,8 @@ impl QcLayeredDecoder {
         let l = self.l;
         let inv_alpha = 1.0 / self.alpha;
         let mut iterations = 0;
-        let mut converged = false;
+        let mut converged =
+            max_iterations == 0 && sign_decision(graph, channel_llrs, &mut self.hard);
         for _ in 0..max_iterations {
             for planes in &self.layers {
                 self.min1.iter_mut().for_each(|x| *x = f32::INFINITY);

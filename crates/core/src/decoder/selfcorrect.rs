@@ -9,7 +9,7 @@
 //! datapath and part of the ablation set.
 
 use crate::decoder::block::runs;
-use crate::decoder::{BlockDecoder, DecodeResult};
+use crate::decoder::{sign_decision, BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -149,7 +149,8 @@ impl SelfCorrectedMinSumDecoder {
             self.prev_sign[e] = 0;
         }
         let mut iterations = 0;
-        let mut converged = false;
+        let mut converged =
+            max_iterations == 0 && sign_decision(graph, channel_llrs, &mut self.hard);
         for _ in 0..max_iterations {
             self.cn_phase();
             self.bn_phase(channel_llrs);

@@ -1,7 +1,7 @@
 //! Floating-point sum-product (belief propagation) decoder.
 
 use crate::decoder::block::runs;
-use crate::decoder::{BlockDecoder, DecodeResult};
+use crate::decoder::{sign_decision, BlockDecoder, DecodeResult};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -141,7 +141,8 @@ impl SumProductDecoder {
             self.bc[e] = channel_llrs[graph.edge_bit(e)].clamp(-LLR_CLAMP, LLR_CLAMP);
         }
         let mut iterations = 0;
-        let mut converged = false;
+        let mut converged =
+            max_iterations == 0 && sign_decision(graph, channel_llrs, &mut self.hard);
         for _ in 0..max_iterations {
             self.cn_phase();
             self.bn_phase(channel_llrs);

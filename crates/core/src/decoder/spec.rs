@@ -15,7 +15,7 @@
 //! | `ms` | [`MinSumDecoder`] (plain) | — |
 //! | `nms:1.25` | [`MinSumDecoder`] (normalized) | α ≥ 1 (default 4/3) |
 //! | `oms:0.15` | [`MinSumDecoder`] (offset) | β ≥ 0 (default 0.15) |
-//! | `fixed` | [`FixedDecoder`] | — (default datapath) |
+//! | `fixed` | [`PackedFixedDecoder`] with node lanes: one frame, bit-exact against [`FixedDecoder`](crate::FixedDecoder) | — (default datapath) |
 //! | `layered:1.25` | [`LayeredMinSumDecoder`] | α ≥ 1 (default 4/3) |
 //! | `qc-layered:1.25` | [`QcLayeredDecoder`] | α ≥ 1 (default 4/3) |
 //! | `self-corrected:1.25` | [`SelfCorrectedMinSumDecoder`] | α ≥ 1 (default 4/3) |
@@ -51,7 +51,7 @@
 
 use crate::decoder::block::BlockDecoder;
 use crate::decoder::{
-    BatchMinSumDecoder, BitsliceGallagerBDecoder, FixedConfig, FixedDecoder, GallagerBDecoder,
+    BatchMinSumDecoder, BitsliceGallagerBDecoder, FixedConfig, GallagerBDecoder,
     LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, PackedFixedDecoder, PeelingDecoder,
     QcLayeredDecoder, SelfCorrectedMinSumDecoder, SumProductDecoder, WeightedBitFlipDecoder,
     PACK_LANES,
@@ -423,7 +423,11 @@ impl DecoderSpec {
             DecoderFamily::OffsetMinSum { beta } => {
                 Box::new(MinSumDecoder::new(code, MinSumConfig::offset(beta)))
             }
-            DecoderFamily::Fixed => Box::new(FixedDecoder::new(code, FixedConfig::default())),
+            // The low-cost instance: one frame across the packed word's
+            // lanes, bit-exact against `FixedDecoder`.
+            DecoderFamily::Fixed => {
+                Box::new(PackedFixedDecoder::node_lanes(code, FixedConfig::default()))
+            }
             DecoderFamily::Layered { alpha } => Box::new(LayeredMinSumDecoder::new(code, alpha)),
             DecoderFamily::QcLayered { alpha } => Box::new(QcLayeredDecoder::new(code, alpha)),
             DecoderFamily::SelfCorrected { alpha } => {

@@ -1,19 +1,24 @@
-//! `fixed@pack=8` against scalar `fixed`, lane by lane, on every code in
-//! the registry.
+//! Both lane mappings of the packed datapath — `fixed@pack=8` (eight
+//! frames per word) and plain `fixed` (one frame, adjacent nodes per
+//! word) — against the per-edge [`FixedDecoder`], lane by lane, on every
+//! code in the registry.
 //!
 //! The packed decoder stores its messages slot-major: the `k`-th edge of
-//! check `m` at word `k·M′ + m`, with unused slots of low-degree checks
-//! padded by neutral lanes, and walks the bit nodes in runs of bits whose
-//! words advance together. Demo and C2 are check-regular, so only the
-//! AR4JA codes (check degrees 3 to 18) pad slots, and only codes without
-//! long circulant runs (demo) exercise short runs and run tails. Every
-//! registry code is therefore decoded here, in words of 1, 2, 7 and 8
-//! frames whose lanes converge at different iterations.
+//! check `m` at position `k·M′ + m`, with unused slots of low-degree
+//! checks padded by neutral lanes, and walks the bit nodes in runs of
+//! bits whose positions advance together. Demo and C2 are check-regular,
+//! so only the AR4JA codes (check degrees 3 to 18) pad slots, and only
+//! codes without long circulant runs (demo, whose runs average 4 bits)
+//! send most bits through the node lanes' per-bit path for runs shorter
+//! than a word. Every registry code is therefore decoded here, in blocks
+//! of 1, 2, 7 and 8 frames whose lanes converge at different iterations.
 //!
 //! Under plain `cargo test` this pins the portable SWAR path; with
 //! `--features simd` on an AVX2 machine it pins the vector path.
 
-use ldpc_core::{CodeSpec, DecoderSpec, PackedFixedDecoder};
+use ldpc_core::{
+    BlockDecoder, CodeSpec, DecoderSpec, FixedConfig, FixedDecoder, PackedFixedDecoder,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,27 +47,28 @@ fn frame(n: usize, f: usize, rng: &mut StdRng) -> Vec<f32> {
 
 #[test]
 fn packed_fixed_matches_scalar_fixed_on_every_registry_code() {
-    let fixed = DecoderSpec::parse("fixed").expect("registry spec");
-    let packed = DecoderSpec::parse("fixed@pack=8").expect("registry spec");
+    let mappings = ["fixed@pack=8", "fixed"].map(|s| DecoderSpec::parse(s).expect("registry spec"));
     let mut rng = StdRng::seed_from_u64(0x51_07);
     for spec in CodeSpec::all_codes() {
         let code = spec.build().expect("registry code builds").code().clone();
         let n = code.n();
-        let mut scalar = fixed.build(&code);
-        let mut lanes = packed.build(&code);
+        let mut scalar = FixedDecoder::new(code.clone(), FixedConfig::default());
+        let mut packed = mappings.clone().map(|m| m.build(&code));
         for frames in [1, 2, 7, 8] {
             let llrs: Vec<f32> = (0..frames).flat_map(|f| frame(n, f, &mut rng)).collect();
             let want = scalar.decode_block(&llrs, MAX_ITERATIONS);
-            let got = lanes.decode_block(&llrs, MAX_ITERATIONS);
-            assert_eq!(got.len(), frames, "{spec}: result count");
             if frames >= 7 {
                 assert!(
                     want.iter().any(|r| r.converged) && want.iter().any(|r| !r.converged),
                     "{spec}: a {frames}-frame word must mix convergence"
                 );
             }
-            for (f, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(g, w, "{spec}: lane {f} of a {frames}-frame word");
+            for (mapping, lanes) in mappings.iter().zip(&mut packed) {
+                let got = lanes.decode_block(&llrs, MAX_ITERATIONS);
+                assert_eq!(got.len(), frames, "{spec} / {mapping}: result count");
+                for (f, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(g, w, "{spec} / {mapping}: frame {f} of {frames}");
+                }
             }
         }
     }
@@ -92,4 +98,21 @@ fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
         }
     );
     assert_eq!(PackedFixedDecoder::simd_active(), avx2);
+    // Both lane mappings take the vector path, not just the frame lanes.
+    let code = ldpc_core::codes::ccsds_c2::code();
+    let llrs = frame(code.n(), 1, &mut StdRng::seed_from_u64(7));
+    for (mapping, mut dec) in [
+        (
+            "frame lanes",
+            PackedFixedDecoder::new(code.clone(), FixedConfig::default()),
+        ),
+        (
+            "node lanes",
+            PackedFixedDecoder::node_lanes(code.clone(), FixedConfig::default()),
+        ),
+    ] {
+        let _ = dec.decode_batch(&llrs, 2);
+        println!("{mapping}: AVX2 path ran: {}", dec.ran_simd());
+        assert_eq!(dec.ran_simd(), avx2, "{mapping}");
+    }
 }

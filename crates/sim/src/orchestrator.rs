@@ -954,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn whole_budget_chunk_matches_curve_door_exactly() {
+    fn whole_budget_chunk_matches_run_point_scenario_with_exactly() {
         // target 0 + one chunk per point ≡ a curve: each point equals one
         // single-threaded engine run at the unit's seed, bit for bit.
         let scenario = sc("demo / awgn / nms:1.25");

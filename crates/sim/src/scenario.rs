@@ -405,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn plain_awgn_scenario_matches_run_point_spec_exactly() {
+    fn plain_awgn_scenario_matches_run_point_blocks_exactly() {
         // The scenario door is the same engine: for a plain code on awgn
         // the single-threaded counts are bit-identical to the
         // explicit-factory door driving the spec-built decoder.

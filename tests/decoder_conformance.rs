@@ -24,7 +24,7 @@
 
 use ccsds_ldpc::channel::{AwgnChannel, ChannelSpec};
 use ccsds_ldpc::core::codes::small::demo_code;
-use ccsds_ldpc::core::{BlockDecoder, DecoderSpec};
+use ccsds_ldpc::core::{BlockDecoder, DecoderSpec, FixedConfig, FixedDecoder};
 use ccsds_ldpc::gf2::BitVec;
 
 const MAX_ITERATIONS: u32 = 15;
@@ -154,25 +154,30 @@ fn every_family_is_deterministic_on_the_corpus() {
 fn documented_bit_exact_pairs_agree() {
     let code = demo_code();
     let llrs = corpus();
+    let spec = |s: &str| DecoderSpec::parse(s).unwrap().build(&code);
+    // The fixed-point mirrors answer to the per-edge `FixedDecoder`
+    // itself: plain `fixed` builds the node-lane packed datapath, which is
+    // one of the mirrors.
+    let per_edge = || -> Box<dyn BlockDecoder> {
+        Box::new(FixedDecoder::new(code.clone(), FixedConfig::default()))
+    };
     // Every grammar-reachable packed mirror, not just the registry's
     // canonical four: ms@batch and oms@batch share the batched min-sum
     // datapath but exercise the plain/offset correction arms, and
     // fixed@batch=N builds the packed datapath in 8-frame words for any N.
     let pairs = [
-        ("ms", "ms@batch=8"),
-        ("nms", "nms@batch=8"),
-        ("oms", "oms@batch=8"),
-        ("fixed", "fixed@batch=8"),
-        ("fixed", "fixed@batch=3"),
-        ("fixed", "fixed@batch=16"),
-        ("fixed", "fixed@pack=8"),
-        ("gallager-b", "gallager-b@bitslice"),
+        ("ms", spec("ms"), "ms@batch=8"),
+        ("nms", spec("nms"), "nms@batch=8"),
+        ("oms", spec("oms"), "oms@batch=8"),
+        ("FixedDecoder", per_edge(), "fixed"),
+        ("FixedDecoder", per_edge(), "fixed@batch=8"),
+        ("FixedDecoder", per_edge(), "fixed@batch=3"),
+        ("FixedDecoder", per_edge(), "fixed@batch=16"),
+        ("FixedDecoder", per_edge(), "fixed@pack=8"),
+        ("gallager-b", spec("gallager-b"), "gallager-b@bitslice"),
     ];
-    for (reference, mirror) in pairs {
-        let want = DecoderSpec::parse(reference)
-            .unwrap()
-            .build(&code)
-            .decode_block(&llrs, MAX_ITERATIONS);
+    for (reference, mut decoder, mirror) in pairs {
+        let want = decoder.decode_block(&llrs, MAX_ITERATIONS);
         let got = DecoderSpec::parse(mirror)
             .unwrap()
             .build(&code)
@@ -275,12 +280,13 @@ fn stripe_operating_points(llrs: &[f32], n: usize, points: usize) -> Vec<f32> {
     out
 }
 
-/// The SWAR-packed `fixed@pack=8` lanes against scalar `fixed`, under
-/// **mixed per-lane convergence**: the corpora are striped across their
-/// operating points so every packed word holds lanes that retire at
-/// different iterations (and some that never do). Hard decisions,
-/// convergence flags, and iteration counts must be bit-exact per lane on
-/// every channel model — AWGN, BSC, and Rayleigh fading.
+/// The SWAR-packed `fixed@pack=8` lanes, and the node lanes of plain
+/// `fixed`, against the per-edge `FixedDecoder`, under **mixed per-lane
+/// convergence**: the corpora are striped across their operating points
+/// so every packed word holds lanes that retire at different iterations
+/// (and some that never do). Hard decisions, convergence flags, and
+/// iteration counts must be bit-exact per frame on every channel model —
+/// AWGN, BSC, and Rayleigh fading.
 #[test]
 fn packed_fixed_lanes_bit_exact_under_mixed_convergence() {
     let code = demo_code();
@@ -292,29 +298,29 @@ fn packed_fixed_lanes_bit_exact_under_mixed_convergence() {
     ];
     for (channel, llrs, points) in corpora {
         let striped = stripe_operating_points(&llrs, n, points);
-        let want = DecoderSpec::parse("fixed")
-            .unwrap()
-            .build(&code)
+        let want = FixedDecoder::new(code.clone(), FixedConfig::default())
             .decode_block(&striped, MAX_ITERATIONS);
-        let got = DecoderSpec::parse("fixed@pack=8")
-            .unwrap()
-            .build(&code)
-            .decode_block(&striped, MAX_ITERATIONS);
-        assert_eq!(want.len(), got.len(), "{channel}: result count mismatch");
         // Words genuinely mix convergence: the first word must hold both
         // a converged and an unconverged lane, or the striping is broken.
         assert!(
             want[..8].iter().any(|r| r.converged) && want[..8].iter().any(|r| !r.converged),
             "{channel}: first packed word does not mix convergence"
         );
-        for (f, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(
-                g,
-                w,
-                "{channel}: packed lane {} of word {} diverged from scalar fixed on frame {f}",
-                f % 8,
-                f / 8
-            );
+        for mirror in ["fixed@pack=8", "fixed"] {
+            let got = DecoderSpec::parse(mirror)
+                .unwrap()
+                .build(&code)
+                .decode_block(&striped, MAX_ITERATIONS);
+            assert_eq!(want.len(), got.len(), "{channel}: result count mismatch");
+            for (f, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    g,
+                    w,
+                    "{channel}: {mirror} frame {f} (lane {} of word {}) diverged from FixedDecoder",
+                    f % 8,
+                    f / 8
+                );
+            }
         }
     }
 }
@@ -347,18 +353,46 @@ fn qc_layered_matches_layered_on_decodable_frames() {
 }
 
 /// The soundness contract holds at a tiny iteration budget too, where
-/// most frames end unconverged.
+/// most frames end unconverged — and at budget 0, where every family
+/// reports its channel decision.
 #[test]
 fn starved_budget_still_sound() {
     let code = demo_code();
+    let n = code.n();
     let llrs = corpus();
     for (spec, mut decoder) in all_families() {
-        for r in decoder.decode_block(&llrs, 1) {
-            if r.converged {
-                assert!(
-                    code.is_codeword(&r.hard_decision),
-                    "{spec}: success on non-codeword at budget 1"
+        // Budget 1 first, so the budget-0 decode starts from a decoder
+        // that has already decoded other frames.
+        for budget in [1, 0] {
+            let results = decoder.decode_block(&llrs, budget);
+            for (f, r) in results.iter().enumerate() {
+                if r.converged {
+                    assert!(
+                        code.is_codeword(&r.hard_decision),
+                        "{spec}: success on non-codeword at budget {budget}"
+                    );
+                }
+                if budget > 0 {
+                    continue;
+                }
+                // No iteration: the same result as a fresh decoder's, and
+                // the channel sign wherever the LLR is clear of zero.
+                let frame = &llrs[f * n..(f + 1) * n];
+                let fresh = spec.build(&code).decode_block(frame, 0).remove(0);
+                assert_eq!(
+                    r, &fresh,
+                    "{spec}: frame {f} at budget 0 depends on history"
                 );
+                assert_eq!(r.iterations, 0, "{spec}: frame {f} iterated at budget 0");
+                for (b, &llr) in frame.iter().enumerate() {
+                    if llr.abs() >= 1.0 {
+                        assert_eq!(
+                            r.hard_decision.get(b),
+                            llr < 0.0,
+                            "{spec}: frame {f} bit {b} at budget 0 is not the channel sign"
+                        );
+                    }
+                }
             }
         }
     }

@@ -38,7 +38,7 @@ fn temp_cache(name: &str) -> PathBuf {
 /// seeded the way `sweep_grid` seeds them: point `i` at
 /// `base + i · 0x5151_5151`.
 #[test]
-fn orchestrator_reproduces_run_curve_scenario_bit_for_bit() {
+fn orchestrator_reproduces_run_point_scenario_with_bit_for_bit() {
     let ebn0s = [2.0, 4.0];
     let base_seed = 0xC11u64;
     let units = sweep_grid(&[scenario()], &ebn0s, base_seed);
