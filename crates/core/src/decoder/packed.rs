@@ -17,7 +17,6 @@ use gf2::BitVec;
 use std::ops::Range;
 use std::sync::Arc;
 
-#[cfg(feature = "simd")]
 mod avx2;
 
 /// Lanes (frames) packed into each message word.
@@ -346,8 +345,8 @@ impl Planes {
 ///
 /// * **Frame lanes** ([`new`](Self::new); `fixed@pack=8`,
 ///   `fixed@batch=N`) — the high-speed instance, eight frames in flight.
-///   Lane `f` of every word is frame `f` (the [`gf2::ByteSlices`]
-///   transpose), so one word op updates one edge in eight frames.
+///   Lane `f` of every word is frame `f`, so one word op updates one
+///   edge in eight frames.
 /// * **Node lanes** ([`node_lanes`](Self::node_lanes); plain `fixed`) —
 ///   the low-cost instance, one frame in flight. Each message position
 ///   owns one byte, so a word holds eight adjacent positions: eight
@@ -378,9 +377,8 @@ impl Planes {
 /// same [`FixedConfig`] — same messages, same hard decisions, same
 /// iteration counts — which the conformance and golden suites pin.
 ///
-/// With the `simd` cargo feature enabled (and AVX2 present at runtime)
-/// the same phases run on 256-bit vector instructions; the results are
-/// identical bit for bit.
+/// On a CPU with AVX2 the same phases run on 256-bit vector
+/// instructions; the results are identical bit for bit.
 ///
 /// # Example
 ///
@@ -509,19 +507,12 @@ impl PackedFixedDecoder {
         &self.code
     }
 
-    /// Whether the 256-bit AVX2 mirror is compiled in (`simd` feature)
-    /// **and** supported by the running CPU. When `false` the portable
-    /// SWAR kernels run on the same slot-major layout; the results are
+    /// Whether the running CPU supports the 256-bit AVX2 mirror, which
+    /// every build compiles in on x86-64. When `false` the portable SWAR
+    /// kernels run on the same slot-major layout; the results are
     /// identical either way.
     pub fn simd_active() -> bool {
-        #[cfg(feature = "simd")]
-        {
-            avx2::available()
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            false
-        }
+        avx2::available()
     }
 
     /// Whether this decoder's last iteration ran on the AVX2 mirror —
@@ -747,11 +738,9 @@ impl PackedFixedDecoder {
         self.unsat = unsat;
     }
 
-    /// One check-node + bit-node iteration: the AVX2 mirror when it is
-    /// compiled in and the CPU has it, the portable SWAR kernels
-    /// otherwise.
+    /// One check-node + bit-node iteration: the AVX2 mirror when the CPU
+    /// has it, the portable SWAR kernels otherwise.
     fn phases(&mut self) {
-        #[cfg(feature = "simd")]
         if self.cn_phase_simd() && self.bn_words_simd() {
             self.bn_tails();
             self.ran_simd = true;
@@ -860,21 +849,27 @@ mod tests {
     /// iterations, and garbage that stalls — so lanes retire at
     /// different iterations.
     fn mixed_batch(code: &Arc<LdpcCode>, frames: usize, seed: u64) -> Vec<i16> {
+        mixed_levels(code, frames, 15, seed)
+    }
+
+    /// [`mixed_batch`] for a channel quantizer whose largest level is
+    /// `ch_max`.
+    fn mixed_levels(code: &Arc<LdpcCode>, frames: usize, ch_max: i16, seed: u64) -> Vec<i16> {
         let n = code.n();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut out = Vec::with_capacity(frames * n);
         for f in 0..frames {
             match f % 3 {
-                0 => out.extend(std::iter::repeat_n(10i16, n)),
+                0 => out.extend(std::iter::repeat_n(2 * ch_max / 3, n)),
                 1 => out.extend((0..n).map(|_| {
-                    let v: i16 = rng.gen_range(1..=8);
+                    let v: i16 = rng.gen_range(1..=(ch_max + 1) / 2);
                     if rng.gen_bool(0.12) {
                         -v
                     } else {
                         v
                     }
                 })),
-                _ => out.extend((0..n).map(|_| rng.gen_range(-15i16..=15))),
+                _ => out.extend((0..n).map(|_| rng.gen_range(-ch_max..=ch_max))),
             }
         }
         out
@@ -1101,6 +1096,70 @@ mod tests {
         }
     }
 
+    /// The AVX2 mirror and the portable SWAR kernels, run from the same
+    /// planes, write the same planes: the check-node phase its check→bit
+    /// plane, the bit-node words their bit→check and hard planes. The
+    /// decoder takes the AVX2 path wherever the CPU has it, so this keeps
+    /// the portable path pinned on those machines, phase by phase.
+    #[test]
+    fn portable_and_avx2_phases_write_identical_planes() {
+        if !avx2::available() {
+            assert!(!PackedFixedDecoder::simd_active());
+            return;
+        }
+        let base = FixedConfig::default();
+        let mut cases: Vec<(String, Arc<LdpcCode>, FixedConfig)> = crate::CodeSpec::all_codes()
+            .into_iter()
+            .map(|spec| {
+                let code = spec.build().expect("registry code builds").code().clone();
+                (spec.to_string(), code, base)
+            })
+            .collect();
+        let scalings = [
+            Scaling::Unity,
+            Scaling::SevenEighths,
+            Scaling::ThreeQuarters,
+            Scaling::Half,
+        ];
+        for config in scalings.map(|s| base.with_scaling(s)).into_iter().chain([
+            base.with_q_msg(4).with_q_ch(3),
+            base.with_q_msg(8).with_q_ch(8),
+        ]) {
+            cases.push(("demo".into(), demo_code(), config));
+        }
+        for (spec, code, config) in cases {
+            let n = code.n();
+            for mut dec in both_mappings(&code, config) {
+                // Frame lanes take a word whose lanes converge at different
+                // iterations; node lanes take its noisy frame.
+                let ch = mixed_levels(&code, 8, dec.quantizer.max_level(), 49);
+                let word = if dec.block_frames() == 1 {
+                    &ch[n..2 * n]
+                } else {
+                    &ch[..]
+                };
+                dec.load_channel(word, |c| c);
+                dec.seed_messages();
+                for iter in 0..8 {
+                    let label = format!("{spec} / {} / {config:?}, iteration {iter}", dec.name());
+                    let cb = dec.planes.cb.clone();
+                    dec.cn_phase();
+                    let portable = std::mem::replace(&mut dec.planes.cb, cb);
+                    assert!(dec.cn_phase_simd());
+                    assert!(dec.planes.cb == portable, "check-node phase: {label}");
+                    let (bc, hard) = (dec.planes.bc.clone(), dec.planes.hard.clone());
+                    dec.bn_words();
+                    let portable_bc = std::mem::replace(&mut dec.planes.bc, bc);
+                    let portable_hard = std::mem::replace(&mut dec.planes.hard, hard);
+                    assert!(dec.bn_words_simd());
+                    assert!(dec.planes.bc == portable_bc, "bit-node messages: {label}");
+                    assert!(dec.planes.hard == portable_hard, "hard decisions: {label}");
+                    dec.bn_tails();
+                }
+            }
+        }
+    }
+
     #[test]
     #[ignore = "manual profiling aid: run with --release --nocapture"]
     fn profile_phase_split() {
@@ -1147,7 +1206,6 @@ mod tests {
                 let _ = dec.decode_quantized_batch(ch, 18);
             });
             time("phases, selected path ", &mut || dec.phases());
-            #[cfg(feature = "simd")]
             if PackedFixedDecoder::simd_active() {
                 time("cn (avx2)             ", &mut || {
                     assert!(dec.cn_phase_simd())

@@ -1,4 +1,4 @@
-//! AVX2 mirror of the packed SWAR phases (`simd` cargo feature).
+//! AVX2 mirror of the packed SWAR phases, compiled into every build.
 //!
 //! Same slot-major byte planes, same algorithm, same results bit for bit
 //! — but on 256-bit vectors. The check-node scan covers **four word
@@ -11,8 +11,8 @@
 //! 128-bit load sign-extends (`vpmovsxbw`) sixteen bytes — two bits of
 //! eight frames, or sixteen bits of one frame — into sixteen i16 lanes,
 //! and `vpacksswb` + `vpermq` narrow them back for one 128-bit store.
-//! Selected at runtime via `is_x86_feature_detected!`; any non-AVX2 host
-//! (or a build without the feature) falls back to the portable kernels.
+//! Selected at runtime via `is_x86_feature_detected!`: a CPU without
+//! AVX2, or a target other than x86-64, runs the portable kernels.
 //!
 //! This is the one module in the crate allowed to contain `unsafe`: the
 //! entry points below run the `#[target_feature]` phases only after the

@@ -15,7 +15,7 @@
 //! Lane order is little-endian, matching [`gf2::lanes`]: lane `f` is
 //! byte `f` (`u64::to_le_bytes`). Two primitive tiers:
 //!
-//! * **General** primitives ([`adds_i8`], [`abs_i8`], [`min_mag_i8`],
+//! * **General** primitives ([`add_wrap8`], [`abs_i8`], [`ltu_mask`],
 //!   [`clamp_i8`], [`sign_mask8`], …) are defined for arbitrary `i8`
 //!   lane patterns — the proptested public contract.
 //! * **Bounded** fast paths ([`ltu7_mask`], [`eq7_mask`],
@@ -24,10 +24,10 @@
 //!   boundary) that the decoder's quantized messages guarantee, and
 //!   spend fewer ops by letting the sign bit absorb borrows.
 //!
-//! When the `simd` cargo feature is enabled the packed decoder runs a
-//! `core::arch` AVX2 mirror of the composed phases instead (runtime
-//! feature-detected, same results bit for bit); these portable kernels
-//! remain the reference and the fallback.
+//! On a CPU with AVX2 the packed decoder runs a `core::arch` mirror of
+//! the composed phases instead (detected at run time, same results bit
+//! for bit); these portable kernels remain the reference and the path of
+//! every other CPU.
 
 use crate::decoder::kernels::Scaling;
 
@@ -58,15 +58,6 @@ pub fn add_wrap8(a: u64, b: u64) -> u64 {
     ((a & !H8).wrapping_add(b & !H8)) ^ ((a ^ b) & H8)
 }
 
-/// Lane-wise wrapping subtract: lane `f` is `a[f].wrapping_sub(b[f])` —
-/// borrows never cross lane boundaries.
-#[inline(always)]
-pub fn sub_wrap8(a: u64, b: u64) -> u64 {
-    // Bias every minuend lane's sign bit so the low-7-bit borrow is
-    // absorbed inside the lane, then patch the sign bits back.
-    ((a | H8).wrapping_sub(b & !H8)) ^ ((a ^ !b) & H8)
-}
-
 /// Lane-wise mask of the negative lanes: `0xFF` where `a[f] < 0`.
 #[inline(always)]
 pub fn sign_mask8(a: u64) -> u64 {
@@ -81,18 +72,6 @@ pub fn sign_mask8(a: u64) -> u64 {
 #[inline(always)]
 pub fn select8(mask: u64, a: u64, b: u64) -> u64 {
     b ^ ((a ^ b) & mask)
-}
-
-/// Lane-wise saturating signed add: lane `f` is
-/// `a[f].saturating_add(b[f])`.
-#[inline(always)]
-pub fn adds_i8(a: u64, b: u64) -> u64 {
-    let sum = add_wrap8(a, b);
-    // Overflow iff the operands agree in sign and the sum does not.
-    let ovf = !(a ^ b) & (a ^ sum) & H8;
-    // Saturation value: 0x7F for positive overflow, 0x80 for negative.
-    let sat = splat8(0x7F) ^ sign_mask8(a);
-    select8((ovf >> 7).wrapping_mul(0xFF), sat, sum)
 }
 
 /// Lane-wise wrapping absolute value: lane `f` is
@@ -115,24 +94,6 @@ pub fn ltu_mask(a: u64, b: u64) -> u64 {
     // the top bits agree and the low bits borrowed.
     let lt = ((!a & b) | (!(a ^ b) & !d)) & H8;
     (lt >> 7).wrapping_mul(0xFF)
-}
-
-/// Lane-wise "take the smaller magnitude": lane `f` is `b[f]` if
-/// `|b[f]| < |a[f]|` (as `i8::wrapping_abs` compared unsigned, so
-/// `-128` counts as magnitude 128) and `a[f]` otherwise — ties keep `a`,
-/// matching the strict-`<` update order of
-/// [`CnState::absorb`](crate::decoder::kernels::CnState::absorb).
-#[inline(always)]
-pub fn min_mag_i8(a: u64, b: u64) -> u64 {
-    select8(ltu_mask(abs_i8(b), abs_i8(a)), b, a)
-}
-
-/// Lane-wise sign product as a mask: `0xFF` where exactly one of the two
-/// lanes is negative — the XOR accumulation rule of the check-node sign
-/// product (eq. 2).
-#[inline(always)]
-pub fn sign_xor8(a: u64, b: u64) -> u64 {
-    sign_mask8(a ^ b)
 }
 
 /// Applies a sign mask to non-negative magnitudes: lane `f` is
@@ -308,7 +269,9 @@ mod tests {
             for b in corpus() {
                 let (wa, wb) = (pack_lanes(a), pack_lanes(b));
                 let sum = unpack_lanes(add_wrap8(wa, wb));
-                let diff = unpack_lanes(sub_wrap8(wa, wb));
+                // Subtraction as the add of a two's-complement negation,
+                // the conditional negate of `abs_i8` and `apply_sign8`.
+                let diff = unpack_lanes(add_wrap8(wa, add_wrap8(!wb, splat8(1))));
                 for f in 0..8 {
                     assert_eq!(sum[f], a[f].wrapping_add(b[f]), "add lane {f}");
                     assert_eq!(diff[f], a[f].wrapping_sub(b[f]), "sub lane {f}");
@@ -318,35 +281,14 @@ mod tests {
     }
 
     #[test]
-    fn saturating_add_matches_scalar_lanes() {
+    fn abs_and_sign_match_scalar_lanes() {
         for a in corpus() {
-            for b in corpus() {
-                let got = unpack_lanes(adds_i8(pack_lanes(a), pack_lanes(b)));
-                for f in 0..8 {
-                    assert_eq!(got[f], a[f].saturating_add(b[f]), "lane {f}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn abs_sign_and_min_mag_match_scalar_lanes() {
-        for a in corpus() {
-            for b in corpus() {
-                let (wa, wb) = (pack_lanes(a), pack_lanes(b));
-                let abs = unpack_lanes(abs_i8(wa));
-                let sign = unpack_lanes(sign_mask8(wa));
-                let mm = unpack_lanes(min_mag_i8(wa, wb));
-                for f in 0..8 {
-                    assert_eq!(abs[f], a[f].wrapping_abs(), "abs lane {f}");
-                    assert_eq!(sign[f], if a[f] < 0 { -1 } else { 0 }, "sign lane {f}");
-                    let want = if (b[f].wrapping_abs() as u8) < (a[f].wrapping_abs() as u8) {
-                        b[f]
-                    } else {
-                        a[f]
-                    };
-                    assert_eq!(mm[f], want, "min_mag lane {f}");
-                }
+            let w = pack_lanes(a);
+            let abs = unpack_lanes(abs_i8(w));
+            let sign = unpack_lanes(sign_mask8(w));
+            for f in 0..8 {
+                assert_eq!(abs[f], a[f].wrapping_abs(), "abs lane {f}");
+                assert_eq!(sign[f], if a[f] < 0 { -1 } else { 0 }, "sign lane {f}");
             }
         }
     }
@@ -416,13 +358,14 @@ mod tests {
     fn sign_product_and_apply_sign_compose() {
         let a = pack_lanes([1, -1, 2, -2, 0, 5, -5, 127]);
         let b = pack_lanes([1, 1, -2, -2, -3, 5, 5, -127]);
-        let sp = unpack_lanes(sign_xor8(a, b));
+        // The check node's sign product: the sign bits of the XOR.
+        let sp = unpack_lanes(sign_mask8(a ^ b));
         for (f, &s) in sp.iter().enumerate() {
             let want = (gf2::lanes::lane(a, f) < 0) != (gf2::lanes::lane(b, f) < 0);
             assert_eq!(s, if want { -1 } else { 0 }, "lane {f}");
         }
         let mags = pack_lanes([3, 3, 3, 3, 3, 3, 3, 3]);
-        let signed = unpack_lanes(apply_sign8(mags, sign_xor8(a, b)));
+        let signed = unpack_lanes(apply_sign8(mags, sign_mask8(a ^ b)));
         for (f, &v) in signed.iter().enumerate() {
             let want = (gf2::lanes::lane(a, f) < 0) != (gf2::lanes::lane(b, f) < 0);
             assert_eq!(v, if want { -3 } else { 3 }, "lane {f}");

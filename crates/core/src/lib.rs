@@ -17,6 +17,10 @@
 //!   the bit-accurate fixed-point datapath of the paper's FPGA architecture
 //!   ([`FixedDecoder`]), and a serial-schedule variant
 //!   ([`LayeredMinSumDecoder`]).
+//! * [`PackedFixedDecoder`] — the same fixed-point datapath packed eight
+//!   byte lanes to a word, as the paper's memory words pack frames or
+//!   nodes: portable SWAR, or its AVX2 mirror on CPUs that have AVX2
+//!   (picked at run time, bit-identical).
 //!
 //! # Quickstart
 //!
@@ -33,15 +37,11 @@
 //! assert!(out.hard_decision.is_zero());
 //! ```
 
-// The crate is `unsafe`-free; the only exception is the feature-gated
-// AVX2 mirror of the packed SWAR datapath, whose intrinsics module
-// carries a scoped `allow` — so `forbid` must relax to `deny` when the
-// `simd` feature is enabled.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The crate is `unsafe`-free except for the AVX2 mirror of the packed
+// SWAR datapath, whose intrinsics module carries the one scoped `allow`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod codes;
 mod codespec;
 pub mod decoder;

@@ -13,8 +13,10 @@
 //! than a word. Every registry code is therefore decoded here, in blocks
 //! of 1, 2, 7 and 8 frames whose lanes converge at different iterations.
 //!
-//! Under plain `cargo test` this pins the portable SWAR path; with
-//! `--features simd` on an AVX2 machine it pins the vector path.
+//! On a CPU with AVX2 this pins the vector path, elsewhere the portable
+//! SWAR path; the packed unit test
+//! `portable_and_avx2_phases_write_identical_planes` keeps the portable
+//! path pinned on AVX2 machines too.
 
 use ldpc_core::{
     BlockDecoder, CodeSpec, DecoderSpec, FixedConfig, FixedDecoder, PackedFixedDecoder,
@@ -82,10 +84,10 @@ fn packed_fixed_matches_scalar_fixed_on_every_registry_code() {
     );
 }
 
-/// The vector path must actually run wherever it can: a `simd` build on
-/// an x86-64 CPU with AVX2 that silently fell back to SWAR would still
-/// pass every bit-exactness test.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// The vector path must actually run wherever it can: every x86-64 build
+/// compiles it, and one that silently fell back to SWAR on a CPU with
+/// AVX2 would still pass every bit-exactness test.
+#[cfg(target_arch = "x86_64")]
 #[test]
 fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
     let avx2 = std::arch::is_x86_feature_detected!("avx2");

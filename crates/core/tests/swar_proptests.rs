@@ -14,9 +14,8 @@
 use gf2::lanes::{pack_lanes, unpack_lanes};
 use ldpc_core::decoder::kernels::Scaling;
 use ldpc_core::decoder::swar::{
-    abs_i8, add_wrap8, adds_i8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, ltu_mask,
-    min_mag_i8, min_u16, narrow_bytes, scale_mag8, select8, sign_mask8, sign_xor8, splat8,
-    sub_wrap8, widen_even, widen_odd,
+    abs_i8, add_wrap8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, ltu_mask, min_u16,
+    narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
 };
 use proptest::prelude::*;
 
@@ -116,24 +115,17 @@ fn unpack16(w: u64) -> [u16; 4] {
 proptest! {
     #![proptest_config(cases())]
 
-    /// Wrapping add/sub: carries and borrows never cross lanes.
+    /// Wrapping add, and subtract as the add of a two's-complement
+    /// negation (the conditional negate of `abs_i8` and `apply_sign8`):
+    /// carries never cross lanes.
     #[test]
     fn wrapping_arithmetic_matches_scalar(a in word(), b in word()) {
         let (wa, wb) = (pack_lanes(a), pack_lanes(b));
         let sum = unpack_lanes(add_wrap8(wa, wb));
-        let diff = unpack_lanes(sub_wrap8(wa, wb));
+        let diff = unpack_lanes(add_wrap8(wa, add_wrap8(!wb, splat8(1))));
         for f in 0..8 {
             prop_assert_eq!(sum[f], a[f].wrapping_add(b[f]), "add lane {}", f);
             prop_assert_eq!(diff[f], a[f].wrapping_sub(b[f]), "sub lane {}", f);
-        }
-    }
-
-    /// Saturating add: every lane is `i8::saturating_add`.
-    #[test]
-    fn saturating_add_matches_scalar(a in word(), b in word()) {
-        let got = unpack_lanes(adds_i8(pack_lanes(a), pack_lanes(b)));
-        for f in 0..8 {
-            prop_assert_eq!(got[f], a[f].saturating_add(b[f]), "lane {}", f);
         }
     }
 
@@ -149,26 +141,12 @@ proptest! {
         }
     }
 
-    /// Signed min-magnitude with the check-node kernel's tie rule:
-    /// strict `<` keeps the first operand on equal magnitudes.
-    #[test]
-    fn min_magnitude_matches_scalar(a in word(), b in word()) {
-        let got = unpack_lanes(min_mag_i8(pack_lanes(a), pack_lanes(b)));
-        for f in 0..8 {
-            let want = if (b[f].wrapping_abs() as u8) < (a[f].wrapping_abs() as u8) {
-                b[f]
-            } else {
-                a[f]
-            };
-            prop_assert_eq!(got[f], want, "lane {}", f);
-        }
-    }
-
-    /// Sign product (XOR rule) and re-signing of non-negative magnitudes.
+    /// Sign product (the sign bits of the XOR, as the check node
+    /// accumulates it) and re-signing of non-negative magnitudes.
     #[test]
     fn sign_product_and_apply_match_scalar(a in word(), b in word(), mags in word7()) {
         let (wa, wb) = (pack_lanes(a), pack_lanes(b));
-        let sp = sign_xor8(wa, wb);
+        let sp = sign_mask8(wa ^ wb);
         let sp_lanes = unpack_lanes(sp);
         let signed = unpack_lanes(apply_sign8(pack_lanes(mags), sp));
         for f in 0..8 {

@@ -79,8 +79,7 @@ impl Circulant {
     /// One positions of row `i`, sorted ascending.
     ///
     /// Allocates a fresh `Vec` per call — hot paths should prefer the
-    /// allocation-free [`row_ones_iter`](Self::row_ones_iter) or the
-    /// rotate-indexed [`tap_column`](Self::tap_column) accessors.
+    /// allocation-free [`row_ones_iter`](Self::row_ones_iter).
     ///
     /// # Panics
     ///
@@ -104,32 +103,6 @@ impl Circulant {
         self.first_row
             .iter()
             .map(move |&p| ((p as usize + i) % size) as u32)
-    }
-
-    /// Column of tap `t`'s one in row `i`: `(first_row[t] + i) mod size`.
-    ///
-    /// This is the rotate-indexed forward map — a lane sweep over
-    /// `i = 0..size` at fixed `t` visits a cyclically contiguous column
-    /// range, which is what lets QC kernels replace per-edge index lists
-    /// with two contiguous slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= weight()` or `i >= size`.
-    pub fn tap_column(&self, t: usize, i: usize) -> usize {
-        assert!(i < self.size, "row {i} out of range");
-        (self.first_row[t] as usize + i) % self.size
-    }
-
-    /// Row whose tap `t` lands in column `j`: the inverse of
-    /// [`tap_column`](Self::tap_column), `(j − first_row[t]) mod size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= weight()` or `j >= size`.
-    pub fn tap_row(&self, t: usize, j: usize) -> usize {
-        assert!(j < self.size, "column {j} out of range");
-        (j + self.size - self.first_row[t] as usize) % self.size
     }
 
     /// Expands to a dense matrix.

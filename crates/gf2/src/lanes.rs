@@ -7,7 +7,8 @@
 //! frames-per-word packing of the paper's high-speed variant applied to
 //! soft messages (6-bit saturating fixed point fits an `i8` lane with
 //! headroom). One word op then advances all 8 frames at once; the SWAR
-//! kernels in `ldpc-core` consume exactly this layout.
+//! kernels in `ldpc-core` use the same lane order (`splat`,
+//! `pack_lanes` and `unpack_lanes` build and check their words).
 //!
 //! Lane order is little-endian: frame `f`'s value of position `p` lives
 //! in byte `f` of word `p`, so [`splat`] / [`lane`] / [`pack_lanes`] /

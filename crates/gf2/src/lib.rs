@@ -16,8 +16,8 @@
 //! * [`BitSlices`] — the frame-major ⇄ word-sliced (bit-plane) transpose
 //!   used by bit-sliced decoding: 64 frames per `u64` lane word.
 //! * [`ByteSlices`] — the same transpose at byte granularity: 8 frames of
-//!   `i8` values per `u64` word, the layout the SWAR soft datapath packs
-//!   its saturating fixed-point messages into.
+//!   `i8` values per `u64` word, in the lane order of the packed soft
+//!   datapath's frame-lane words.
 //!
 //! # Example
 //!

@@ -70,7 +70,7 @@ use crate::{
     WORKER_SEED_STRIDE,
 };
 use ldpc_core::CodeHandle;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -188,7 +188,7 @@ fn sha256(data: &[u8]) -> [u8; 32] {
 /// Raw additive counts of one finished chunk — the unit of caching and
 /// merging. A chunk is one engine run of a fixed frame budget with no
 /// early stopping, so its counts are a pure function of its key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ChunkCounts {
     frames: u64,
     bit_errors: u64,
@@ -223,15 +223,22 @@ impl ChunkCounts {
         )
     }
 
+    /// Adds a later chunk of the same unit into these counts.
+    fn absorb(&mut self, chunk: &Self) {
+        debug_assert!(
+            self.frames == 0 || self.info_bits_per_frame == chunk.info_bits_per_frame,
+            "chunks of one unit must count the same positions"
+        );
+        self.frames += chunk.frames;
+        self.bit_errors += chunk.bit_errors;
+        self.frame_errors += chunk.frame_errors;
+        self.undetected_frame_errors += chunk.undetected_frame_errors;
+        self.total_iterations += chunk.total_iterations;
+        self.info_bits_per_frame = chunk.info_bits_per_frame;
+    }
+
     fn parse(text: &str) -> Option<Self> {
-        let mut counts = Self {
-            frames: 0,
-            bit_errors: 0,
-            frame_errors: 0,
-            undetected_frame_errors: 0,
-            total_iterations: 0,
-            info_bits_per_frame: 0,
-        };
+        let mut counts = Self::default();
         let mut seen = 0u32;
         for line in text.lines() {
             let (key, value) = line.split_once('=')?;
@@ -489,28 +496,25 @@ impl std::error::Error for SweepError {}
 // Scheduler
 // ---------------------------------------------------------------------------
 
-/// Stop decision of one point: how many prefix chunks are merged, and
-/// whether the error target (rather than the cap) ended it.
-#[derive(Debug, Clone, Copy)]
-struct Stop {
-    chunks: usize,
-    hit_target: bool,
-}
-
 /// Per-point scheduling state. Chunks complete in any order; the merge
 /// prefix only ever advances over contiguous completed chunks from 0,
 /// and the stop rule is evaluated on that prefix alone — which is what
-/// makes the merged result independent of scheduling.
+/// makes the merged result independent of scheduling. Only the chunks
+/// between the prefix and the next unscheduled chunk are held, so the
+/// state stays the size of the speculation window whatever the cap.
 struct PointState {
     n_chunks: usize,
     /// Next chunk index not yet handed to a worker.
     next: usize,
-    completed: Vec<Option<ChunkCounts>>,
-    /// Contiguous completed chunks from 0 already counted into the
-    /// prefix error tally.
+    /// Chunks `prefix_len .. next`: `Some` once finished.
+    window: VecDeque<Option<ChunkCounts>>,
+    /// Contiguous finished chunks from 0, all folded into `merged`.
     prefix_len: usize,
-    prefix_errors: u64,
-    stop: Option<Stop>,
+    merged: ChunkCounts,
+    /// `Some(hit_target)` once the stop rule fired: whether the error
+    /// target (rather than the cap) ended the point. The prefix then
+    /// holds exactly the merged chunks.
+    stop: Option<bool>,
     frames_simulated: u64,
     frames_from_cache: u64,
 }
@@ -520,34 +524,41 @@ impl PointState {
         Self {
             n_chunks,
             next: 0,
-            completed: vec![None; n_chunks],
+            window: VecDeque::new(),
             prefix_len: 0,
-            prefix_errors: 0,
+            merged: ChunkCounts::default(),
             stop: None,
             frames_simulated: 0,
             frames_from_cache: 0,
         }
     }
 
-    /// Advances the merge prefix over newly contiguous chunks and
-    /// applies the stop rule.
-    fn advance(&mut self, target_frame_errors: u64) {
+    /// Hands out the next chunk.
+    fn take(&mut self) -> usize {
+        self.window.push_back(None);
+        self.next += 1;
+        self.next - 1
+    }
+
+    /// Records finished chunk `c`, folds the newly contiguous chunks into
+    /// the merged prefix, and applies the stop rule. A chunk finishing
+    /// after the stop changes nothing.
+    fn finish(&mut self, c: usize, counts: ChunkCounts, target_frame_errors: u64) {
+        if self.stop.is_some() {
+            return;
+        }
+        self.window[c - self.prefix_len] = Some(counts);
         while self.stop.is_none() {
-            let Some(Some(counts)) = self.completed.get(self.prefix_len) else {
+            let Some(Some(counts)) = self.window.front().copied() else {
                 break;
             };
-            self.prefix_errors += counts.frame_errors;
+            self.window.pop_front();
+            self.merged.absorb(&counts);
             self.prefix_len += 1;
-            if target_frame_errors > 0 && self.prefix_errors >= target_frame_errors {
-                self.stop = Some(Stop {
-                    chunks: self.prefix_len,
-                    hit_target: true,
-                });
+            if target_frame_errors > 0 && self.merged.frame_errors >= target_frame_errors {
+                self.stop = Some(true);
             } else if self.prefix_len == self.n_chunks {
-                self.stop = Some(Stop {
-                    chunks: self.n_chunks,
-                    hit_target: false,
-                });
+                self.stop = Some(false);
             }
         }
     }
@@ -573,9 +584,7 @@ impl Sched {
                 && point.next < point.n_chunks
                 && point.next < point.prefix_len + window
             {
-                let c = point.next;
-                point.next += 1;
-                return Some((p, c));
+                return Some((p, point.take()));
             }
         }
         None
@@ -642,6 +651,8 @@ pub fn run_sweep(
     };
     let chunk = cfg.chunk_frames.clamp(1, cfg.max_frames);
     let n_chunks = usize::try_from(cfg.max_frames.div_ceil(chunk)).expect("chunk count fits usize");
+    // A `u64::MAX` cap rounds up past `u64::MAX`.
+    let effective_max_frames = (n_chunks as u64).saturating_mul(chunk);
     let progress = cfg.progress_frames.as_deref();
 
     // Phase 1: adopt each unit's contiguous cached prefix serially. A
@@ -651,8 +662,8 @@ pub fn run_sweep(
     for unit in units {
         let mut state = PointState::new(n_chunks);
         if let Some(dir) = &cfg.cache_dir {
-            while state.stop.is_none() && state.prefix_len < n_chunks {
-                let c = state.prefix_len;
+            while state.stop.is_none() && state.next < n_chunks {
+                let c = state.next;
                 let key = chunk_key(
                     &unit.scenario,
                     unit.ebn0_db,
@@ -667,10 +678,9 @@ pub fn run_sweep(
                 if let Some(progress) = progress {
                     progress.fetch_add(counts.frames, Ordering::Relaxed);
                 }
-                state.completed[c] = Some(counts);
-                state.advance(cfg.target_frame_errors);
+                state.take();
+                state.finish(c, counts, cfg.target_frame_errors);
             }
-            state.next = state.prefix_len;
         }
         points.push(state);
     }
@@ -758,9 +768,8 @@ pub fn run_sweep(
                             } else {
                                 point.frames_simulated += counts.frames;
                             }
-                            point.completed[c] = Some(counts);
                             let was_resolved = point.stop.is_some();
-                            point.advance(cfg.target_frame_errors);
+                            point.finish(c, counts, cfg.target_frame_errors);
                             if !was_resolved && point.stop.is_some() {
                                 st.unresolved -= 1;
                             }
@@ -784,40 +793,25 @@ pub fn run_sweep(
         .iter()
         .zip(sched.points)
         .map(|(unit, state)| {
-            let stop = state.stop.expect("every point resolved");
-            let mut point = PointResult {
-                ebn0_db: unit.ebn0_db,
-                frames: 0,
-                bit_errors: 0,
-                frame_errors: 0,
-                undetected_frame_errors: 0,
-                total_iterations: 0,
-                info_bits_per_frame: 0,
-            };
-            for counts in state.completed[..stop.chunks]
-                .iter()
-                .map(|c| c.expect("merged prefix is complete"))
-            {
-                debug_assert!(
-                    point.frames == 0 || point.info_bits_per_frame == counts.info_bits_per_frame,
-                    "chunks of one unit must count the same positions"
-                );
-                point.frames += counts.frames;
-                point.bit_errors += counts.bit_errors;
-                point.frame_errors += counts.frame_errors;
-                point.undetected_frame_errors += counts.undetected_frame_errors;
-                point.total_iterations += counts.total_iterations;
-                point.info_bits_per_frame = counts.info_bits_per_frame;
-            }
+            let hit_target = state.stop.expect("every point resolved");
+            let merged = state.merged;
             SweepUnitResult {
                 scenario: unit.scenario.clone(),
                 ebn0_db: unit.ebn0_db,
-                point,
+                point: PointResult {
+                    ebn0_db: unit.ebn0_db,
+                    frames: merged.frames,
+                    bit_errors: merged.bit_errors,
+                    frame_errors: merged.frame_errors,
+                    undetected_frame_errors: merged.undetected_frame_errors,
+                    total_iterations: merged.total_iterations,
+                    info_bits_per_frame: merged.info_bits_per_frame,
+                },
                 frames_simulated: state.frames_simulated,
                 frames_from_cache: state.frames_from_cache,
-                chunks_merged: stop.chunks as u64,
-                effective_max_frames: n_chunks as u64 * chunk,
-                hit_target: stop.hit_target,
+                chunks_merged: state.prefix_len as u64,
+                effective_max_frames,
+                hit_target,
             }
         })
         .collect())
@@ -1035,6 +1029,37 @@ mod tests {
         assert_eq!(result.effective_max_frames, 300);
         assert_eq!(result.point.frames, 300);
         assert!(!result.hit_target);
+    }
+
+    #[test]
+    fn a_huge_cap_holds_only_the_window_and_stops_at_the_target() {
+        // Every frame fails at -10 dB. A cap of 2^60 one-frame chunks is
+        // far more chunk slots than memory holds; the sweep must still
+        // stop on the target after five chunks.
+        let units = sweep_grid(&[sc("demo / awgn / fixed")], &[-10.0], 1);
+        let cfg = SweepConfig {
+            max_frames: 1 << 60,
+            target_frame_errors: 5,
+            chunk_frames: 1,
+            ..quick_sweep_cfg()
+        };
+        let result = &run_sweep(&units, &cfg).unwrap()[0];
+        assert!(result.hit_target);
+        assert_eq!(result.point.frames, 5);
+        assert_eq!(result.point.frame_errors, 5);
+        assert_eq!(result.chunks_merged, 5);
+        assert_eq!(result.frames_simulated, 5);
+        assert_eq!(result.effective_max_frames, 1 << 60);
+        // Rounding a `u64::MAX` cap up to whole chunks saturates.
+        let cfg = SweepConfig {
+            max_frames: u64::MAX,
+            chunk_frames: 1000,
+            ..cfg
+        };
+        let result = &run_sweep(&units, &cfg).unwrap()[0];
+        assert!(result.hit_target);
+        assert_eq!(result.point.frames, 1000);
+        assert_eq!(result.effective_max_frames, u64::MAX);
     }
 
     #[test]
