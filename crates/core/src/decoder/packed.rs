@@ -6,10 +6,10 @@
 
 use crate::decoder::batch::{drive_batch, BatchPhases, BatchState};
 use crate::decoder::block::runs;
-use crate::decoder::kernels::{bn_output, bn_posterior, saturate};
+use crate::decoder::kernels::{bn_output, bn_posterior};
 use crate::decoder::swar::{
-    self, abs_i8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16, narrow_bytes,
-    scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
+    self, abs_i8, apply_sign8, bit_gather8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16,
+    narrow_bytes, scale_mag8, select8, sign_mask8, sign_pack8, splat8, widen_even, widen_odd,
 };
 use crate::decoder::{BlockDecoder, DecodeResult, FixedConfig};
 use crate::{LdpcCode, LlrQuantizer, TannerGraph};
@@ -30,6 +30,10 @@ const MAX_BN_DEGREE: usize = 64;
 
 /// Bytes per cache line: slot rows are padded to an odd number of lines.
 const LINE_BYTES: usize = 64;
+
+/// Checks the syndrome's settle gather tries before it gives way to the
+/// full run-wise pass (see [`PackedFixedDecoder::syndrome_pass`]).
+const SETTLE_CHECKS: usize = 32;
 
 /// A word with `x` in all four u16 lanes.
 #[inline(always)]
@@ -102,8 +106,9 @@ impl Lanes {
 }
 
 /// A maximal stretch of consecutive bits whose message positions all
-/// advance by one per bit: bit `bit + j` reads and writes position
-/// `p + j` for each edge position `p` of the run.
+/// advance by one per bit inside one slot row: bit `bit + j` reads and
+/// writes position `p + j` for each edge position `p` of the run, which
+/// is slot `p / M′` of check `p % M′ + j`.
 struct BitRun {
     /// First bit of the run.
     bit: usize,
@@ -127,6 +132,9 @@ struct SlotLayout {
     runs: Vec<BitRun>,
     /// Edge positions of each run's first bit.
     run_pos: Vec<u32>,
+    /// Slot column of each entry of `run_pos` (`p % stride`): the
+    /// edge's check.
+    run_col: Vec<u32>,
 }
 
 impl SlotLayout {
@@ -143,19 +151,24 @@ impl SlotLayout {
             }
         }
         let mut runs: Vec<BitRun> = Vec::new();
-        let mut run_pos = Vec::new();
+        let (mut run_pos, mut run_col) = (Vec::new(), Vec::new());
         let (mut pos, mut prev) = (Vec::new(), Vec::new());
         for n in 0..graph.n_bits() {
             pos.clear();
             pos.extend(graph.bn_edge_ids(n).iter().map(|&e| edge_pos[e as usize]));
+            // An edge's slot column is its check. A run ends at a row
+            // boundary: with M′ = M, the position after check M − 1 of one
+            // row is check 0 of the next.
+            let checks = graph.bn_checks(n);
             let extends = !runs.is_empty()
                 && pos.len() == prev.len()
-                && pos.iter().zip(&prev).all(|(&p, &q)| p == q + 1);
+                && (pos.iter().zip(&prev).zip(checks)).all(|((&p, &q), &m)| p == q + 1 && m != 0);
             if extends {
                 runs.last_mut().expect("checked non-empty").len += 1;
             } else {
                 let start = run_pos.len();
                 run_pos.extend_from_slice(&pos);
+                run_col.extend_from_slice(checks);
                 runs.push(BitRun {
                     bit: n,
                     len: 1,
@@ -181,12 +194,19 @@ impl SlotLayout {
                     "bit run past the message memory"
                 );
             }
+            for &c in &run_col[run.pos.clone()] {
+                assert!(
+                    c as usize + run.len <= graph.n_checks(),
+                    "bit run leaves its slot row"
+                );
+            }
         }
         Self {
             stride,
             slots,
             runs,
             run_pos,
+            run_col,
         }
     }
 
@@ -229,9 +249,12 @@ impl SlotLayout {
     }
 }
 
-/// The decoder's byte planes. A position (an edge slot of the message
-/// memory, or a bit) owns [`Lanes::frames`] bytes: position `p` of frame
-/// `f` is byte `p·frames + f`.
+/// The decoder's byte planes. In the message and channel planes a
+/// position (an edge slot of the message memory, or a bit) owns
+/// [`Lanes::frames`] bytes: position `p` of frame `f` is byte
+/// `p·frames + f`. The hard and parity planes hold one lane-mask byte
+/// per bit or check in both mappings: bit `f` is frame `f` (node lanes
+/// use bit 0 only), the plane form of `gallager-b@bitslice`.
 struct Planes {
     /// Bit→check messages, signed bytes in slot-major order; positions
     /// no edge owns hold `0x7F`.
@@ -240,9 +263,12 @@ struct Planes {
     cb: Vec<u8>,
     /// Quantized channel LLRs as signed bytes, one position per bit.
     ch: Vec<u8>,
-    /// Hard decisions: `0xFF` where the frame decides 1, one position
-    /// per bit.
+    /// Hard decisions, one lane mask per bit: bit `f` set where frame
+    /// `f` decides 1. Zero bytes pad it to whole groups of eight bits.
     hard: Vec<u8>,
+    /// The syndrome's check-major parity row, one lane mask per check:
+    /// bit `f` set where frame `f` fails the check.
+    parity: Vec<u8>,
 }
 
 /// Per-edge contribution cache of one bit-node word: the positive and
@@ -252,9 +278,9 @@ type EdgeCache = [(u64, u64); MAX_BN_DEGREE];
 impl Planes {
     /// Bit-node update of one word's eight lanes — eight frames of one
     /// bit, or eight adjacent bits of one frame; the arithmetic is the
-    /// same. The channel lanes are the word at byte `ch_at`, whose hard
-    /// decisions go to the same bytes of the hard plane; the edge lanes
-    /// are the words at bytes `at(p)` for `p` in `pos`.
+    /// same. The channel lanes are the word at byte `ch_at`; the edge
+    /// lanes are the words at bytes `at(p)` for `p` in `pos`. Returns
+    /// the hard decisions: `0xFF` in each lane that decides 1.
     ///
     /// The sum runs in biased u16 lanes (bias `B = ch_max +
     /// max_bn_degree · msg_max`). Lane values stay in `[0, 2·bias]`
@@ -277,7 +303,7 @@ impl Planes {
         bias: u16,
         msg_max: i16,
         cache: &mut EdgeCache,
-    ) {
+    ) -> u64 {
         let b16 = splat16(bias);
         let m16 = splat16(msg_max as u16);
         let (cp, cn) = split_signed(word(&self.ch, ch_at));
@@ -310,7 +336,7 @@ impl Planes {
         // Hard decision: posterior < 0 iff the biased total < bias.
         let he = ltu15_mask16(te, b16);
         let ho = ltu15_mask16(to, b16);
-        set_word(&mut self.hard, ch_at, narrow_bytes(he & M16, ho & M16));
+        narrow_bytes(he & M16, ho & M16)
     }
 
     /// Bit-node update of one node-lane bit through the scalar kernels,
@@ -328,11 +354,7 @@ impl Planes {
             let at = p as usize + j;
             self.bc[at] = bn_output(ch, total, level(&self.cb, at), msg_max) as u8;
         }
-        self.hard[b] = if bn_posterior(ch, total, i16::MAX) < 0 {
-            0xFF
-        } else {
-            0
-        };
+        self.hard[b] = u8::from(bn_posterior(ch, total, i16::MAX) < 0);
     }
 }
 
@@ -373,6 +395,13 @@ impl Planes {
 /// [`kernels`](crate::decoder::kernels), so no store ever leaves the
 /// run.
 ///
+/// Hard decisions are one lane-mask byte per bit in both mappings (bit
+/// `f` is frame `f`'s decision), written by the bit-node phases. The
+/// syndrome checks only the frames still decoding: a gather over the
+/// first checks when each of them already fails one there, otherwise
+/// one pass in which every run XORs its hard slice into a check-major
+/// parity row once per edge. Message seeding walks the same runs.
+///
 /// The result is **bit-exact per lane** against [`FixedDecoder`](crate::decoder::FixedDecoder) with the
 /// same [`FixedConfig`] — same messages, same hard decisions, same
 /// iteration counts — which the conformance and golden suites pin.
@@ -407,9 +436,10 @@ pub struct PackedFixedDecoder {
     bias: u16,
     layout: SlotLayout,
     planes: Planes,
-    /// Per-lane unsatisfied-check mask: byte `f` is zero iff frame `f`'s
-    /// syndrome is zero after the last iteration.
-    unsat: u64,
+    /// Lanes failing some check after the last syndrome pass: bit `f` is
+    /// clear iff frame `f`'s syndrome is zero, for the frames that pass
+    /// checked.
+    unsat: u8,
     /// Whether the last iteration ran on the AVX2 mirror.
     ran_simd: bool,
     state: BatchState,
@@ -477,7 +507,6 @@ impl PackedFixedDecoder {
         );
         let layout = SlotLayout::new(graph, lanes);
         let bytes = layout.words() * lanes.frames();
-        let bit_bytes = code.n() * lanes.frames();
         Self {
             quantizer,
             config,
@@ -487,8 +516,9 @@ impl PackedFixedDecoder {
             planes: Planes {
                 bc: vec![0x7F; bytes],
                 cb: vec![0; bytes],
-                ch: vec![0; bit_bytes],
-                hard: vec![0; bit_bytes],
+                ch: vec![0; code.n() * lanes.frames()],
+                hard: vec![0; code.n().next_multiple_of(8)],
+                parity: vec![0; graph.n_checks()],
             },
             unsat: 0,
             ran_simd: false,
@@ -599,24 +629,27 @@ impl PackedFixedDecoder {
     }
 
     /// Seeds every edge's bit→check message with its bit's channel value
-    /// saturated to the message width.
+    /// saturated to the message width, run by run: the run's channel
+    /// slice is clamped once into its first edge's positions and copied
+    /// to each other edge's.
     fn seed_messages(&mut self) {
-        let msg_max = self.config.msg_max();
+        let max = self.config.msg_max() as i8;
         let frames = self.lanes.frames();
-        let step = self.lanes.bits_per_word();
         let Planes { bc, ch, .. } = &mut self.planes;
-        self.layout.for_each_step(step, |pos, bit, j| {
-            let sat = clamp_i8(word(ch, frames * (bit + j)), msg_max as i8);
-            for &p in pos {
-                set_word(bc, frames * (p as usize + j), sat);
+        for run in &self.layout.runs {
+            let len = frames * run.len;
+            let (&first, rest) = self.layout.run_pos[run.pos.clone()]
+                .split_first()
+                .expect("every bit has an edge");
+            let seeded = frames * first as usize..frames * first as usize + len;
+            let channel = &ch[frames * run.bit..][..len];
+            for (m, &c) in bc[seeded.clone()].iter_mut().zip(channel) {
+                *m = (c as i8).clamp(-max, max) as u8;
             }
-        });
-        self.layout.for_each_tail(step, |pos, bit, j| {
-            let sat = saturate(i32::from(ch[bit + j] as i8), msg_max) as u8;
-            for &p in pos {
-                bc[p as usize + j] = sat;
+            for &p in rest {
+                bc.copy_within(seeded.clone(), frames * p as usize);
             }
-        });
+        }
     }
 
     /// Words per slot row.
@@ -680,17 +713,24 @@ impl PackedFixedDecoder {
     }
 
     /// Bit-node phase over the word steps of every run, eight lanes per
-    /// word op (see [`Planes::bn_word`]). With node lanes the runs
+    /// word op (see [`Planes::bn_word`]), storing the hard decisions as
+    /// lane masks: a bit's eight frames pack into its byte, and each of
+    /// eight node-lane bits keeps its own. With node lanes the runs
     /// shorter than a word are left to [`bn_tails`](Self::bn_tails).
     fn bn_words(&mut self) {
-        let frames = self.lanes.frames();
+        let lanes = self.lanes;
+        let frames = lanes.frames();
         let (bias, msg_max) = (self.bias, self.config.msg_max());
         let mut cache = [(0, 0); MAX_BN_DEGREE];
         let planes = &mut self.planes;
         self.layout
-            .for_each_step(self.lanes.bits_per_word(), |pos, bit, j| {
-                let at = |p: u32| frames * (p as usize + j);
-                planes.bn_word(frames * (bit + j), pos, at, bias, msg_max, &mut cache);
+            .for_each_step(lanes.bits_per_word(), |pos, bit, j| {
+                let (b, at) = (bit + j, |p: u32| frames * (p as usize + j));
+                let hard = planes.bn_word(frames * b, pos, at, bias, msg_max, &mut cache);
+                match lanes {
+                    Lanes::Frames => planes.hard[b] = sign_pack8(hard),
+                    Lanes::Nodes => set_word(&mut planes.hard, b, hard & splat8(1)),
+                }
             });
     }
 
@@ -705,37 +745,56 @@ impl PackedFixedDecoder {
             });
     }
 
-    /// Word-parallel syndrome: XOR the hard decisions of each check's
-    /// bits. With frame lanes, lane `f` of `unsat` becomes non-zero iff
-    /// frame `f` leaves some check unsatisfied; with node lanes the one
-    /// frame's verdict is known at its first unsatisfied check.
-    fn syndrome_pass(&mut self) {
+    /// Syndrome of the frames in `live` (bit `f` for frame `f`): leaves
+    /// in `unsat` a lane mask in which every live frame's bit is set iff
+    /// that frame fails some check. The [`settle`](Self::settle) gather
+    /// decides it when every live frame already fails one of the first
+    /// checks, as a word still decoding and an unconverged node-lane
+    /// frame do; otherwise the [`parity_pass`](Self::parity_pass) checks
+    /// every check.
+    fn syndrome_pass(&mut self, live: u8) {
+        self.unsat = match self.settle(live) {
+            Some(failing) => failing,
+            None => self.parity_pass(),
+        };
+    }
+
+    /// The lanes failing one of the first [`SETTLE_CHECKS`] checks, each
+    /// check's parity gathered from its bits' lane masks — if that is
+    /// every lane of `live`, or if those are all the checks.
+    fn settle(&self, live: u8) -> Option<u8> {
         let graph = self.code.graph();
         let hard = &self.planes.hard;
-        let mut unsat = 0u64;
-        match self.lanes {
-            Lanes::Frames => {
-                let (masks, _) = hard.as_chunks::<PACK_LANES>();
-                for m in 0..graph.n_checks() {
-                    let mut parity = 0u64;
-                    for &bn in graph.cn_bits(m) {
-                        parity ^= u64::from_le_bytes(masks[bn as usize]);
-                    }
-                    unsat |= parity;
-                }
-            }
-            Lanes::Nodes => {
-                let unsatisfied = (0..graph.n_checks()).any(|m| {
-                    graph
-                        .cn_bits(m)
-                        .iter()
-                        .fold(0, |p, &bn| p ^ hard[bn as usize])
-                        != 0
-                });
-                unsat = if unsatisfied { 0xFF } else { 0 };
+        let checks = graph.n_checks().min(SETTLE_CHECKS);
+        let mut failing = 0;
+        for m in 0..checks {
+            failing |= graph
+                .cn_bits(m)
+                .iter()
+                .fold(0, |p, &b| p ^ hard[b as usize]);
+            if failing & live == live {
+                return Some(failing);
             }
         }
-        self.unsat = unsat;
+        (checks == graph.n_checks()).then_some(failing)
+    }
+
+    /// The lanes failing some check. Each run XORs its slice of the hard
+    /// plane into the check-major parity row once per edge: the `k`-th
+    /// edges of a run's consecutive bits are consecutive checks of slot
+    /// row `k`, so the run's bits land on a slice of the row.
+    fn parity_pass(&mut self) -> u8 {
+        let Planes { hard, parity, .. } = &mut self.planes;
+        parity.fill(0);
+        for run in &self.layout.runs {
+            let bits = &hard[run.bit..run.bit + run.len];
+            for &c in &self.layout.run_col[run.pos.clone()] {
+                for (p, &h) in parity[c as usize..][..run.len].iter_mut().zip(bits) {
+                    *p ^= h;
+                }
+            }
+        }
+        parity.iter().fold(0, |unsat, &p| unsat | p)
     }
 
     /// One check-node + bit-node iteration: the AVX2 mirror when the CPU
@@ -754,41 +813,32 @@ impl PackedFixedDecoder {
 }
 
 impl BatchPhases for PackedFixedDecoder {
-    fn run_phases(&mut self, _iter: u32, _frames: usize, _state: &BatchState) {
+    fn run_phases(&mut self, _iter: u32, _frames: usize, state: &BatchState) {
         // All 8 lanes always advance — a retired lane's results were
         // snapshotted by the driver, so its lanes idling along is free
-        // (that is the whole point of the packing: no masking, ever).
+        // (that is the whole point of the packing: no masking, ever). Only
+        // the syndrome skips them.
         self.phases();
-        self.syndrome_pass();
+        self.syndrome_pass(state.lanes.iter().fold(0, |live, &f| live | 1 << f));
     }
 
-    fn channel_decision(&mut self, _frames: usize) {
+    fn channel_decision(&mut self, frames: usize) {
         let Planes { ch, hard, .. } = &mut self.planes;
-        for (h, &c) in hard.iter_mut().zip(ch.iter()) {
-            *h = if (c as i8) < 0 { 0xFF } else { 0 };
+        for (h, lanes) in hard.iter_mut().zip(ch.chunks_exact(self.lanes.frames())) {
+            *h = lanes.iter().rev().fold(0, |mask, &c| mask << 1 | c >> 7);
         }
-        self.syndrome_pass();
+        self.syndrome_pass(((1u16 << frames) - 1) as u8);
     }
 
     fn hard_decision(&self, f: usize) -> BitVec {
-        let hard = &self.planes.hard;
-        if self.lanes == Lanes::Nodes {
-            return BitVec::from_bits(hard);
-        }
-        // Mask lanes are all-ones or all-zeros, so bit j of lane f of the
-        // j-th mask of a group of 8 is that bit's decision: AND-OR eight
-        // masks into one byte of the output word.
-        let pick: [u64; 8] = std::array::from_fn(|j| 1 << (8 * f + j));
-        let (masks, _) = hard.as_chunks::<PACK_LANES>();
-        let words = masks
-            .chunks(64)
-            .map(|masks| {
-                masks.chunks(8).enumerate().fold(0u64, |word, (g, group)| {
-                    let lane = group
-                        .iter()
-                        .zip(&pick)
-                        .fold(0, |b, (&m, &p)| b | (u64::from_le_bytes(m) & p));
-                    word | (lane >> (8 * f)) << (8 * g)
+        // Bit f of a group of eight lane masks is one byte of the frame's
+        // decisions, and eight groups are one word.
+        let (groups, _) = self.planes.hard.as_chunks::<8>();
+        let words = groups
+            .chunks(8)
+            .map(|word| {
+                word.iter().rev().fold(0, |w, group| {
+                    w << 8 | u64::from(bit_gather8(u64::from_le_bytes(*group), f as u32))
                 })
             })
             .collect();
@@ -796,7 +846,7 @@ impl BatchPhases for PackedFixedDecoder {
     }
 
     fn syndrome_ok_frame(&self, f: usize) -> bool {
-        (self.unsat >> (8 * f)) & 0xFF == 0
+        self.unsat >> f & 1 == 0
     }
 
     fn early_stop(&self) -> bool {
@@ -843,6 +893,7 @@ mod tests {
     use crate::FixedDecoder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::time::{Duration, Instant};
 
     /// A batch of frames spanning the convergence spectrum: clean frames
     /// that converge immediately, noisy ones that take several
@@ -894,16 +945,20 @@ mod tests {
     }
 
     /// Every frame of `ch` decoded by both lane mappings matches the
-    /// scalar reference.
+    /// scalar reference, on the demo code.
     fn assert_matches_scalar(config: FixedConfig, ch: &[i16], iters: u32) {
-        let code = demo_code();
+        assert_matches_scalar_on(&demo_code(), config, ch, iters);
+    }
+
+    /// [`assert_matches_scalar`] on any code.
+    fn assert_matches_scalar_on(code: &Arc<LdpcCode>, config: FixedConfig, ch: &[i16], iters: u32) {
         let n = code.n();
         let mut scalar = FixedDecoder::new(code.clone(), config);
         let want: Vec<DecodeResult> = ch
             .chunks(n)
             .map(|frame| scalar.decode_quantized(frame, iters))
             .collect();
-        for mut packed in both_mappings(&code, config) {
+        for mut packed in both_mappings(code, config) {
             let got = decode_words(&mut packed, ch, iters);
             assert_eq!(got.len(), want.len());
             for (f, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -1034,6 +1089,12 @@ mod tests {
                 for run in &layout.runs {
                     assert_eq!(run.bit, next_bit, "runs must tile the bits in order");
                     next_bit += run.len;
+                    for (&p, &c) in layout.run_pos[run.pos.clone()]
+                        .iter()
+                        .zip(&layout.run_col[run.pos.clone()])
+                    {
+                        assert_eq!(c as usize, p as usize % layout.stride, "slot column");
+                    }
                     for j in 0..run.len {
                         let b = run.bit + j;
                         let pos = &layout.run_pos[run.pos.clone()];
@@ -1092,6 +1153,143 @@ mod tests {
                     let lanes = &dec.planes.bc[frames * p..frames * (p + 1)];
                     assert!(lanes.iter().all(|&b| b == 0x7F), "padding position {p}");
                 }
+            }
+        }
+    }
+
+    /// A code whose `m` checks make a slot row exactly `m` positions wide
+    /// in one mapping (`m` = 8·odd for frame lanes, 64·odd for node
+    /// lanes), with two degree-1 bits in adjacent positions of two rows:
+    /// bit `m + 1` is slot 2 of check `m − 1`, bit `m + 2` slot 3 of
+    /// check 0.
+    fn row_crossing_code(m: usize) -> Arc<LdpcCode> {
+        let mut cols: Vec<Vec<usize>> = (0..m).map(|j| vec![j, (j + 1) % m]).collect();
+        cols.push(vec![0, 5]);
+        cols.push(vec![m - 1]);
+        cols.push(vec![0]);
+        let entries: Vec<(usize, usize)> = cols
+            .iter()
+            .enumerate()
+            .flat_map(|(b, checks)| checks.iter().map(move |&c| (c, b)))
+            .collect();
+        let h = gf2::SparseMatrix::from_entries(m, cols.len(), &entries);
+        LdpcCode::from_parity_check(format!("row crossing, {m} checks"), h).expect("valid code")
+    }
+
+    #[test]
+    fn runs_end_at_slot_row_boundaries() {
+        for (m, crossing) in [(24, Lanes::Frames), (64, Lanes::Nodes)] {
+            let code = row_crossing_code(m);
+            for lanes in [Lanes::Frames, Lanes::Nodes] {
+                let layout = SlotLayout::new(code.graph(), lanes);
+                assert_eq!(
+                    layout.stride == m,
+                    lanes == crossing,
+                    "{m} checks, {lanes:?}"
+                );
+                let mut starts = vec![false; code.n()];
+                for run in &layout.runs {
+                    starts[run.bit] = true;
+                    for &p in &layout.run_pos[run.pos.clone()] {
+                        let row = p as usize / layout.stride;
+                        let last = (p as usize + run.len - 1) / layout.stride;
+                        assert_eq!(row, last, "{m} checks, {lanes:?}: run at bit {}", run.bit);
+                    }
+                }
+                assert!(
+                    starts[m + 2],
+                    "{m} checks, {lanes:?}: bit {} starts a run",
+                    m + 2
+                );
+            }
+            assert_matches_scalar_on(
+                &code,
+                FixedConfig::default(),
+                &mixed_batch(&code, 16, 51),
+                20,
+            );
+        }
+    }
+
+    /// Sets the hard plane to the lane masks of `lanes` (one bit vector
+    /// per frame lane of the decoder's word).
+    fn set_hard_plane(dec: &mut PackedFixedDecoder, lanes: &[Vec<u8>]) {
+        let n = dec.n();
+        for (b, h) in dec.planes.hard[..n].iter_mut().enumerate() {
+            *h = lanes.iter().rev().fold(0, |mask, lane| mask << 1 | lane[b]);
+        }
+    }
+
+    /// Every live lane's syndrome verdict equals `TannerGraph::syndrome_ok`
+    /// on that lane's bits, on every registry code in both mappings: over
+    /// random words (the settle gather decides), words in which lanes are
+    /// codewords, codewords with one bit flipped or all-zero (the full
+    /// pass decides), every partial word and random live-lane subsets.
+    /// Non-live lanes hold random bits that must not matter.
+    #[test]
+    fn syndrome_pass_matches_the_graph() {
+        let mut rng = StdRng::seed_from_u64(50);
+        for spec in crate::CodeSpec::all_codes() {
+            let code = spec.build().expect("registry code builds").code().clone();
+            let (graph, n) = (code.graph(), code.n());
+            let encoder = if Arc::ptr_eq(&code, &crate::codes::ccsds_c2::code()) {
+                crate::codes::ccsds_c2::encoder()
+            } else {
+                Arc::new(crate::Encoder::new(&code).expect("positive dimension"))
+            };
+            let lane = |kind: usize, rng: &mut StdRng| -> Vec<u8> {
+                if kind == 0 {
+                    return (0..n).map(|_| rng.gen_range(0..2)).collect();
+                }
+                let message: Vec<u8> = (0..encoder.dimension())
+                    .map(|_| u8::from(kind != 3 && rng.gen_bool(0.5)))
+                    .collect();
+                let mut bits = encoder.encode_bits(&message).expect("encodes").to_bits();
+                if kind == 2 {
+                    bits[rng.gen_range(0..n)] ^= 1;
+                }
+                bits
+            };
+            for mut dec in both_mappings(&code, FixedConfig::default()) {
+                let frames = dec.block_frames();
+                let full = ((1u16 << frames) - 1) as u8;
+                let (mut settled, mut passes) = (0, 0);
+                for word in 0..16 {
+                    // Word 0 is random; in word 1 only lane 0 is a codeword.
+                    let lanes: Vec<Vec<u8>> = (0..frames)
+                        .map(|f| match word {
+                            0 => lane(0, &mut rng),
+                            1 => lane(usize::from(f == 0), &mut rng),
+                            _ => lane(rng.gen_range(0..4), &mut rng),
+                        })
+                        .collect();
+                    set_hard_plane(&mut dec, &lanes);
+                    let mut masks: Vec<u8> =
+                        (1..=frames).map(|k| ((1u16 << k) - 1) as u8).collect();
+                    masks.extend((0..4).map(|_| rng.gen::<u8>() & full | 1));
+                    for live in masks {
+                        match dec.settle(live) {
+                            Some(_) => settled += 1,
+                            None => passes += 1,
+                        }
+                        dec.syndrome_pass(live);
+                        for (f, bits) in
+                            lanes.iter().enumerate().filter(|(f, _)| live >> f & 1 == 1)
+                        {
+                            assert_eq!(
+                                dec.syndrome_ok_frame(f),
+                                graph.syndrome_ok(bits),
+                                "{spec} / {}: word {word}, live {live:#04x}, lane {f}",
+                                dec.name()
+                            );
+                        }
+                    }
+                }
+                assert!(
+                    settled > 0 && passes > 0,
+                    "{spec} / {}: both paths ran",
+                    dec.name()
+                );
             }
         }
     }
@@ -1160,16 +1358,92 @@ mod tests {
         }
     }
 
+    /// AWGN observations of the all-zero codeword at `ebn0_db`, as channel
+    /// LLRs `2y/σ²` (Box–Muller noise).
+    fn awgn_llrs(n: usize, rate: f64, ebn0_db: f64, frames: usize, seed: u64) -> Vec<f32> {
+        let sigma = (1.0 / (2.0 * rate * 10f64.powf(ebn0_db / 10.0))).sqrt();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..frames * n)
+            .map(|_| {
+                let (u, v): (f64, f64) = (1.0 - rng.gen::<f64>(), rng.gen());
+                let z = (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos();
+                (2.0 * (1.0 + sigma * z) / (sigma * sigma)) as f32
+            })
+            .collect()
+    }
+
+    /// Time spent in each stage of [`traced_decode`]s, and what ran.
+    #[derive(Default)]
+    struct StageSplit {
+        load: Duration,
+        seed: Duration,
+        phases: Duration,
+        settle: Duration,
+        full_pass: Duration,
+        hard: Duration,
+        iterations: u32,
+        full_passes: u32,
+    }
+
+    fn timed<T>(stage: &mut Duration, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        *stage += start.elapsed();
+        out
+    }
+
+    /// Decodes one word the way `drive_batch` does (early stop on),
+    /// adding each stage's time to `split`.
+    fn traced_decode(
+        dec: &mut PackedFixedDecoder,
+        llrs: &[f32],
+        iters: u32,
+        split: &mut StageSplit,
+    ) {
+        let quantizer = dec.quantizer;
+        let frames = timed(&mut split.load, || {
+            dec.load_channel(llrs, |llr| quantizer.quantize(llr))
+        });
+        timed(&mut split.seed, || dec.seed_messages());
+        let mut live = ((1u16 << frames) - 1) as u8;
+        for _ in 0..iters {
+            if live == 0 {
+                break;
+            }
+            timed(&mut split.phases, || dec.phases());
+            split.iterations += 1;
+            dec.unsat = match timed(&mut split.settle, || dec.settle(live)) {
+                Some(failing) => failing,
+                None => {
+                    split.full_passes += 1;
+                    timed(&mut split.full_pass, || dec.parity_pass())
+                }
+            };
+            for f in 0..frames {
+                if live >> f & 1 == 1 && dec.syndrome_ok_frame(f) {
+                    timed(&mut split.hard, || dec.hard_decision(f));
+                    live &= !(1 << f);
+                }
+            }
+        }
+        for f in (0..frames).filter(|f| live >> f & 1 == 1) {
+            timed(&mut split.hard, || dec.hard_decision(f));
+        }
+    }
+
+    /// Prints the per-iteration phases of both paths on a mixed C2 word,
+    /// then every stage of a decode per word at the benchmark's operating
+    /// points: 3.8 dB in frame lanes, 3.3 and 3.7 dB in node lanes.
     #[test]
     #[ignore = "manual profiling aid: run with --release --nocapture"]
     fn profile_phase_split() {
-        let code = crate::codes::ccsds_c2::code();
+        let handle = crate::CodeSpec::C2.build().expect("C2 builds");
+        let (code, rate) = (handle.code().clone(), handle.rate());
         let n = code.n();
         let ch = mixed_batch(&code, 8, 99);
-        let llrs: Vec<f32> = ch.iter().map(|&c| f32::from(c) * 0.5).collect();
         let reps = 200u32;
         let time = |label: &str, f: &mut dyn FnMut()| {
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             for _ in 0..reps {
                 f();
             }
@@ -1186,10 +1460,9 @@ mod tests {
         for mut dec in both_mappings(&code, FixedConfig::default()) {
             let frames = dec.block_frames();
             // The 8-frame word mixes all three kinds of frame; node lanes
-            // time one frame that never converges, then the clean one.
+            // time one frame that never converges.
             let word = if frames == 1 { 2 * n..3 * n } else { 0..8 * n };
-            let (ch, llrs, clean) = (&ch[word.clone()], &llrs[word], &ch[..frames * n]);
-            let _ = dec.decode_quantized_batch(ch, 2); // warm buffers
+            let _ = dec.decode_quantized_batch(&ch[word], 2); // warm buffers
             let mut tails = 0;
             dec.layout
                 .for_each_tail(dec.lanes.bits_per_word(), |_, _, _| tails += 1);
@@ -1199,12 +1472,6 @@ mod tests {
                 dec.layout.stride,
                 dec.layout.slots,
             );
-            time("word fixed cost (0 it)", &mut || {
-                let _ = dec.decode_batch(llrs, 0);
-            });
-            time("full decode (18 it)   ", &mut || {
-                let _ = dec.decode_quantized_batch(ch, 18);
-            });
             time("phases, selected path ", &mut || dec.phases());
             if PackedFixedDecoder::simd_active() {
                 time("cn (avx2)             ", &mut || {
@@ -1217,18 +1484,51 @@ mod tests {
             time("cn (swar)             ", &mut || dec.cn_phase());
             time("bn words (swar)       ", &mut || dec.bn_words());
             time("bn tails (kernels)    ", &mut || dec.bn_tails());
-            let _ = dec.decode_quantized_batch(clean, 18);
-            time("syndrome, full pass   ", &mut || dec.syndrome_pass());
-            time("load                  ", &mut || {
-                let quantizer = dec.quantizer;
-                dec.load_channel(llrs, |llr| quantizer.quantize(llr));
-            });
-            time("seed                  ", &mut || dec.seed_messages());
-            time("hard decisions        ", &mut || {
-                for f in 0..frames {
-                    let _ = dec.hard_decision(f);
-                }
-            });
+        }
+        for (lanes, ebn0) in [
+            (Lanes::Frames, 3.8),
+            (Lanes::Nodes, 3.3),
+            (Lanes::Nodes, 3.7),
+        ] {
+            let mut dec =
+                PackedFixedDecoder::with_lanes(code.clone(), FixedConfig::default(), lanes);
+            let per_word = dec.block_frames() * n;
+            let llrs = awgn_llrs(n, rate, ebn0, 1024, 7);
+            let mut split = StageSplit::default();
+            for word in llrs.chunks(per_word) {
+                traced_decode(&mut dec, word, 18, &mut split);
+            }
+            let start = Instant::now();
+            for word in llrs.chunks(per_word) {
+                let _ = dec.decode_batch(word, 18);
+            }
+            let untraced = start.elapsed();
+            let words = (llrs.len() / per_word) as u32;
+            let us = |d: Duration| d.as_secs_f64() * 1e6 / f64::from(words);
+            println!(
+                "C2 at {ebn0} dB, {} frame(s)/word, {words} words: {:.2} iterations and {:.2} full parity passes a word",
+                dec.block_frames(),
+                f64::from(split.iterations) / f64::from(words),
+                f64::from(split.full_passes) / f64::from(words),
+            );
+            let traced = split.load
+                + split.seed
+                + split.phases
+                + split.settle
+                + split.full_pass
+                + split.hard;
+            for (label, d) in [
+                ("load (quantize)       ", split.load),
+                ("message seeding       ", split.seed),
+                ("phases                ", split.phases),
+                ("syndrome settle gather", split.settle),
+                ("syndrome parity pass  ", split.full_pass),
+                ("hard decisions        ", split.hard),
+                ("traced decode, total  ", traced),
+                ("untraced decode_batch ", untraced),
+            ] {
+                println!("  {label}: {:.1} us/word", us(d));
+            }
         }
     }
 

@@ -10,7 +10,9 @@
 //! adjacent bits of a run own adjacent positions in every row, so one
 //! 128-bit load sign-extends (`vpmovsxbw`) sixteen bytes — two bits of
 //! eight frames, or sixteen bits of one frame — into sixteen i16 lanes,
-//! and `vpacksswb` + `vpermq` narrow them back for one 128-bit store.
+//! and `vpacksswb` + `vpermq` narrow them back for one 128-bit store; the
+//! hard decisions leave as lane masks, `vpmovmskb` packing each bit's
+//! eight frames into one byte.
 //! Selected at runtime via `is_x86_feature_detected!`: a CPU without
 //! AVX2, or a target other than x86-64, runs the portable kernels.
 //!
@@ -192,8 +194,9 @@ mod x86 {
         /// lanes: `|ch + Σ messages| ≤ 127 + 64·127` fits i16, so no bias
         /// is needed. Each edge's contribution is cached widened, the
         /// exclude-self output is one `vpsubw`, clamped to the message
-        /// range, and the hard decision is the sign of the total. With
-        /// node lanes the runs shorter than a word are the caller's.
+        /// range, and the hard decision is the sign of the total, stored
+        /// as each bit's lane mask. With node lanes the runs shorter than
+        /// a word are the caller's.
         #[target_feature(enable = "avx2")]
         pub(in crate::decoder::packed) fn bn_words_avx2(&mut self) {
             match self.lanes {
@@ -209,12 +212,11 @@ mod x86 {
             assert_eq!(F, self.lanes.frames(), "lane mapping mismatch");
             let step = PACK_LANES / F;
             let bytes = F * self.layout.words();
-            let bit_bytes = F * self.code.n();
             assert!(
                 self.planes.bc.len() == bytes
                     && self.planes.cb.len() == bytes
-                    && self.planes.ch.len() == bit_bytes
-                    && self.planes.hard.len() == bit_bytes,
+                    && self.planes.ch.len() == F * self.code.n()
+                    && self.planes.hard.len() >= self.code.n(),
                 "slot-major message memory out of shape"
             );
             let planes = Pointers::<F> {
@@ -259,8 +261,8 @@ mod x86 {
     }
 
     /// The bit-node words' view of the decoder's byte planes, in which
-    /// position `p` owns the `F` bytes from byte `F·p` (every access is
-    /// unaligned).
+    /// position `p` owns the `F` bytes from byte `F·p`, except in the hard
+    /// plane, where bit `b` owns byte `b` (every access is unaligned).
     struct Pointers<const F: usize> {
         ch: *const u8,
         cb: *const u8,
@@ -279,9 +281,10 @@ mod x86 {
         ///
         /// # Safety
         ///
-        /// `F·b + 8·W` must not exceed the channel and hard planes,
-        /// `F·(p + j) + 8·W` must not exceed the message planes for
-        /// every `p` in `pos`, and `pos.len() <= MAX_BN_DEGREE`.
+        /// `F·b + 8·W` must not exceed the channel plane (so `b + 8·W/F`
+        /// does not exceed the hard plane), `F·(p + j) + 8·W` must not
+        /// exceed the message planes for every `p` in `pos`, and
+        /// `pos.len() <= MAX_BN_DEGREE`.
         #[inline]
         #[target_feature(enable = "avx2")]
         unsafe fn update<const W: usize>(
@@ -311,10 +314,20 @@ mod x86 {
                 // SAFETY: F·(p + j) + 8·W is within bc (caller).
                 unsafe { store_words::<W>(bc.add(F * p as usize), narrow(clamped)) };
             }
-            // Hard decision: posterior < 0.
-            let hard = _mm256_cmpgt_epi16(_mm256_setzero_si256(), t);
-            // SAFETY: F·b + 8·W is within the hard plane (caller).
-            unsafe { store_words::<W>(self.hard.add(F * b), narrow(hard)) };
+            // Hard decision: posterior < 0. With frame lanes each of the W
+            // bits packs its eight frames into one lane-mask byte; with node
+            // lanes each of the 8·W bits keeps its own byte, bit 0.
+            let hard = narrow(_mm256_cmpgt_epi16(_mm256_setzero_si256(), t));
+            if F == PACK_LANES {
+                let masks = (_mm_movemask_epi8(hard) as u16).to_le_bytes();
+                // SAFETY: b + W is within the hard plane (caller), and
+                // W <= 2 bytes are read from `masks`.
+                unsafe { std::ptr::copy_nonoverlapping(masks.as_ptr(), self.hard.add(b), W) };
+            } else {
+                let bits = _mm_and_si128(hard, _mm_set1_epi8(1));
+                // SAFETY: b + 8·W is within the hard plane (caller).
+                unsafe { store_words::<W>(self.hard.add(b), bits) };
+            }
         }
     }
 

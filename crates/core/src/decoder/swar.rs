@@ -16,8 +16,9 @@
 //! byte `f` (`u64::to_le_bytes`). Two primitive tiers:
 //!
 //! * **General** primitives ([`add_wrap8`], [`abs_i8`], [`ltu_mask`],
-//!   [`clamp_i8`], [`sign_mask8`], …) are defined for arbitrary `i8`
-//!   lane patterns — the proptested public contract.
+//!   [`clamp_i8`], [`sign_mask8`], [`sign_pack8`], [`bit_gather8`], …)
+//!   are defined for arbitrary `i8` lane patterns — the proptested public
+//!   contract.
 //! * **Bounded** fast paths ([`ltu7_mask`], [`eq7_mask`],
 //!   [`scale_mag8`], the `u16` helpers) document a lane-domain
 //!   precondition (values already saturated below the `0x80` carry
@@ -62,6 +63,30 @@ pub fn add_wrap8(a: u64, b: u64) -> u64 {
 #[inline(always)]
 pub fn sign_mask8(a: u64) -> u64 {
     ((a & H8) >> 7).wrapping_mul(0xFF)
+}
+
+/// Bit `b` of every byte lane, gathered into one byte: bit `f` of the
+/// result is bit `b` of lane `f`. Over eight lane-mask bytes (bit `b` =
+/// frame `b`) it picks frame `b`'s decisions on eight bits.
+///
+/// # Panics
+///
+/// Panics in debug builds if `b > 7`.
+#[inline(always)]
+pub fn bit_gather8(a: u64, b: u32) -> u8 {
+    debug_assert!(b < 8, "bit {b} is not inside a byte lane");
+    // (a >> b) & L8 holds lane f's bit at bit 8f. The multiplier's ones
+    // sit at bits 56 − 7j (j = 0..8), so bit 8f lands on 56 + f at
+    // j = f; the 64 partial products are distinct bits (no carries), and
+    // every other one falls below bit 56 or past bit 63.
+    (((a >> b) & L8).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+}
+
+/// The sign bits of the 8 byte lanes packed into one byte: bit `f` is
+/// set where lane `f` is negative (the portable `vpmovmskb`).
+#[inline(always)]
+pub fn sign_pack8(a: u64) -> u8 {
+    bit_gather8(a, 7)
 }
 
 /// Lane-wise select: lane `f` of the result is `a[f]` where `mask`'s
@@ -294,6 +319,21 @@ mod tests {
     }
 
     #[test]
+    fn sign_pack_and_bit_gather_match_scalar_lanes() {
+        for a in corpus() {
+            let w = pack_lanes(a);
+            let signs = sign_pack8(w);
+            for (f, &x) in a.iter().enumerate() {
+                assert_eq!(signs >> f & 1 == 1, x < 0, "sign lane {f}");
+                for b in 0..8 {
+                    let got = bit_gather8(w, b) >> f & 1;
+                    assert_eq!(got, (x as u8) >> b & 1, "bit {b} of lane {f}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn clamp_matches_scalar_lanes() {
         for a in corpus() {
             for max in [0i8, 1, 15, 31, 63, 127] {
@@ -359,15 +399,16 @@ mod tests {
         let a = pack_lanes([1, -1, 2, -2, 0, 5, -5, 127]);
         let b = pack_lanes([1, 1, -2, -2, -3, 5, 5, -127]);
         // The check node's sign product: the sign bits of the XOR.
+        let lane = |w: u64, f: usize| (w >> (8 * f)) as i8;
         let sp = unpack_lanes(sign_mask8(a ^ b));
         for (f, &s) in sp.iter().enumerate() {
-            let want = (gf2::lanes::lane(a, f) < 0) != (gf2::lanes::lane(b, f) < 0);
+            let want = (lane(a, f) < 0) != (lane(b, f) < 0);
             assert_eq!(s, if want { -1 } else { 0 }, "lane {f}");
         }
         let mags = pack_lanes([3, 3, 3, 3, 3, 3, 3, 3]);
         let signed = unpack_lanes(apply_sign8(mags, sign_mask8(a ^ b)));
         for (f, &v) in signed.iter().enumerate() {
-            let want = (gf2::lanes::lane(a, f) < 0) != (gf2::lanes::lane(b, f) < 0);
+            let want = (lane(a, f) < 0) != (lane(b, f) < 0);
             assert_eq!(v, if want { -3 } else { 3 }, "lane {f}");
         }
     }

@@ -14,8 +14,9 @@
 use gf2::lanes::{pack_lanes, unpack_lanes};
 use ldpc_core::decoder::kernels::Scaling;
 use ldpc_core::decoder::swar::{
-    abs_i8, add_wrap8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, ltu_mask, min_u16,
-    narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
+    abs_i8, add_wrap8, apply_sign8, bit_gather8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask,
+    ltu_mask, min_u16, narrow_bytes, scale_mag8, select8, sign_mask8, sign_pack8, splat8,
+    widen_even, widen_odd,
 };
 use proptest::prelude::*;
 
@@ -154,6 +155,25 @@ proptest! {
             prop_assert_eq!(sp_lanes[f], if neg { -1 } else { 0 }, "sign lane {}", f);
             let want = if neg { -mags[f] } else { mags[f] };
             prop_assert_eq!(signed[f], want, "apply lane {}", f);
+        }
+    }
+
+    /// Sign-bit pack: bit `f` of the byte is lane `f`'s sign.
+    #[test]
+    fn sign_pack_matches_scalar(a in word()) {
+        let got = sign_pack8(pack_lanes(a));
+        for (f, &x) in a.iter().enumerate() {
+            prop_assert_eq!(got >> f & 1 == 1, x < 0, "lane {}", f);
+        }
+    }
+
+    /// Bit gather: bit `f` of the byte is bit `b` of lane `f`, for every
+    /// bit position of arbitrary lane patterns.
+    #[test]
+    fn bit_gather_matches_scalar(a in word(), b in 0u32..8) {
+        let got = bit_gather8(pack_lanes(a), b);
+        for (f, &x) in a.iter().enumerate() {
+            prop_assert_eq!(got >> f & 1, (x as u8) >> b & 1, "lane {} bit {}", f, b);
         }
     }
 

@@ -15,9 +15,8 @@
 //!   the ones in its first row, as used by quasi-cyclic LDPC codes.
 //! * [`BitSlices`] — the frame-major ⇄ word-sliced (bit-plane) transpose
 //!   used by bit-sliced decoding: 64 frames per `u64` lane word.
-//! * [`ByteSlices`] — the same transpose at byte granularity: 8 frames of
-//!   `i8` values per `u64` word, in the lane order of the packed soft
-//!   datapath's frame-lane words.
+//! * [`lanes`] — byte-lane words: 8 `i8` lanes per `u64`, in the lane
+//!   order of the packed soft datapath's SWAR kernels.
 //!
 //! # Example
 //!
@@ -46,7 +45,7 @@ mod sparse;
 pub use bitvec::BitVec;
 pub use circulant::Circulant;
 pub use dense::{DenseMatrix, Rref};
-pub use lanes::{ByteSlices, BYTE_LANES};
+pub use lanes::BYTE_LANES;
 pub use slices::{BitSlices, WORD_LANES};
 pub use sparse::SparseMatrix;
 
