@@ -87,9 +87,10 @@ COMMANDS:
                             decode-as-a-service: newline-delimited TCP
                             protocol (see docs/scenarios.md recipe 12)
                             coalescing concurrent clients' frames into
-                            full @pack/@batch/@bitslice words; a frame
-                            waits at most --max-wait-us (default 500)
-                            for word-mates. Drains gracefully on ctrl-c
+                            full @batch/@bitslice words (every fixed
+                            spec's word is one frame); a frame waits at
+                            most --max-wait-us (default 500) for
+                            word-mates. Drains gracefully on ctrl-c
                             / SIGTERM / a SHUTDOWN request. Default
                             127.0.0.1:7878
   plan --mbps X [--iters N] [--clock MHZ]
@@ -112,10 +113,11 @@ DECODER SPECS (simulate --decoder / sweep --decoders):
   family[:param][@modifier...] — families: {families}
   examples: spa | nms:1.25 | oms:0.15 | fixed | layered:1.25
             gallager-b:t=2 | nms:1.25@batch=8 | gallager-b@bitslice
-  modifiers: @batch=N (lockstep frame batching: ms, nms, oms, fixed)
+  modifiers: @batch=N (lockstep frame batching: ms, nms, oms; on
+             fixed an alias of plain fixed)
              @bitslice (64 frames per u64 word: gallager-b)
-             @pack=8 (the paper's 8 frames per memory word, as SWAR
-             i8 lanes: fixed)
+             @pack=8 (an alias of plain fixed, whose SWAR i8 lanes
+             hold 8 adjacent nodes of one frame: fixed)
 
 The full grammar and copy-pasteable recipes live in docs/scenarios.md.
 ",

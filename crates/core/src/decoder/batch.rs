@@ -1,17 +1,15 @@
-//! Frame batching: `F` frames decoded in lockstep, and the iteration
-//! driver every batched decoder shares.
+//! Frame batching: `F` frames of the float min-sum variants decoded in
+//! lockstep.
 //!
 //! The paper's high-speed architecture gets its throughput from packing
 //! several frames into each message-memory word (Table 3 packs 8 frames
 //! per 42-bit word), so that one memory access feeds one datapath step of
-//! every in-flight frame. [`drive_batch`] is the frame-level half of that
-//! idea: it runs a decoder's lockstep phases and retires each frame the
-//! moment its syndrome is zero, as the hardware retires a finished frame
-//! from its share of the packed word. Two decoders plug into it: the
-//! fixed-point datapath's [`PackedFixedDecoder`](crate::PackedFixedDecoder)
-//! (8 frames' i8 messages per `u64`) and, for the float min-sum
-//! variants, [`BatchMinSumDecoder`], whose edge messages live in a single
-//! frame-major array laid out
+//! every in-flight frame. [`BatchMinSumDecoder`] is the software mirror
+//! for the float min-sum variants: its iteration driver runs the batch's
+//! lockstep phases and retires each frame the moment its syndrome is
+//! zero, as the hardware retires a finished frame from its share of the
+//! packed word, and its edge messages live in a single frame-major array
+//! laid out
 //!
 //! ```text
 //!            edge 0                edge 1                edge 2
@@ -36,15 +34,15 @@ use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
 
-/// Per-batch bookkeeping shared by the batched decoders: which frames are
-/// still active. Each decoder owns one and the driver re-arms it per
-/// batch, so its buffers are reused from batch to batch.
+/// Per-batch bookkeeping of the batched decoder: which frames are still
+/// active. The decoder owns one and the driver re-arms it per batch, so
+/// its buffers are reused from batch to batch.
 #[derive(Default)]
-pub(super) struct BatchState {
+struct BatchState {
     active: Vec<bool>,
     /// Indices of the still-active lanes, so masked phases do work
     /// proportional to the number of unfinished frames.
-    pub(super) lanes: Vec<u32>,
+    lanes: Vec<u32>,
 }
 
 impl BatchState {
@@ -67,86 +65,6 @@ impl BatchState {
             self.lanes.retain(|&l| l as usize != f);
         }
     }
-}
-
-/// The decoder-specific hooks the shared batch iteration driver needs:
-/// run one iteration's phases, expose per-frame hard decisions, and say
-/// whether early termination is on.
-pub(super) trait BatchPhases {
-    /// Runs one check-node + bit-node iteration over the active lanes.
-    fn run_phases(&mut self, iter: u32, frames: usize, state: &BatchState);
-
-    /// Sets every frame's hard decision to its channel sign, after the
-    /// decoder's own quantization, and its syndrome to match: the
-    /// iteration-0 state a zero budget reports.
-    fn channel_decision(&mut self, frames: usize);
-
-    /// Hard decision of frame `f` after the last iteration, built only
-    /// when the frame's result is taken.
-    fn hard_decision(&self, f: usize) -> BitVec;
-
-    /// Whether the hard decision of frame `f` satisfies every check.
-    fn syndrome_ok_frame(&self, f: usize) -> bool;
-
-    /// Whether converged frames retire from the batch.
-    fn early_stop(&self) -> bool;
-
-    /// The decoder's batch bookkeeping, lent to the driver per batch.
-    fn batch_state(&mut self) -> &mut BatchState;
-}
-
-/// Iteration / early-termination / result-snapshot state machine shared
-/// by the batched decoders: runs phases until every frame converged (or
-/// the budget is spent), retiring each frame the moment its syndrome
-/// becomes zero — exactly the per-frame decoders' semantics, frame by
-/// frame.
-pub(super) fn drive_batch<E: BatchPhases>(
-    engine: &mut E,
-    frames: usize,
-    max_iterations: u32,
-) -> Vec<DecodeResult> {
-    // Borrow the engine's state for the batch (the phases read it while
-    // the engine is borrowed mutably) and hand it back at the end.
-    let mut state = std::mem::take(engine.batch_state());
-    state.reset(frames);
-    let unfinished = DecodeResult {
-        hard_decision: BitVec::default(),
-        iterations: 0,
-        converged: false,
-    };
-    let mut results = vec![unfinished; frames];
-    if max_iterations == 0 {
-        engine.channel_decision(frames);
-        for (f, result) in results.iter_mut().enumerate() {
-            result.converged = engine.syndrome_ok_frame(f);
-        }
-    }
-    for iter in 0..max_iterations {
-        if state.n_active() == 0 {
-            break;
-        }
-        engine.run_phases(iter, frames, &state);
-        for (f, result) in results.iter_mut().enumerate() {
-            if !state.active[f] {
-                continue;
-            }
-            result.iterations += 1;
-            result.converged = engine.syndrome_ok_frame(f);
-            if result.converged && engine.early_stop() {
-                result.hard_decision = engine.hard_decision(f);
-                state.retire(f);
-            }
-        }
-    }
-    // Frames that never retired take their decision from the last
-    // iteration.
-    for (f, result) in results.iter_mut().enumerate() {
-        if state.active[f] {
-            result.hard_decision = engine.hard_decision(f);
-        }
-    }
-    *engine.batch_state() = state;
-    results
 }
 
 /// Frame-batched floating-point min-sum decoder, bit-exact against
@@ -360,9 +278,57 @@ impl BatchMinSumDecoder {
         let n = self.code.n();
         &self.hard[f * n..(f + 1) * n]
     }
-}
 
-impl BatchPhases for BatchMinSumDecoder {
+    /// Iteration / early-termination / result-snapshot state machine:
+    /// runs phases until every frame converged (or the budget is spent),
+    /// retiring each frame the moment its syndrome becomes zero —
+    /// exactly the per-frame decoder's semantics, frame by frame.
+    fn drive_batch(&mut self, frames: usize, max_iterations: u32) -> Vec<DecodeResult> {
+        // Borrow the batch state (the phases read it while the decoder is
+        // borrowed mutably) and hand it back at the end.
+        let mut state = std::mem::take(&mut self.state);
+        state.reset(frames);
+        let unfinished = DecodeResult {
+            hard_decision: BitVec::default(),
+            iterations: 0,
+            converged: false,
+        };
+        let mut results = vec![unfinished; frames];
+        if max_iterations == 0 {
+            self.channel_decision(frames);
+            for (f, result) in results.iter_mut().enumerate() {
+                result.converged = self.syndrome_ok_frame(f);
+            }
+        }
+        for iter in 0..max_iterations {
+            if state.n_active() == 0 {
+                break;
+            }
+            self.run_phases(iter, frames, &state);
+            for (f, result) in results.iter_mut().enumerate() {
+                if !state.active[f] {
+                    continue;
+                }
+                result.iterations += 1;
+                result.converged = self.syndrome_ok_frame(f);
+                if result.converged && self.config.early_stop {
+                    result.hard_decision = self.hard_decision(f);
+                    state.retire(f);
+                }
+            }
+        }
+        // Frames that never retired take their decision from the last
+        // iteration.
+        for (f, result) in results.iter_mut().enumerate() {
+            if state.active[f] {
+                result.hard_decision = self.hard_decision(f);
+            }
+        }
+        self.state = state;
+        results
+    }
+
+    /// Runs one check-node + bit-node iteration over the active lanes.
     fn run_phases(&mut self, iter: u32, frames: usize, state: &BatchState) {
         // Lockstep fast path for common batch widths; lane-masked
         // fallback for odd widths and once frames start retiring.
@@ -377,6 +343,8 @@ impl BatchPhases for BatchMinSumDecoder {
         }
     }
 
+    /// Sets every frame's hard decision to its channel sign: the
+    /// iteration-0 state a zero budget reports.
     fn channel_decision(&mut self, frames: usize) {
         let n = self.code.n();
         for (f, hard) in self.hard.chunks_exact_mut(n).take(frames).enumerate() {
@@ -386,24 +354,17 @@ impl BatchPhases for BatchMinSumDecoder {
         }
     }
 
+    /// Hard decision of frame `f` after the last iteration, built only
+    /// when the frame's result is taken.
     fn hard_decision(&self, f: usize) -> BitVec {
         BitVec::from_bits(self.hard_frame(f))
     }
 
+    /// Whether the hard decision of frame `f` satisfies every check.
     fn syndrome_ok_frame(&self, f: usize) -> bool {
         self.code.graph().syndrome_ok(self.hard_frame(f))
     }
 
-    fn early_stop(&self) -> bool {
-        self.config.early_stop
-    }
-
-    fn batch_state(&mut self) -> &mut BatchState {
-        &mut self.state
-    }
-}
-
-impl BatchMinSumDecoder {
     /// Decodes between 1 and the capacity frames stored back to back
     /// (frame `f` occupies `llrs[f*n .. (f+1)*n]`) in one lockstep batch.
     ///
@@ -441,7 +402,7 @@ impl BatchMinSumDecoder {
             self.bc[e * frames..e * frames + frames]
                 .copy_from_slice(&self.ch[b * frames..b * frames + frames]);
         }
-        drive_batch(self, frames, max_iterations)
+        self.drive_batch(frames, max_iterations)
     }
 }
 
@@ -524,9 +485,9 @@ mod tests {
             FixedConfig::default().with_early_stop(false),
         ] {
             let llrs = mixed_batch(5, 17);
-            let mut batched = PackedFixedDecoder::new(code.clone(), cfg);
+            let mut packed = PackedFixedDecoder::new(code.clone(), cfg);
             let mut single = FixedDecoder::new(code.clone(), cfg);
-            let got = batched.decode_batch(&llrs, 20);
+            let got = packed.decode_block(&llrs, 20);
             let want = single.decode_block(&llrs, 20);
             assert_eq!(got, want);
         }
@@ -540,12 +501,11 @@ mod tests {
         let channel: Vec<i16> = (0..frames * code.n())
             .map(|_| rng.gen_range(-15i16..=15))
             .collect();
-        let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+        let mut packed = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
-        let got = batched.decode_quantized_batch(&channel, 15);
-        for (f, got_f) in got.iter().enumerate() {
-            let want = single.decode_quantized(&channel[f * code.n()..(f + 1) * code.n()], 15);
-            assert_eq!(*got_f, want, "frame {f}");
+        for (f, frame) in channel.chunks(code.n()).enumerate() {
+            let want = single.decode_quantized(frame, 15);
+            assert_eq!(packed.decode_quantized(frame, 15), want, "frame {f}");
         }
     }
 
@@ -573,7 +533,7 @@ mod tests {
     fn all_converged_batch_stops_iterating() {
         let code = demo_code();
         let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
-        let out = dec.decode_batch(&vec![4.0_f32; 3 * code.n()], 50);
+        let out = dec.decode_block(&vec![4.0_f32; 3 * code.n()], 50);
         for r in out {
             assert!(r.converged);
             assert_eq!(r.iterations, 1);
@@ -596,8 +556,8 @@ mod tests {
         let code = demo_code();
         let llrs = mixed_batch(4, 7);
         let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
-        let a = dec.decode_batch(&llrs, 12);
-        let b = dec.decode_batch(&llrs, 12);
+        let a = dec.decode_block(&llrs, 12);
+        let b = dec.decode_block(&llrs, 12);
         assert_eq!(a, b);
     }
 

@@ -15,12 +15,13 @@
 //! | [`LayeredMinSumDecoder`] | `f32` | sign·min, serial schedule | ablation (A3) |
 //! | [`QcLayeredDecoder`] | `f32` | sign·min, block-layered over rotate-indexed circulant planes | the banked-memory datapath (Fig. 3) |
 //! | [`BatchMinSumDecoder`] | `f32`, ×F frames | lockstep over interleaved memory | frames-per-word packing (Table 3) |
-//! | [`PackedFixedDecoder`] | SWAR i8 lanes: ×8 frames per word, or 1 frame × 8 adjacent nodes | sign·min on byte lanes, one word op per 8 lanes | the paper's two instances at register width: node lanes (`fixed`), frame lanes (`fixed@pack=8`, `fixed@batch=N`) |
+//! | [`PackedFixedDecoder`] | SWAR i8 lanes: 1 frame × 8 adjacent nodes per word | sign·min on byte lanes, one word op per 8 lanes | the paper's low-cost instance at register width: `fixed` (and its aliases `fixed@pack=8`, `fixed@batch=N`) |
 //! | [`BitsliceGallagerBDecoder`] | boolean planes, ×64 frames | majority vote via carry-save counters | frames-per-word at the hard-decision limit |
 //! | [`PeelingDecoder`] | GF(2) | degree-1 erasure peeling + dense inactivation solve | fountain-code baseline for the packet-loss workload |
 //!
-//! Per-frame families also offer an inherent `decode` of one frame; the
-//! batched ones an inherent `decode_batch` of up to one word. Every
+//! Per-frame families (the packed one included) also offer an inherent
+//! `decode` of one frame; the batched ones an inherent `decode_batch` of
+//! up to one word. Every
 //! family is reachable declaratively too: [`DecoderSpec`] parses a spec
 //! string (`nms:1.25@batch=8`, `gallager-b@bitslice`, …) and builds the
 //! decoder as a `Box<dyn BlockDecoder>` — the registry the simulator,

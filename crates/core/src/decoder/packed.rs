@@ -1,15 +1,13 @@
-//! SWAR-packed fixed-point decoder: eight byte lanes per `u64` word, one
-//! word op per edge visit, in either of the paper's two instances of its
-//! datapath — eight frames per word (high speed, Table 3) or one frame
-//! whose adjacent nodes share a word (low cost). Bit-exact lane by lane
-//! against [`FixedDecoder`](crate::decoder::FixedDecoder).
+//! SWAR-packed fixed-point decoder: one frame across the eight byte
+//! lanes of each `u64` word, so one word op updates eight adjacent checks
+//! or bits — the paper's low-cost instance of its datapath at register
+//! width. Bit-exact against [`FixedDecoder`](crate::decoder::FixedDecoder).
 
-use crate::decoder::batch::{drive_batch, BatchPhases, BatchState};
 use crate::decoder::block::runs;
 use crate::decoder::kernels::{bn_output, bn_posterior};
 use crate::decoder::swar::{
     self, abs_i8, apply_sign8, bit_gather8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16,
-    narrow_bytes, scale_mag8, select8, sign_mask8, sign_pack8, splat8, widen_even, widen_odd,
+    narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
 };
 use crate::decoder::{BlockDecoder, DecodeResult, FixedConfig};
 use crate::{LdpcCode, LlrQuantizer, TannerGraph};
@@ -19,7 +17,8 @@ use std::sync::Arc;
 
 mod avx2;
 
-/// Lanes (frames) packed into each message word.
+/// Byte lanes per packed word: the adjacent checks or bits one word op
+/// updates.
 pub const PACK_LANES: usize = swar::LANES;
 
 /// Low byte of every u16 lane.
@@ -32,7 +31,7 @@ const MAX_BN_DEGREE: usize = 64;
 const LINE_BYTES: usize = 64;
 
 /// Checks the syndrome's settle gather tries before it gives way to the
-/// full run-wise pass (see [`PackedFixedDecoder::syndrome_pass`]).
+/// full run-wise pass (see [`PackedFixedDecoder::syndrome_fails`]).
 const SETTLE_CHECKS: usize = 32;
 
 /// A word with `x` in all four u16 lanes.
@@ -63,45 +62,26 @@ fn set_word(plane: &mut [u8], at: usize, w: u64) {
     plane[at..at + 8].copy_from_slice(&w.to_le_bytes());
 }
 
-/// Positions per slot row for a code with `checks` check nodes, when
-/// `per_line` positions fill a cache line: `checks` rounded up to whole
-/// lines, plus one line more when that is an even number of lines. An
-/// odd line count keeps the slot rows from landing a multiple of the L1
-/// way size apart, where they would alias.
-fn slot_stride(checks: usize, per_line: usize) -> usize {
-    let stride = checks.next_multiple_of(per_line);
-    if (stride / per_line).is_multiple_of(2) {
-        stride + per_line
+/// Quantizes LLRs into signed channel bytes, the portable channel load.
+/// The AVX2 mirror compiles this same loop for its instruction set.
+#[inline(always)]
+fn quantize_into(quantizer: &LlrQuantizer, llrs: &[f32], out: &mut [u8]) {
+    for (c, &llr) in out.iter_mut().zip(llrs) {
+        *c = quantizer.quantize(llr) as u8;
+    }
+}
+
+/// Positions per slot row for a code with `checks` check nodes: `checks`
+/// rounded up to whole cache lines of one-byte positions, plus one line
+/// more when that is an even number of lines. An odd line count keeps
+/// the slot rows from landing a multiple of the L1 way size apart, where
+/// they would alias.
+fn slot_stride(checks: usize) -> usize {
+    let stride = checks.next_multiple_of(LINE_BYTES);
+    if (stride / LINE_BYTES).is_multiple_of(2) {
+        stride + LINE_BYTES
     } else {
         stride
-    }
-}
-
-/// How the eight byte lanes of a word map onto the decoding problem —
-/// the paper's two instances of one datapath, fixed at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lanes {
-    /// High speed: lane `f` is frame `f`, and every message position
-    /// owns a whole word.
-    Frames,
-    /// Low cost: one frame, and every message position owns one byte, so
-    /// a word holds eight adjacent positions.
-    Nodes,
-}
-
-impl Lanes {
-    /// Frames per word, which is also the bytes each position (an edge
-    /// slot or a bit) owns in a plane.
-    fn frames(self) -> usize {
-        match self {
-            Self::Frames => PACK_LANES,
-            Self::Nodes => 1,
-        }
-    }
-
-    /// Adjacent bits one bit-node word covers.
-    fn bits_per_word(self) -> usize {
-        PACK_LANES / self.frames()
     }
 }
 
@@ -138,8 +118,8 @@ struct SlotLayout {
 }
 
 impl SlotLayout {
-    fn new(graph: &TannerGraph, lanes: Lanes) -> Self {
-        let stride = slot_stride(graph.n_checks(), LINE_BYTES / lanes.frames());
+    fn new(graph: &TannerGraph) -> Self {
+        let stride = slot_stride(graph.n_checks());
         let slots = graph.max_cn_degree();
         let words = slots * stride;
         // Position of every edge, in the graph's check-grouped order.
@@ -249,12 +229,9 @@ impl SlotLayout {
     }
 }
 
-/// The decoder's byte planes. In the message and channel planes a
-/// position (an edge slot of the message memory, or a bit) owns
-/// [`Lanes::frames`] bytes: position `p` of frame `f` is byte
-/// `p·frames + f`. The hard and parity planes hold one lane-mask byte
-/// per bit or check in both mappings: bit `f` is frame `f` (node lanes
-/// use bit 0 only), the plane form of `gallager-b@bitslice`.
+/// The decoder's byte planes. Every position — an edge slot of the
+/// message memory, a bit, a check — owns one byte, so a word holds eight
+/// adjacent positions.
 struct Planes {
     /// Bit→check messages, signed bytes in slot-major order; positions
     /// no edge owns hold `0x7F`.
@@ -263,11 +240,11 @@ struct Planes {
     cb: Vec<u8>,
     /// Quantized channel LLRs as signed bytes, one position per bit.
     ch: Vec<u8>,
-    /// Hard decisions, one lane mask per bit: bit `f` set where frame
-    /// `f` decides 1. Zero bytes pad it to whole groups of eight bits.
+    /// Hard decisions, one byte per bit: 1 where the frame decides 1.
+    /// Zero bytes pad it to whole groups of eight bits.
     hard: Vec<u8>,
-    /// The syndrome's check-major parity row, one lane mask per check:
-    /// bit `f` set where frame `f` fails the check.
+    /// The syndrome's check-major parity row, one byte per check: 1
+    /// where the check fails.
     parity: Vec<u8>,
 }
 
@@ -276,11 +253,9 @@ struct Planes {
 type EdgeCache = [(u64, u64); MAX_BN_DEGREE];
 
 impl Planes {
-    /// Bit-node update of one word's eight lanes — eight frames of one
-    /// bit, or eight adjacent bits of one frame; the arithmetic is the
-    /// same. The channel lanes are the word at byte `ch_at`; the edge
-    /// lanes are the words at bytes `at(p)` for `p` in `pos`. Returns
-    /// the hard decisions: `0xFF` in each lane that decides 1.
+    /// Bit-node update of the eight adjacent bits from bit `b` of a run,
+    /// whose edges sit at bytes `p + j ..` for each `p` in `pos`: stores
+    /// their bit→check messages and hard decisions.
     ///
     /// The sum runs in biased u16 lanes (bias `B = ch_max +
     /// max_bn_degree · msg_max`). Lane values stay in `[0, 2·bias]`
@@ -297,22 +272,22 @@ impl Planes {
     #[inline(always)]
     fn bn_word(
         &mut self,
-        ch_at: usize,
+        b: usize,
         pos: &[u32],
-        at: impl Fn(u32) -> usize,
+        j: usize,
         bias: u16,
         msg_max: i16,
         cache: &mut EdgeCache,
-    ) -> u64 {
+    ) {
         let b16 = splat16(bias);
         let m16 = splat16(msg_max as u16);
-        let (cp, cn) = split_signed(word(&self.ch, ch_at));
+        let (cp, cn) = split_signed(word(&self.ch, b));
         let mut te = b16
             .wrapping_add(widen_even(cp))
             .wrapping_sub(widen_even(cn));
         let mut to = b16.wrapping_add(widen_odd(cp)).wrapping_sub(widen_odd(cn));
         for (c, &p) in cache.iter_mut().zip(pos) {
-            let (pm, nm) = split_signed(word(&self.cb, at(p)));
+            let (pm, nm) = split_signed(word(&self.cb, p as usize + j));
             *c = (pm, nm);
             te = te.wrapping_add(widen_even(pm)).wrapping_sub(widen_even(nm));
             to = to.wrapping_add(widen_odd(pm)).wrapping_sub(widen_odd(nm));
@@ -331,18 +306,19 @@ impl Planes {
             let mago = min_u16(mxo.wrapping_sub(uo ^ b16 ^ mxo), m16);
             let sign = narrow_bytes(lte & M16, lto & M16);
             let mag = narrow_bytes(mage, mago);
-            set_word(&mut self.bc, at(p), apply_sign8(mag, sign));
+            set_word(&mut self.bc, p as usize + j, apply_sign8(mag, sign));
         }
         // Hard decision: posterior < 0 iff the biased total < bias.
         let he = ltu15_mask16(te, b16);
         let ho = ltu15_mask16(to, b16);
-        narrow_bytes(he & M16, ho & M16)
+        let hard = narrow_bytes(he & M16, ho & M16) & splat8(1);
+        set_word(&mut self.hard, b, hard);
     }
 
-    /// Bit-node update of one node-lane bit through the scalar kernels,
-    /// for a run shorter than a word, where a whole word would store past
-    /// the run. The channel byte is `b`; the edge bytes are `p + j` for
-    /// `p` in `pos`.
+    /// Bit-node update of one bit through the scalar kernels, for a run
+    /// shorter than a word, where a whole word would store past the run.
+    /// The channel byte is `b`; the edge bytes are `p + j` for `p` in
+    /// `pos`.
     fn bn_bit(&mut self, b: usize, pos: &[u32], j: usize, msg_max: i16) {
         let level = |plane: &[u8], at: usize| i16::from(plane[at] as i8);
         let ch = level(&self.ch, b);
@@ -360,28 +336,21 @@ impl Planes {
 
 /// Packed fixed-point normalized min-sum decoder.
 ///
-/// Every check-node and bit-node update is a handful of SWAR word ops
-/// from [`swar`](crate::decoder::swar) that advance eight signed-byte
-/// lanes at once. What a lane holds is fixed at construction, and the
-/// two choices are the paper's two instances of its generic datapath:
+/// One frame is in flight, and every message position owns one signed
+/// byte, so a `u64` word holds eight adjacent positions: eight adjacent
+/// checks of one slot row in the check-node phase, eight adjacent bits
+/// of one bit run in the bit-node phase. Every update is a handful of
+/// SWAR word ops from [`swar`](crate::decoder::swar) that advance the
+/// eight byte lanes at once. This is the paper's low-cost instance of its
+/// generic datapath; its high-speed instance, eight frames per memory
+/// word, lives on only in the `ldpc-hwsim` model (DESIGN.md §4.4 says
+/// why).
 ///
-/// * **Frame lanes** ([`new`](Self::new); `fixed@pack=8`,
-///   `fixed@batch=N`) — the high-speed instance, eight frames in flight.
-///   Lane `f` of every word is frame `f`, so one word op updates one
-///   edge in eight frames.
-/// * **Node lanes** ([`node_lanes`](Self::node_lanes); plain `fixed`) —
-///   the low-cost instance, one frame in flight. Each message position
-///   owns one byte, so a word holds eight adjacent positions: eight
-///   adjacent checks of one slot row in the check-node phase, eight
-///   adjacent bits of one bit run in the bit-node phase.
-///
-/// Both mappings run the same check-node routine and the same per-word
-/// bit-node routine. Each direction keeps **one** signed byte per edge
-/// and frame (not separate sign and magnitude planes), so an iteration
-/// streams exactly two bytes per edge visit — the check node splits sign
-/// from magnitude on the fly (the sign product is the XOR of the raw
-/// words: sign bits XOR in place) and the bit node re-signs on the way
-/// out.
+/// Each direction keeps **one** signed byte per edge (not separate sign
+/// and magnitude planes), so an iteration streams exactly two bytes per
+/// edge visit — the check node splits sign from magnitude on the fly
+/// (the sign product is the XOR of the raw words: sign bits XOR in
+/// place) and the bit node re-signs on the way out.
 ///
 /// The messages are stored **slot-major**, like the paper's banked
 /// message memory: the `k`-th edge of check `m` lives at position
@@ -389,65 +358,57 @@ impl Planes {
 /// (`M′` ≥ the check count, see DESIGN.md §4.4). A check scan reads the
 /// same column of every row, and the bit nodes of a circulant walk each
 /// row one position per bit. Slots of checks with fewer edges than the
-/// widest check hold neutral `0x7F` lanes. With node lanes, a run that
-/// does not end on a word boundary ends with a word moved back onto its
-/// last bit, and a run shorter than a word takes the per-bit path of
+/// widest check hold neutral `0x7F` lanes. A run that does not end on a
+/// word boundary ends with a word moved back onto its last bit, and a
+/// run shorter than a word takes the per-bit path of
 /// [`kernels`](crate::decoder::kernels), so no store ever leaves the
 /// run.
 ///
-/// Hard decisions are one lane-mask byte per bit in both mappings (bit
-/// `f` is frame `f`'s decision), written by the bit-node phases. The
-/// syndrome checks only the frames still decoding: a gather over the
-/// first checks when each of them already fails one there, otherwise
-/// one pass in which every run XORs its hard slice into a check-major
-/// parity row once per edge. Message seeding walks the same runs.
+/// Hard decisions are one byte per bit, written by the bit-node phases.
+/// The syndrome is a gather over the first checks, which a frame still
+/// decoding usually fails, and otherwise one pass in which every run
+/// XORs its hard slice into a check-major parity row once per edge.
+/// Message seeding walks the same runs.
 ///
-/// The result is **bit-exact per lane** against [`FixedDecoder`](crate::decoder::FixedDecoder) with the
+/// The result is **bit-exact** against [`FixedDecoder`](crate::decoder::FixedDecoder) with the
 /// same [`FixedConfig`] — same messages, same hard decisions, same
 /// iteration counts — which the conformance and golden suites pin.
 ///
-/// On a CPU with AVX2 the same phases run on 256-bit vector
-/// instructions; the results are identical bit for bit.
+/// On a CPU with AVX2 the channel load and the phases run on 256-bit
+/// vector instructions; the results are identical bit for bit.
 ///
 /// # Example
 ///
 /// ```
 /// use ldpc_core::codes::small::demo_code;
-/// use ldpc_core::{FixedConfig, PackedFixedDecoder};
+/// use ldpc_core::{BlockDecoder, FixedConfig, PackedFixedDecoder};
 ///
 /// let code = demo_code();
 /// let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
-/// // Eight noiseless all-zero frames, stored back to back.
-/// let llrs = vec![3.0_f32; 8 * code.n()];
-/// let out = dec.decode_batch(&llrs, 10);
-/// assert!(out.iter().all(|r| r.converged));
+/// // A noiseless all-zero frame.
+/// let out = dec.decode(&vec![3.0_f32; code.n()], 10);
+/// assert!(out.converged && out.hard_decision.is_zero());
 ///
-/// // One frame across the lanes of each word.
-/// let mut one = PackedFixedDecoder::node_lanes(code.clone(), FixedConfig::default());
-/// assert_eq!(one.decode_batch(&llrs[..code.n()], 10), out[..1]);
+/// // Any number of frames through the block front door, one per call.
+/// assert_eq!(dec.block_frames(), 1);
+/// let block = dec.decode_block(&vec![3.0_f32; 3 * code.n()], 10);
+/// assert_eq!(block, vec![out; 3]);
 /// ```
 pub struct PackedFixedDecoder {
     code: Arc<LdpcCode>,
     config: FixedConfig,
     quantizer: LlrQuantizer,
-    lanes: Lanes,
     /// Bit-node bias of the portable path: u16 accumulator lanes hold
     /// `bias + value`.
     bias: u16,
     layout: SlotLayout,
     planes: Planes,
-    /// Lanes failing some check after the last syndrome pass: bit `f` is
-    /// clear iff frame `f`'s syndrome is zero, for the frames that pass
-    /// checked.
-    unsat: u8,
     /// Whether the last iteration ran on the AVX2 mirror.
     ran_simd: bool,
-    state: BatchState,
 }
 
 impl PackedFixedDecoder {
-    /// Creates a frame-lane decoder, eight frames per word, for the
-    /// given code and datapath configuration.
+    /// Creates a decoder for the given code and datapath configuration.
     ///
     /// # Panics
     ///
@@ -459,21 +420,6 @@ impl PackedFixedDecoder {
     /// bit node has degree above 64 (the per-edge contribution caches
     /// are stack-sized).
     pub fn new(code: Arc<LdpcCode>, config: FixedConfig) -> Self {
-        Self::with_lanes(code, config, Lanes::Frames)
-    }
-
-    /// Creates a node-lane decoder: one frame per word, adjacent checks
-    /// and bits in its lanes. It decodes one frame per call, bit-exact
-    /// against [`FixedDecoder`](crate::decoder::FixedDecoder).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`new`](Self::new).
-    pub fn node_lanes(code: Arc<LdpcCode>, config: FixedConfig) -> Self {
-        Self::with_lanes(code, config, Lanes::Nodes)
-    }
-
-    fn with_lanes(code: Arc<LdpcCode>, config: FixedConfig, lanes: Lanes) -> Self {
         assert!(
             config.q_msg <= 8,
             "packed datapath requires q_msg <= 8 (i8 lanes), got {}",
@@ -505,24 +451,21 @@ impl PackedFixedDecoder {
             2 * bias <= 0x7FFF,
             "bit-node bias {bias} overflows the u16 accumulator lanes"
         );
-        let layout = SlotLayout::new(graph, lanes);
-        let bytes = layout.words() * lanes.frames();
+        let layout = SlotLayout::new(graph);
+        let words = layout.words();
         Self {
             quantizer,
             config,
-            lanes,
             bias: bias as u16,
             layout,
             planes: Planes {
-                bc: vec![0x7F; bytes],
-                cb: vec![0; bytes],
-                ch: vec![0; code.n() * lanes.frames()],
+                bc: vec![0x7F; words],
+                cb: vec![0; words],
+                ch: vec![0; code.n()],
                 hard: vec![0; code.n().next_multiple_of(8)],
                 parity: vec![0; graph.n_checks()],
             },
-            unsat: 0,
             ran_simd: false,
-            state: BatchState::default(),
             code,
         }
     }
@@ -546,86 +489,78 @@ impl PackedFixedDecoder {
     }
 
     /// Whether this decoder's last iteration ran on the AVX2 mirror —
-    /// what [`simd_active`](Self::simd_active) promises for every lane
-    /// mapping. `false` before the first iteration.
+    /// what [`simd_active`](Self::simd_active) promises. `false` before
+    /// the first iteration.
     pub fn ran_simd(&self) -> bool {
         self.ran_simd
     }
 
-    /// Decodes a batch of already-quantized frames stored back to back
-    /// (frame `f` occupies `channel[f*n .. (f+1)*n]`), the hardware input
-    /// format. See [`decode_batch`](Self::decode_batch) for the result contract.
+    /// Decodes one frame of already-quantized channel values, the
+    /// hardware input format, bit-identically to
+    /// [`FixedDecoder::decode_quantized`](crate::decoder::FixedDecoder::decode_quantized).
     ///
     /// # Panics
     ///
-    /// Panics if `channel.len()` is not a positive multiple of the code
-    /// length, if the frame count exceeds the frames of one word
-    /// ([`PACK_LANES`] with frame lanes, 1 with node lanes), or if any
-    /// value exceeds the channel quantizer range.
-    pub fn decode_quantized_batch(
-        &mut self,
-        channel: &[i16],
-        max_iterations: u32,
-    ) -> Vec<DecodeResult> {
+    /// Panics if the length differs from the code length, or if any value
+    /// exceeds the channel quantizer range.
+    pub fn decode_quantized(&mut self, channel: &[i16], max_iterations: u32) -> DecodeResult {
+        assert_eq!(channel.len(), self.code.n(), "channel length mismatch");
         let ch_max = self.quantizer.max_level();
         assert!(
             channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
             "channel value outside quantizer range"
         );
-        let frames = self.load_channel(channel, |c| c);
-        self.decode_loaded(frames, max_iterations)
+        for (c, &level) in self.planes.ch.iter_mut().zip(channel) {
+            *c = level as u8;
+        }
+        self.decode_loaded(max_iterations)
     }
 
-    /// Decodes the frames of one word stored back to back (frame `f`
-    /// occupies `llrs[f*n .. (f+1)*n]`): between 1 and [`PACK_LANES`]
-    /// with frame lanes, exactly 1 with node lanes.
-    ///
-    /// Returns one [`DecodeResult`] per frame, in input order, each
-    /// bit-identical to [`FixedDecoder`](crate::decoder::FixedDecoder) on
-    /// that frame alone. [`BlockDecoder::decode_block`] takes any number
-    /// of frames and splits them into words.
+    /// Decodes one frame of channel LLRs, bit-identically to
+    /// [`FixedDecoder::decode`](crate::decoder::FixedDecoder::decode) — the
+    /// per-frame form of [`BlockDecoder::decode_block`].
     ///
     /// # Panics
     ///
-    /// Panics if `llrs.len()` is not a positive multiple of the code
-    /// length, or if the frame count exceeds the frames of one word.
-    pub fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        let quantizer = self.quantizer;
-        let frames = self.load_channel(llrs, |llr| quantizer.quantize(llr));
-        self.decode_loaded(frames, max_iterations)
+    /// Panics if `llrs.len()` differs from the code length.
+    pub fn decode(&mut self, llrs: &[f32], max_iterations: u32) -> DecodeResult {
+        assert_eq!(llrs.len(), self.code.n(), "channel LLR length mismatch");
+        if !avx2::quantize_simd(&self.quantizer, llrs, &mut self.planes.ch) {
+            quantize_into(&self.quantizer, llrs, &mut self.planes.ch);
+        }
+        self.decode_loaded(max_iterations)
     }
 
-    /// Quantizes frame-major inputs straight into the channel plane,
-    /// frame `f`'s level of bit `b` at byte `b·frames + f`, and returns
-    /// the frame count. Unused frame lanes hold channel 0, which keeps
-    /// every lane inside the proven value ranges.
-    fn load_channel<T: Copy>(&mut self, input: &[T], level: impl Fn(T) -> i16) -> usize {
-        let n = self.code.n();
-        assert!(
-            !input.is_empty() && input.len().is_multiple_of(n),
-            "input length must be a positive multiple of the code length"
-        );
-        let frames = input.len() / n;
-        let capacity = self.lanes.frames();
-        assert!(
-            frames <= capacity,
-            "batch of {frames} frames exceeds the {capacity} frame(s) of one word"
-        );
-        if frames < capacity {
-            self.planes.ch.fill(0);
-        }
-        for (f, frame) in input.chunks_exact(n).enumerate() {
-            for (lanes, &x) in self.planes.ch.chunks_exact_mut(capacity).zip(frame) {
-                lanes[f] = level(x) as u8;
+    /// Decodes the frame in the channel plane: seeds the messages, then
+    /// runs check-node and bit-node phases, each followed by the
+    /// syndrome, until the frame converges (with early stopping) or the
+    /// budget is spent. A zero budget reports the channel decision.
+    fn decode_loaded(&mut self, max_iterations: u32) -> DecodeResult {
+        let mut iterations = 0;
+        let converged = if max_iterations == 0 {
+            let Planes { ch, hard, .. } = &mut self.planes;
+            for (h, &c) in hard.iter_mut().zip(ch.iter()) {
+                *h = c >> 7;
             }
+            !self.syndrome_fails()
+        } else {
+            self.seed_messages();
+            loop {
+                self.phases();
+                iterations += 1;
+                if iterations == max_iterations {
+                    break !self.syndrome_fails();
+                }
+                if self.config.early_stop && !self.syndrome_fails() {
+                    break true;
+                }
+            }
+        };
+        DecodeResult {
+            hard_decision: self.hard_decision(),
+            iterations,
+            converged,
         }
-        frames
-    }
-
-    /// Seeds the messages and runs the iterations.
-    fn decode_loaded(&mut self, frames: usize, max_iterations: u32) -> Vec<DecodeResult> {
-        self.seed_messages();
-        drive_batch(self, frames, max_iterations)
     }
 
     /// Seeds every edge's bit→check message with its bit's channel value
@@ -634,37 +569,33 @@ impl PackedFixedDecoder {
     /// to each other edge's.
     fn seed_messages(&mut self) {
         let max = self.config.msg_max() as i8;
-        let frames = self.lanes.frames();
         let Planes { bc, ch, .. } = &mut self.planes;
         for run in &self.layout.runs {
-            let len = frames * run.len;
             let (&first, rest) = self.layout.run_pos[run.pos.clone()]
                 .split_first()
                 .expect("every bit has an edge");
-            let seeded = frames * first as usize..frames * first as usize + len;
-            let channel = &ch[frames * run.bit..][..len];
+            let seeded = first as usize..first as usize + run.len;
+            let channel = &ch[run.bit..run.bit + run.len];
             for (m, &c) in bc[seeded.clone()].iter_mut().zip(channel) {
                 *m = (c as i8).clamp(-max, max) as u8;
             }
             for &p in rest {
-                bc.copy_within(seeded.clone(), frames * p as usize);
+                bc.copy_within(seeded.clone(), p as usize);
             }
         }
     }
 
     /// Words per slot row.
     fn row_words(&self) -> usize {
-        self.layout.stride * self.lanes.frames() / PACK_LANES
+        self.layout.stride / PACK_LANES
     }
 
-    /// Check-node phase, eight lanes per word op, one column of words at
-    /// a time: sign product by XOR of the raw message words (sign bits
-    /// XOR in place; the low bits are masked off at output), two-minimum
-    /// magnitude scan via lane compares — the word form of
+    /// Check-node phase, eight adjacent checks per word op, one column of
+    /// words at a time: sign product by XOR of the raw message words
+    /// (sign bits XOR in place; the low bits are masked off at output),
+    /// two-minimum magnitude scan via lane compares — the word form of
     /// [`cn_scan`](crate::decoder::kernels::cn_scan) +
     /// [`CnState::output`](crate::decoder::kernels::CnState::output).
-    /// A word column is one check in eight frames, or eight adjacent
-    /// checks of one frame; either way it is a row of words.
     ///
     /// The scan seeds `min1 = min2 = 127`, which coincides with the
     /// scalar kernel's `i16::MAX` seed for degrees >= 2 because lane
@@ -712,78 +643,56 @@ impl PackedFixedDecoder {
         }
     }
 
-    /// Bit-node phase over the word steps of every run, eight lanes per
-    /// word op (see [`Planes::bn_word`]), storing the hard decisions as
-    /// lane masks: a bit's eight frames pack into its byte, and each of
-    /// eight node-lane bits keeps its own. With node lanes the runs
-    /// shorter than a word are left to [`bn_tails`](Self::bn_tails).
+    /// Bit-node phase over the word steps of every run, eight adjacent
+    /// bits per word op (see [`Planes::bn_word`]). The runs shorter than
+    /// a word are left to [`bn_tails`](Self::bn_tails).
     fn bn_words(&mut self) {
-        let lanes = self.lanes;
-        let frames = lanes.frames();
         let (bias, msg_max) = (self.bias, self.config.msg_max());
         let mut cache = [(0, 0); MAX_BN_DEGREE];
         let planes = &mut self.planes;
-        self.layout
-            .for_each_step(lanes.bits_per_word(), |pos, bit, j| {
-                let (b, at) = (bit + j, |p: u32| frames * (p as usize + j));
-                let hard = planes.bn_word(frames * b, pos, at, bias, msg_max, &mut cache);
-                match lanes {
-                    Lanes::Frames => planes.hard[b] = sign_pack8(hard),
-                    Lanes::Nodes => set_word(&mut planes.hard, b, hard & splat8(1)),
-                }
-            });
+        self.layout.for_each_step(PACK_LANES, |pos, bit, j| {
+            planes.bn_word(bit + j, pos, j, bias, msg_max, &mut cache);
+        });
     }
 
-    /// Bit-node update of the node-lane runs shorter than a word, one bit
-    /// at a time through the scalar kernels. Frame lanes have none.
+    /// Bit-node update of the runs shorter than a word, one bit at a
+    /// time through the scalar kernels.
     fn bn_tails(&mut self) {
         let msg_max = self.config.msg_max();
         let planes = &mut self.planes;
-        self.layout
-            .for_each_tail(self.lanes.bits_per_word(), |pos, bit, j| {
-                planes.bn_bit(bit + j, pos, j, msg_max);
-            });
+        self.layout.for_each_tail(PACK_LANES, |pos, bit, j| {
+            planes.bn_bit(bit + j, pos, j, msg_max);
+        });
     }
 
-    /// Syndrome of the frames in `live` (bit `f` for frame `f`): leaves
-    /// in `unsat` a lane mask in which every live frame's bit is set iff
-    /// that frame fails some check. The [`settle`](Self::settle) gather
-    /// decides it when every live frame already fails one of the first
-    /// checks, as a word still decoding and an unconverged node-lane
-    /// frame do; otherwise the [`parity_pass`](Self::parity_pass) checks
+    /// Whether the hard decisions fail some check. The
+    /// [`settle`](Self::settle) gather decides it when one of the first
+    /// checks fails, as it usually does while the frame is still
+    /// decoding; otherwise the [`parity_pass`](Self::parity_pass) checks
     /// every check.
-    fn syndrome_pass(&mut self, live: u8) {
-        self.unsat = match self.settle(live) {
-            Some(failing) => failing,
-            None => self.parity_pass(),
-        };
+    fn syndrome_fails(&mut self) -> bool {
+        self.settle() || self.parity_pass()
     }
 
-    /// The lanes failing one of the first [`SETTLE_CHECKS`] checks, each
-    /// check's parity gathered from its bits' lane masks — if that is
-    /// every lane of `live`, or if those are all the checks.
-    fn settle(&self, live: u8) -> Option<u8> {
+    /// Whether one of the first [`SETTLE_CHECKS`] checks fails, each
+    /// check's parity gathered from its bits' hard bytes.
+    fn settle(&self) -> bool {
         let graph = self.code.graph();
         let hard = &self.planes.hard;
-        let checks = graph.n_checks().min(SETTLE_CHECKS);
-        let mut failing = 0;
-        for m in 0..checks {
-            failing |= graph
+        (0..graph.n_checks().min(SETTLE_CHECKS)).any(|m| {
+            let parity = graph
                 .cn_bits(m)
                 .iter()
                 .fold(0, |p, &b| p ^ hard[b as usize]);
-            if failing & live == live {
-                return Some(failing);
-            }
-        }
-        (checks == graph.n_checks()).then_some(failing)
+            parity != 0
+        })
     }
 
-    /// The lanes failing some check. Each run XORs its slice of the hard
+    /// Whether some check fails. Each run XORs its slice of the hard
     /// plane into the check-major parity row once per edge: the `k`-th
     /// edges of a run's consecutive bits are consecutive checks of slot
     /// row `k`, so the run's bits land on a slice of the row.
-    fn parity_pass(&mut self) -> u8 {
+    fn parity_pass(&mut self) -> bool {
         let Planes { hard, parity, .. } = &mut self.planes;
         parity.fill(0);
         for run in &self.layout.runs {
@@ -794,7 +703,23 @@ impl PackedFixedDecoder {
                 }
             }
         }
-        parity.iter().fold(0, |unsat, &p| unsat | p)
+        parity.iter().fold(0, |unsat, &p| unsat | p) != 0
+    }
+
+    /// The hard-decision plane as a bit vector: bit 0 of eight
+    /// consecutive bytes gathers into one output byte, and eight bytes
+    /// make a word.
+    fn hard_decision(&self) -> BitVec {
+        let (groups, _) = self.planes.hard.as_chunks::<8>();
+        let words = groups
+            .chunks(8)
+            .map(|word| {
+                word.iter().rev().fold(0, |w, group| {
+                    w << 8 | u64::from(bit_gather8(u64::from_le_bytes(*group), 0))
+                })
+            })
+            .collect();
+        BitVec::from_words(self.code.n(), words)
     }
 
     /// One check-node + bit-node iteration: the AVX2 mirror when the CPU
@@ -812,61 +737,11 @@ impl PackedFixedDecoder {
     }
 }
 
-impl BatchPhases for PackedFixedDecoder {
-    fn run_phases(&mut self, _iter: u32, _frames: usize, state: &BatchState) {
-        // All 8 lanes always advance — a retired lane's results were
-        // snapshotted by the driver, so its lanes idling along is free
-        // (that is the whole point of the packing: no masking, ever). Only
-        // the syndrome skips them.
-        self.phases();
-        self.syndrome_pass(state.lanes.iter().fold(0, |live, &f| live | 1 << f));
-    }
-
-    fn channel_decision(&mut self, frames: usize) {
-        let Planes { ch, hard, .. } = &mut self.planes;
-        for (h, lanes) in hard.iter_mut().zip(ch.chunks_exact(self.lanes.frames())) {
-            *h = lanes.iter().rev().fold(0, |mask, &c| mask << 1 | c >> 7);
-        }
-        self.syndrome_pass(((1u16 << frames) - 1) as u8);
-    }
-
-    fn hard_decision(&self, f: usize) -> BitVec {
-        // Bit f of a group of eight lane masks is one byte of the frame's
-        // decisions, and eight groups are one word.
-        let (groups, _) = self.planes.hard.as_chunks::<8>();
-        let words = groups
-            .chunks(8)
-            .map(|word| {
-                word.iter().rev().fold(0, |w, group| {
-                    w << 8 | u64::from(bit_gather8(u64::from_le_bytes(*group), f as u32))
-                })
-            })
-            .collect();
-        BitVec::from_words(self.code.n(), words)
-    }
-
-    fn syndrome_ok_frame(&self, f: usize) -> bool {
-        self.unsat >> f & 1 == 0
-    }
-
-    fn early_stop(&self) -> bool {
-        self.config.early_stop
-    }
-
-    fn batch_state(&mut self) -> &mut BatchState {
-        &mut self.state
-    }
-}
-
 impl BlockDecoder for PackedFixedDecoder {
     fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        runs(llrs, self.n(), self.lanes.frames())
-            .flat_map(|run| self.decode_batch(run, max_iterations))
+        runs(llrs, self.n(), 1)
+            .map(|frame| self.decode(frame, max_iterations))
             .collect()
-    }
-
-    fn block_frames(&self) -> usize {
-        self.lanes.frames()
     }
 
     fn n(&self) -> usize {
@@ -874,12 +749,8 @@ impl BlockDecoder for PackedFixedDecoder {
     }
 
     fn name(&self) -> String {
-        let lanes = match self.lanes {
-            Lanes::Frames => "8 frames/word",
-            Lanes::Nodes => "1 frame, 8 nodes/word",
-        };
         format!(
-            "packed fixed-point normalized min-sum ({lanes}, {}b msg)",
+            "packed fixed-point normalized min-sum (1 frame, 8 nodes/word, {}b msg)",
             self.config.q_msg
         )
     }
@@ -895,10 +766,9 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::time::{Duration, Instant};
 
-    /// A batch of frames spanning the convergence spectrum: clean frames
-    /// that converge immediately, noisy ones that take several
-    /// iterations, and garbage that stalls — so lanes retire at
-    /// different iterations.
+    /// Frames spanning the convergence spectrum: clean frames that
+    /// converge immediately, noisy ones that take several iterations, and
+    /// garbage that stalls.
     fn mixed_batch(code: &Arc<LdpcCode>, frames: usize, seed: u64) -> Vec<i16> {
         mixed_levels(code, frames, 15, seed)
     }
@@ -926,49 +796,36 @@ mod tests {
         out
     }
 
-    /// Both lane mappings of one configuration: frame lanes, then node
-    /// lanes.
-    fn both_mappings(code: &Arc<LdpcCode>, config: FixedConfig) -> [PackedFixedDecoder; 2] {
-        [
-            PackedFixedDecoder::new(code.clone(), config),
-            PackedFixedDecoder::node_lanes(code.clone(), config),
-        ]
-    }
-
-    /// Decodes quantized frames a word at a time, however many frames
-    /// the decoder's word holds.
-    fn decode_words(dec: &mut PackedFixedDecoder, ch: &[i16], iters: u32) -> Vec<DecodeResult> {
-        let per_word = dec.block_frames() * dec.n();
-        ch.chunks(per_word)
-            .flat_map(|w| dec.decode_quantized_batch(w, iters))
+    /// Decodes quantized frames one per call.
+    fn decode_frames(dec: &mut PackedFixedDecoder, ch: &[i16], iters: u32) -> Vec<DecodeResult> {
+        ch.chunks(dec.n())
+            .map(|frame| dec.decode_quantized(frame, iters))
             .collect()
     }
 
-    /// Every frame of `ch` decoded by both lane mappings matches the
-    /// scalar reference, on the demo code.
+    /// Loads quantized levels into the channel plane, as
+    /// [`PackedFixedDecoder::decode_quantized`] does.
+    fn load_levels(dec: &mut PackedFixedDecoder, levels: &[i16]) {
+        for (c, &level) in dec.planes.ch.iter_mut().zip(levels) {
+            *c = level as u8;
+        }
+    }
+
+    /// Every frame of `ch` matches the scalar reference, on the demo
+    /// code.
     fn assert_matches_scalar(config: FixedConfig, ch: &[i16], iters: u32) {
         assert_matches_scalar_on(&demo_code(), config, ch, iters);
     }
 
     /// [`assert_matches_scalar`] on any code.
     fn assert_matches_scalar_on(code: &Arc<LdpcCode>, config: FixedConfig, ch: &[i16], iters: u32) {
-        let n = code.n();
         let mut scalar = FixedDecoder::new(code.clone(), config);
-        let want: Vec<DecodeResult> = ch
-            .chunks(n)
-            .map(|frame| scalar.decode_quantized(frame, iters))
-            .collect();
-        for mut packed in both_mappings(code, config) {
-            let got = decode_words(&mut packed, ch, iters);
-            assert_eq!(got.len(), want.len());
-            for (f, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g,
-                    w,
-                    "{}: frame {f} diverged from FixedDecoder",
-                    packed.name()
-                );
-            }
+        let mut packed = PackedFixedDecoder::new(code.clone(), config);
+        let got = decode_frames(&mut packed, ch, iters);
+        assert_eq!(got.len(), ch.len() / code.n());
+        for (f, (g, frame)) in got.iter().zip(ch.chunks(code.n())).enumerate() {
+            let want = scalar.decode_quantized(frame, iters);
+            assert_eq!(g, &want, "frame {f} diverged from FixedDecoder");
         }
     }
 
@@ -1009,7 +866,7 @@ mod tests {
     #[test]
     fn narrow_quantization_matches_scalar() {
         let cfg = FixedConfig::default().with_q_msg(4).with_q_ch(3);
-        // Regenerate the batch within the narrow channel range.
+        // Regenerate the frames within the narrow channel range.
         let mut rng = StdRng::seed_from_u64(44);
         let ch: Vec<i16> = (0..8 * demo_code().n())
             .map(|_| rng.gen_range(-3i16..=3))
@@ -1036,10 +893,60 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(46);
         let llrs: Vec<f32> = (0..8 * n).map(|_| rng.gen_range(-6.0..6.0)).collect();
         let mut scalar = FixedDecoder::new(code.clone(), FixedConfig::default());
-        for mut packed in both_mappings(&code, FixedConfig::default()) {
-            for (f, out) in packed.decode_block(&llrs, 18).iter().enumerate() {
-                let want = scalar.decode(&llrs[f * n..(f + 1) * n], 18);
-                assert_eq!(out, &want, "{}: frame {f}", packed.name());
+        let mut packed = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+        for (f, out) in packed.decode_block(&llrs, 18).iter().enumerate() {
+            let want = scalar.decode(&llrs[f * n..(f + 1) * n], 18);
+            assert_eq!(out, &want, "frame {f}");
+        }
+    }
+
+    /// The AVX2 channel load writes the same bytes as the portable loop,
+    /// on quantizer ties ±(k + ½)·step and their float neighbours, ±0,
+    /// NaN, ±∞, subnormals, values past the rails and the `i32` range,
+    /// and random values, for every channel width the datapath takes.
+    #[test]
+    fn avx2_channel_load_matches_the_portable_loop() {
+        if !avx2::available() {
+            let q = FixedConfig::default().channel_quantizer();
+            assert!(!avx2::quantize_simd(&q, &[0.0], &mut [0]));
+            return;
+        }
+        let cases = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            f32::MAX,
+            f32::MIN,
+            3.0e9,
+            -3.0e9,
+        ];
+        let mut rng = StdRng::seed_from_u64(52);
+        for (bits, step) in [(5, 0.5f32), (6, 0.25), (8, 1.0 / 16.0), (3, 1.0), (2, 0.75)] {
+            let q = LlrQuantizer::new(bits, step);
+            let mut llrs = cases.to_vec();
+            for k in 0..=q.max_level() + 2 {
+                let tie = (f32::from(k) + 0.5) * step;
+                for x in [tie, tie.next_down(), tie.next_up()] {
+                    llrs.extend([x, -x]);
+                }
+            }
+            let span = f32::from(q.max_level() + 2) * step;
+            llrs.extend((0..1000).map(|_| rng.gen_range(-span..span)));
+            // Odd lengths leave a tail past the last whole vector.
+            assert!(!llrs.len().is_multiple_of(2));
+            for len in [llrs.len(), 7, 1] {
+                let (mut portable, mut vector) = (vec![0xAA; len], vec![0x55; len]);
+                quantize_into(&q, &llrs[..len], &mut portable);
+                assert!(avx2::quantize_simd(&q, &llrs[..len], &mut vector));
+                assert_eq!(vector, portable, "{bits} bits, step {step}, {len} LLRs");
             }
         }
     }
@@ -1048,83 +955,71 @@ mod tests {
     fn deterministic_across_calls() {
         let code = demo_code();
         let ch = mixed_batch(&code, 8, 47);
-        for mut dec in both_mappings(&code, FixedConfig::default()) {
-            let a = decode_words(&mut dec, &ch, 18);
-            let b = decode_words(&mut dec, &ch, 18);
-            assert_eq!(a, b);
-        }
+        let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+        let a = decode_frames(&mut dec, &ch, 18);
+        let b = decode_frames(&mut dec, &ch, 18);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn slot_stride_pads_to_an_odd_block_count() {
-        // Frame lanes: 8 word positions per 64-byte line.
-        assert_eq!(slot_stride(1022, 8), 1032); // C2: 1024 is 128 lines
-        assert_eq!(slot_stride(1020, 8), 1032);
-        assert_eq!(slot_stride(1016, 8), 1016); // 127 lines
-        assert_eq!(slot_stride(3, 8), 8);
-        // Node lanes: 64 byte positions per line.
-        assert_eq!(slot_stride(1022, 64), 1088); // C2: 1024 is 16 lines
-        assert_eq!(slot_stride(3, 64), 64);
-        for per_line in [8, 64] {
-            for m in 1..600 {
-                let s = slot_stride(m, per_line);
-                assert!(
-                    s >= m && s.is_multiple_of(per_line) && !(s / per_line).is_multiple_of(2),
-                    "m {m}: stride {s}"
-                );
-            }
+        // 64 byte positions per 64-byte line.
+        assert_eq!(slot_stride(1022), 1088); // C2: 1024 is 16 lines
+        assert_eq!(slot_stride(1020), 1088);
+        assert_eq!(slot_stride(960), 960); // 15 lines
+        assert_eq!(slot_stride(3), 64);
+        for m in 1..3000 {
+            let s = slot_stride(m);
+            assert!(
+                s >= m && s.is_multiple_of(LINE_BYTES) && !(s / LINE_BYTES).is_multiple_of(2),
+                "m {m}: stride {s}"
+            );
         }
     }
 
     #[test]
     fn runs_cover_every_edge_once() {
-        for lanes in [Lanes::Frames, Lanes::Nodes] {
-            for code in [demo_code(), crate::codes::ccsds_c2::code()] {
-                let graph = code.graph();
-                let layout = SlotLayout::new(graph, lanes);
-                // A slot row is a whole number of 4-word AVX2 vectors.
-                assert!((layout.stride * lanes.frames()).is_multiple_of(32));
-                let mut seen = vec![false; layout.words()];
-                let mut next_bit = 0;
-                for run in &layout.runs {
-                    assert_eq!(run.bit, next_bit, "runs must tile the bits in order");
-                    next_bit += run.len;
-                    for (&p, &c) in layout.run_pos[run.pos.clone()]
-                        .iter()
-                        .zip(&layout.run_col[run.pos.clone()])
-                    {
-                        assert_eq!(c as usize, p as usize % layout.stride, "slot column");
-                    }
-                    for j in 0..run.len {
-                        let b = run.bit + j;
-                        let pos = &layout.run_pos[run.pos.clone()];
-                        assert_eq!(pos.len(), graph.bn_degree(b));
-                        for (&p, &m) in pos.iter().zip(graph.bn_checks(b)) {
-                            let p = p as usize + j;
-                            assert_eq!(
-                                p % layout.stride,
-                                m as usize,
-                                "word row column is the check"
-                            );
-                            assert!(!seen[p], "word {p} owned twice");
-                            seen[p] = true;
-                        }
+        for code in [demo_code(), crate::codes::ccsds_c2::code()] {
+            let graph = code.graph();
+            let layout = SlotLayout::new(graph);
+            // A slot row is a whole number of 32-byte AVX2 vectors.
+            assert!(layout.stride.is_multiple_of(32));
+            let mut seen = vec![false; layout.words()];
+            let mut next_bit = 0;
+            for run in &layout.runs {
+                assert_eq!(run.bit, next_bit, "runs must tile the bits in order");
+                next_bit += run.len;
+                for (&p, &c) in layout.run_pos[run.pos.clone()]
+                    .iter()
+                    .zip(&layout.run_col[run.pos.clone()])
+                {
+                    assert_eq!(c as usize, p as usize % layout.stride, "slot column");
+                }
+                for j in 0..run.len {
+                    let b = run.bit + j;
+                    let pos = &layout.run_pos[run.pos.clone()];
+                    assert_eq!(pos.len(), graph.bn_degree(b));
+                    for (&p, &m) in pos.iter().zip(graph.bn_checks(b)) {
+                        let p = p as usize + j;
+                        assert_eq!(p % layout.stride, m as usize, "row column is the check");
+                        assert!(!seen[p], "position {p} owned twice");
+                        seen[p] = true;
                     }
                 }
-                assert_eq!(next_bit, graph.n_bits());
-                assert_eq!(seen.iter().filter(|&&s| s).count(), graph.n_edges());
-                // Steps and tails cover every bit, and steps stay inside
-                // their runs.
-                let step = lanes.bits_per_word();
-                let mut covered = vec![false; graph.n_bits()];
-                layout.for_each_step(step, |_, bit, j| {
-                    let run = layout.runs.iter().find(|r| r.bit == bit).unwrap();
-                    assert!(j + step <= run.len, "step past its run");
-                    covered[bit + j..bit + j + step].fill(true);
-                });
-                layout.for_each_tail(step, |_, bit, j| covered[bit + j] = true);
-                assert!(covered.iter().all(|&c| c), "a bit no step covers");
             }
+            assert_eq!(next_bit, graph.n_bits());
+            assert_eq!(seen.iter().filter(|&&s| s).count(), graph.n_edges());
+            // Steps and tails cover every bit, and steps stay inside
+            // their runs.
+            let step = PACK_LANES;
+            let mut covered = vec![false; graph.n_bits()];
+            layout.for_each_step(step, |_, bit, j| {
+                let run = layout.runs.iter().find(|r| r.bit == bit).unwrap();
+                assert!(j + step <= run.len, "step past its run");
+                covered[bit + j..bit + j + step].fill(true);
+            });
+            layout.for_each_tail(step, |_, bit, j| covered[bit + j] = true);
+            assert!(covered.iter().all(|&c| c), "a bit no step covers");
         }
     }
 
@@ -1139,29 +1034,25 @@ mod tests {
             .code()
             .clone();
         for code in [ar4ja, demo_code()] {
-            for mut dec in both_mappings(&code, FixedConfig::default()) {
-                let ch = mixed_batch(&code, dec.block_frames(), 48);
-                let _ = dec.decode_quantized_batch(&ch, 6);
-                let frames = dec.lanes.frames();
-                let mut owned = vec![false; dec.layout.words()];
-                dec.layout.for_each_step(1, |pos, _, j| {
-                    for &p in pos {
-                        owned[p as usize + j] = true;
-                    }
-                });
-                for (p, _) in owned.iter().enumerate().filter(|(_, &o)| !o) {
-                    let lanes = &dec.planes.bc[frames * p..frames * (p + 1)];
-                    assert!(lanes.iter().all(|&b| b == 0x7F), "padding position {p}");
+            let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+            let ch = mixed_batch(&code, 2, 48);
+            let _ = decode_frames(&mut dec, &ch, 6);
+            let mut owned = vec![false; dec.layout.words()];
+            dec.layout.for_each_step(1, |pos, _, j| {
+                for &p in pos {
+                    owned[p as usize + j] = true;
                 }
+            });
+            for (p, _) in owned.iter().enumerate().filter(|(_, &o)| !o) {
+                assert_eq!(dec.planes.bc[p], 0x7F, "padding position {p}");
             }
         }
     }
 
     /// A code whose `m` checks make a slot row exactly `m` positions wide
-    /// in one mapping (`m` = 8·odd for frame lanes, 64·odd for node
-    /// lanes), with two degree-1 bits in adjacent positions of two rows:
-    /// bit `m + 1` is slot 2 of check `m − 1`, bit `m + 2` slot 3 of
-    /// check 0.
+    /// when `m` is 64·odd, with two degree-1 bits in adjacent positions
+    /// of two rows: bit `m + 1` is slot 2 of check `m − 1`, bit `m + 2`
+    /// slot 3 of check 0.
     fn row_crossing_code(m: usize) -> Arc<LdpcCode> {
         let mut cols: Vec<Vec<usize>> = (0..m).map(|j| vec![j, (j + 1) % m]).collect();
         cols.push(vec![0, 5]);
@@ -1178,30 +1069,20 @@ mod tests {
 
     #[test]
     fn runs_end_at_slot_row_boundaries() {
-        for (m, crossing) in [(24, Lanes::Frames), (64, Lanes::Nodes)] {
+        for m in [24, 64] {
             let code = row_crossing_code(m);
-            for lanes in [Lanes::Frames, Lanes::Nodes] {
-                let layout = SlotLayout::new(code.graph(), lanes);
-                assert_eq!(
-                    layout.stride == m,
-                    lanes == crossing,
-                    "{m} checks, {lanes:?}"
-                );
-                let mut starts = vec![false; code.n()];
-                for run in &layout.runs {
-                    starts[run.bit] = true;
-                    for &p in &layout.run_pos[run.pos.clone()] {
-                        let row = p as usize / layout.stride;
-                        let last = (p as usize + run.len - 1) / layout.stride;
-                        assert_eq!(row, last, "{m} checks, {lanes:?}: run at bit {}", run.bit);
-                    }
+            let layout = SlotLayout::new(code.graph());
+            assert_eq!(layout.stride == m, m == 64, "{m} checks");
+            let mut starts = vec![false; code.n()];
+            for run in &layout.runs {
+                starts[run.bit] = true;
+                for &p in &layout.run_pos[run.pos.clone()] {
+                    let row = p as usize / layout.stride;
+                    let last = (p as usize + run.len - 1) / layout.stride;
+                    assert_eq!(row, last, "{m} checks: run at bit {}", run.bit);
                 }
-                assert!(
-                    starts[m + 2],
-                    "{m} checks, {lanes:?}: bit {} starts a run",
-                    m + 2
-                );
             }
+            assert!(starts[m + 2], "{m} checks: bit {} starts a run", m + 2);
             assert_matches_scalar_on(
                 &code,
                 FixedConfig::default(),
@@ -1211,21 +1092,10 @@ mod tests {
         }
     }
 
-    /// Sets the hard plane to the lane masks of `lanes` (one bit vector
-    /// per frame lane of the decoder's word).
-    fn set_hard_plane(dec: &mut PackedFixedDecoder, lanes: &[Vec<u8>]) {
-        let n = dec.n();
-        for (b, h) in dec.planes.hard[..n].iter_mut().enumerate() {
-            *h = lanes.iter().rev().fold(0, |mask, lane| mask << 1 | lane[b]);
-        }
-    }
-
-    /// Every live lane's syndrome verdict equals `TannerGraph::syndrome_ok`
-    /// on that lane's bits, on every registry code in both mappings: over
-    /// random words (the settle gather decides), words in which lanes are
-    /// codewords, codewords with one bit flipped or all-zero (the full
-    /// pass decides), every partial word and random live-lane subsets.
-    /// Non-live lanes hold random bits that must not matter.
+    /// The syndrome verdict equals `TannerGraph::syndrome_ok`, on every
+    /// registry code: over random frames (the settle gather decides),
+    /// codewords, codewords with one bit flipped, and the all-zero word
+    /// (the full pass decides).
     #[test]
     fn syndrome_pass_matches_the_graph() {
         let mut rng = StdRng::seed_from_u64(50);
@@ -1237,60 +1107,39 @@ mod tests {
             } else {
                 Arc::new(crate::Encoder::new(&code).expect("positive dimension"))
             };
-            let lane = |kind: usize, rng: &mut StdRng| -> Vec<u8> {
-                if kind == 0 {
-                    return (0..n).map(|_| rng.gen_range(0..2)).collect();
-                }
-                let message: Vec<u8> = (0..encoder.dimension())
-                    .map(|_| u8::from(kind != 3 && rng.gen_bool(0.5)))
-                    .collect();
-                let mut bits = encoder.encode_bits(&message).expect("encodes").to_bits();
-                if kind == 2 {
-                    bits[rng.gen_range(0..n)] ^= 1;
-                }
-                bits
-            };
-            for mut dec in both_mappings(&code, FixedConfig::default()) {
-                let frames = dec.block_frames();
-                let full = ((1u16 << frames) - 1) as u8;
-                let (mut settled, mut passes) = (0, 0);
-                for word in 0..16 {
-                    // Word 0 is random; in word 1 only lane 0 is a codeword.
-                    let lanes: Vec<Vec<u8>> = (0..frames)
-                        .map(|f| match word {
-                            0 => lane(0, &mut rng),
-                            1 => lane(usize::from(f == 0), &mut rng),
-                            _ => lane(rng.gen_range(0..4), &mut rng),
-                        })
+            let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+            let (mut settled, mut passes) = (0, 0);
+            for frame in 0..48 {
+                let kind = if frame < 4 {
+                    frame
+                } else {
+                    rng.gen_range(0..4)
+                };
+                let bits: Vec<u8> = if kind == 0 {
+                    (0..n).map(|_| rng.gen_range(0..2)).collect()
+                } else {
+                    let message: Vec<u8> = (0..encoder.dimension())
+                        .map(|_| u8::from(kind != 3 && rng.gen_bool(0.5)))
                         .collect();
-                    set_hard_plane(&mut dec, &lanes);
-                    let mut masks: Vec<u8> =
-                        (1..=frames).map(|k| ((1u16 << k) - 1) as u8).collect();
-                    masks.extend((0..4).map(|_| rng.gen::<u8>() & full | 1));
-                    for live in masks {
-                        match dec.settle(live) {
-                            Some(_) => settled += 1,
-                            None => passes += 1,
-                        }
-                        dec.syndrome_pass(live);
-                        for (f, bits) in
-                            lanes.iter().enumerate().filter(|(f, _)| live >> f & 1 == 1)
-                        {
-                            assert_eq!(
-                                dec.syndrome_ok_frame(f),
-                                graph.syndrome_ok(bits),
-                                "{spec} / {}: word {word}, live {live:#04x}, lane {f}",
-                                dec.name()
-                            );
-                        }
+                    let mut bits = encoder.encode_bits(&message).expect("encodes").to_bits();
+                    if kind == 2 {
+                        bits[rng.gen_range(0..n)] ^= 1;
                     }
+                    bits
+                };
+                dec.planes.hard[..n].copy_from_slice(&bits);
+                if dec.settle() {
+                    settled += 1;
+                } else {
+                    passes += 1;
                 }
-                assert!(
-                    settled > 0 && passes > 0,
-                    "{spec} / {}: both paths ran",
-                    dec.name()
+                assert_eq!(
+                    !dec.syndrome_fails(),
+                    graph.syndrome_ok(&bits),
+                    "{spec}: frame {frame} of kind {kind}"
                 );
             }
+            assert!(settled > 0 && passes > 0, "{spec}: both paths ran");
         }
     }
 
@@ -1327,33 +1176,26 @@ mod tests {
         }
         for (spec, code, config) in cases {
             let n = code.n();
-            for mut dec in both_mappings(&code, config) {
-                // Frame lanes take a word whose lanes converge at different
-                // iterations; node lanes take its noisy frame.
-                let ch = mixed_levels(&code, 8, dec.quantizer.max_level(), 49);
-                let word = if dec.block_frames() == 1 {
-                    &ch[n..2 * n]
-                } else {
-                    &ch[..]
-                };
-                dec.load_channel(word, |c| c);
-                dec.seed_messages();
-                for iter in 0..8 {
-                    let label = format!("{spec} / {} / {config:?}, iteration {iter}", dec.name());
-                    let cb = dec.planes.cb.clone();
-                    dec.cn_phase();
-                    let portable = std::mem::replace(&mut dec.planes.cb, cb);
-                    assert!(dec.cn_phase_simd());
-                    assert!(dec.planes.cb == portable, "check-node phase: {label}");
-                    let (bc, hard) = (dec.planes.bc.clone(), dec.planes.hard.clone());
-                    dec.bn_words();
-                    let portable_bc = std::mem::replace(&mut dec.planes.bc, bc);
-                    let portable_hard = std::mem::replace(&mut dec.planes.hard, hard);
-                    assert!(dec.bn_words_simd());
-                    assert!(dec.planes.bc == portable_bc, "bit-node messages: {label}");
-                    assert!(dec.planes.hard == portable_hard, "hard decisions: {label}");
-                    dec.bn_tails();
-                }
+            let mut dec = PackedFixedDecoder::new(code.clone(), config);
+            // A noisy frame, which converges over several iterations.
+            let ch = mixed_levels(&code, 2, dec.quantizer.max_level(), 49);
+            load_levels(&mut dec, &ch[n..]);
+            dec.seed_messages();
+            for iter in 0..8 {
+                let label = format!("{spec} / {config:?}, iteration {iter}");
+                let cb = dec.planes.cb.clone();
+                dec.cn_phase();
+                let portable = std::mem::replace(&mut dec.planes.cb, cb);
+                assert!(dec.cn_phase_simd());
+                assert!(dec.planes.cb == portable, "check-node phase: {label}");
+                let (bc, hard) = (dec.planes.bc.clone(), dec.planes.hard.clone());
+                dec.bn_words();
+                let portable_bc = std::mem::replace(&mut dec.planes.bc, bc);
+                let portable_hard = std::mem::replace(&mut dec.planes.hard, hard);
+                assert!(dec.bn_words_simd());
+                assert!(dec.planes.bc == portable_bc, "bit-node messages: {label}");
+                assert!(dec.planes.hard == portable_hard, "hard decisions: {label}");
+                dec.bn_tails();
             }
         }
     }
@@ -1392,55 +1234,48 @@ mod tests {
         out
     }
 
-    /// Decodes one word the way `drive_batch` does (early stop on),
-    /// adding each stage's time to `split`.
+    /// Decodes one frame the way [`PackedFixedDecoder::decode`] does
+    /// (early stop on), adding each stage's time to `split`.
     fn traced_decode(
         dec: &mut PackedFixedDecoder,
         llrs: &[f32],
         iters: u32,
         split: &mut StageSplit,
     ) {
-        let quantizer = dec.quantizer;
-        let frames = timed(&mut split.load, || {
-            dec.load_channel(llrs, |llr| quantizer.quantize(llr))
+        timed(&mut split.load, || {
+            if !avx2::quantize_simd(&dec.quantizer, llrs, &mut dec.planes.ch) {
+                quantize_into(&dec.quantizer, llrs, &mut dec.planes.ch);
+            }
         });
         timed(&mut split.seed, || dec.seed_messages());
-        let mut live = ((1u16 << frames) - 1) as u8;
         for _ in 0..iters {
-            if live == 0 {
-                break;
-            }
             timed(&mut split.phases, || dec.phases());
             split.iterations += 1;
-            dec.unsat = match timed(&mut split.settle, || dec.settle(live)) {
-                Some(failing) => failing,
-                None => {
-                    split.full_passes += 1;
-                    timed(&mut split.full_pass, || dec.parity_pass())
-                }
-            };
-            for f in 0..frames {
-                if live >> f & 1 == 1 && dec.syndrome_ok_frame(f) {
-                    timed(&mut split.hard, || dec.hard_decision(f));
-                    live &= !(1 << f);
+            if !timed(&mut split.settle, || dec.settle()) {
+                split.full_passes += 1;
+                if !timed(&mut split.full_pass, || dec.parity_pass()) {
+                    break;
                 }
             }
         }
-        for f in (0..frames).filter(|f| live >> f & 1 == 1) {
-            timed(&mut split.hard, || dec.hard_decision(f));
-        }
+        timed(&mut split.hard, || dec.hard_decision());
     }
 
-    /// Prints the per-iteration phases of both paths on a mixed C2 word,
-    /// then every stage of a decode per word at the benchmark's operating
-    /// points: 3.8 dB in frame lanes, 3.3 and 3.7 dB in node lanes.
+    /// Prints C2's rank time, the per-iteration phases of both paths on a
+    /// noisy C2 frame, then every stage of a decode per frame at the
+    /// benchmark's operating points: 3.3 and 3.7 dB (sweep-c2-fixed) and
+    /// 3.8 dB (mc-c2-packed).
     #[test]
     #[ignore = "manual profiling aid: run with --release --nocapture"]
     fn profile_phase_split() {
         let handle = crate::CodeSpec::C2.build().expect("C2 builds");
         let (code, rate) = (handle.code().clone(), handle.rate());
         let n = code.n();
-        let ch = mixed_batch(&code, 8, 99);
+        let dense = code.h().to_dense();
+        let start = Instant::now();
+        let rank = dense.rank();
+        println!("C2 rank {rank}: {:?}", start.elapsed());
+        let ch = mixed_batch(&code, 3, 99);
         let reps = 200u32;
         let time = |label: &str, f: &mut dyn FnMut()| {
             let start = Instant::now();
@@ -1457,59 +1292,51 @@ mod tests {
                 "inactive"
             }
         );
-        for mut dec in both_mappings(&code, FixedConfig::default()) {
-            let frames = dec.block_frames();
-            // The 8-frame word mixes all three kinds of frame; node lanes
-            // time one frame that never converges.
-            let word = if frames == 1 { 2 * n..3 * n } else { 0..8 * n };
-            let _ = dec.decode_quantized_batch(&ch[word], 2); // warm buffers
-            let mut tails = 0;
-            dec.layout
-                .for_each_tail(dec.lanes.bits_per_word(), |_, _, _| tails += 1);
-            println!(
-                "C2, {frames} frame(s)/word: {} runs, {tails} of {n} bits in runs shorter than a word, stride {} positions, {} slots",
-                dec.layout.runs.len(),
-                dec.layout.stride,
-                dec.layout.slots,
-            );
-            time("phases, selected path ", &mut || dec.phases());
-            if PackedFixedDecoder::simd_active() {
-                time("cn (avx2)             ", &mut || {
-                    assert!(dec.cn_phase_simd())
-                });
-                time("bn words (avx2)       ", &mut || {
-                    assert!(dec.bn_words_simd())
-                });
-            }
-            time("cn (swar)             ", &mut || dec.cn_phase());
-            time("bn words (swar)       ", &mut || dec.bn_words());
-            time("bn tails (kernels)    ", &mut || dec.bn_tails());
+        let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+        // A frame that never converges.
+        let _ = dec.decode_quantized(&ch[2 * n..], 2); // warm buffers
+        let mut tails = 0;
+        dec.layout.for_each_tail(PACK_LANES, |_, _, _| tails += 1);
+        println!(
+            "C2: {} runs, {tails} of {n} bits in runs shorter than a word, stride {} positions, {} slots",
+            dec.layout.runs.len(),
+            dec.layout.stride,
+            dec.layout.slots,
+        );
+        time("phases, selected path ", &mut || dec.phases());
+        if PackedFixedDecoder::simd_active() {
+            time("cn (avx2)             ", &mut || {
+                assert!(dec.cn_phase_simd())
+            });
+            time("bn words (avx2)       ", &mut || {
+                assert!(dec.bn_words_simd())
+            });
         }
-        for (lanes, ebn0) in [
-            (Lanes::Frames, 3.8),
-            (Lanes::Nodes, 3.3),
-            (Lanes::Nodes, 3.7),
-        ] {
-            let mut dec =
-                PackedFixedDecoder::with_lanes(code.clone(), FixedConfig::default(), lanes);
-            let per_word = dec.block_frames() * n;
+        time("cn (swar)             ", &mut || dec.cn_phase());
+        time("bn words (swar)       ", &mut || dec.bn_words());
+        time("bn tails (kernels)    ", &mut || dec.bn_tails());
+        // Each frame is copied into one buffer before its decode, so that
+        // the load reads it from cache, as it does in the engine, where
+        // the channel has just written it.
+        let mut buffer = vec![0.0; n];
+        for ebn0 in [3.3, 3.7, 3.8] {
             let llrs = awgn_llrs(n, rate, ebn0, 1024, 7);
             let mut split = StageSplit::default();
-            for word in llrs.chunks(per_word) {
-                traced_decode(&mut dec, word, 18, &mut split);
+            for frame in llrs.chunks(n) {
+                buffer.copy_from_slice(frame);
+                traced_decode(&mut dec, &buffer, 18, &mut split);
             }
-            let start = Instant::now();
-            for word in llrs.chunks(per_word) {
-                let _ = dec.decode_batch(word, 18);
+            let mut untraced = Duration::ZERO;
+            for frame in llrs.chunks(n) {
+                buffer.copy_from_slice(frame);
+                let _ = timed(&mut untraced, || dec.decode(&buffer, 18));
             }
-            let untraced = start.elapsed();
-            let words = (llrs.len() / per_word) as u32;
-            let us = |d: Duration| d.as_secs_f64() * 1e6 / f64::from(words);
+            let frames = (llrs.len() / n) as u32;
+            let us = |d: Duration| d.as_secs_f64() * 1e6 / f64::from(frames);
             println!(
-                "C2 at {ebn0} dB, {} frame(s)/word, {words} words: {:.2} iterations and {:.2} full parity passes a word",
-                dec.block_frames(),
-                f64::from(split.iterations) / f64::from(words),
-                f64::from(split.full_passes) / f64::from(words),
+                "C2 at {ebn0} dB, {frames} frames: {:.2} iterations and {:.2} full parity passes a frame",
+                f64::from(split.iterations) / f64::from(frames),
+                f64::from(split.full_passes) / f64::from(frames),
             );
             let traced = split.load
                 + split.seed
@@ -1523,29 +1350,21 @@ mod tests {
                 ("phases                ", split.phases),
                 ("syndrome settle gather", split.settle),
                 ("syndrome parity pass  ", split.full_pass),
-                ("hard decisions        ", split.hard),
+                ("hard decision         ", split.hard),
                 ("traced decode, total  ", traced),
-                ("untraced decode_batch ", untraced),
+                ("untraced decode       ", untraced),
             ] {
-                println!("  {label}: {:.1} us/word", us(d));
+                println!("  {label}: {:.1} us/frame", us(d));
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn nine_frames_rejected() {
-        let code = demo_code();
-        let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
-        let _ = dec.decode_quantized_batch(&vec![0i16; 9 * code.n()], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
+    #[should_panic(expected = "length mismatch")]
     fn node_lanes_take_one_frame_per_word() {
         let code = demo_code();
-        let mut dec = PackedFixedDecoder::node_lanes(code.clone(), FixedConfig::default());
-        let _ = dec.decode_quantized_batch(&vec![0i16; 2 * code.n()], 1);
+        let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+        let _ = dec.decode_quantized(&vec![0i16; 2 * code.n()], 1);
     }
 
     #[test]
@@ -1561,6 +1380,6 @@ mod tests {
         let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let mut ch = vec![0i16; code.n()];
         ch[0] = 16;
-        let _ = dec.decode_quantized_batch(&ch, 1);
+        let _ = dec.decode_quantized(&ch, 1);
     }
 }

@@ -1,29 +1,30 @@
-//! AVX2 mirror of the packed SWAR phases, compiled into every build.
+//! AVX2 mirror of the packed SWAR phases and of the channel load,
+//! compiled into every build.
 //!
 //! Same slot-major byte planes, same algorithm, same results bit for bit
 //! — but on 256-bit vectors. The check-node scan covers **four word
 //! columns per op**: a slot row holds slot `k` of every check side by
-//! side, so one load brings slot `k` of four checks (frame lanes) or of
-//! 32 adjacent checks (node lanes), and native byte-lane ops
-//! (`vpabsb`/`vpminub`/`vpmaxub`/`vpblendvb`) replace the multi-op SWAR
-//! emulations. The bit-node phase covers **two words of a run per op**:
-//! adjacent bits of a run own adjacent positions in every row, so one
-//! 128-bit load sign-extends (`vpmovsxbw`) sixteen bytes — two bits of
-//! eight frames, or sixteen bits of one frame — into sixteen i16 lanes,
-//! and `vpacksswb` + `vpermq` narrow them back for one 128-bit store; the
-//! hard decisions leave as lane masks, `vpmovmskb` packing each bit's
-//! eight frames into one byte.
+//! side, so one load brings slot `k` of 32 adjacent checks, and native
+//! byte-lane ops (`vpabsb`/`vpminub`/`vpmaxub`/`vpblendvb`) replace the
+//! multi-op SWAR emulations. The bit-node phase covers **two words of a
+//! run per op**: adjacent bits of a run own adjacent positions in every
+//! row, so one 128-bit load sign-extends (`vpmovsxbw`) sixteen bits'
+//! bytes into sixteen i16 lanes, and `vpacksswb` + `vpermq` narrow them
+//! back for one 128-bit store; the hard decisions leave as one byte per
+//! bit. The channel load is the portable branch-free quantizer loop,
+//! which the x86-64 baseline leaves scalar, compiled for AVX2.
 //! Selected at runtime via `is_x86_feature_detected!`: a CPU without
 //! AVX2, or a target other than x86-64, runs the portable kernels.
 //!
 //! This is the one module in the crate allowed to contain `unsafe`: the
-//! entry points below run the `#[target_feature]` phases only after the
+//! entry points below run the `#[target_feature]` code only after the
 //! runtime feature check, and every unchecked load or store is covered by
 //! a bound [`SlotLayout::new`](super::SlotLayout) asserts at construction.
 
 #![allow(unsafe_code)]
 
 use super::PackedFixedDecoder;
+use crate::LlrQuantizer;
 
 /// Whether the running CPU supports the mirror's instruction set.
 pub(super) fn available() -> bool {
@@ -53,9 +54,9 @@ impl PackedFixedDecoder {
         false
     }
 
-    /// Runs the bit-node words on the AVX2 path (the node-lane run
-    /// tails stay with the caller); `false` (having done nothing) without
-    /// AVX2.
+    /// Runs the bit-node words on the AVX2 path (the runs shorter than
+    /// a word stay with the caller); `false` (having done nothing)
+    /// without AVX2.
     pub(super) fn bn_words_simd(&mut self) -> bool {
         #[cfg(target_arch = "x86_64")]
         if available() {
@@ -67,9 +68,22 @@ impl PackedFixedDecoder {
     }
 }
 
+/// Quantizes `llrs` into `out` on the AVX2 path, byte for byte what
+/// [`quantize_into`](super::quantize_into) writes; `false` (having done
+/// nothing) without AVX2.
+pub(super) fn quantize_simd(quantizer: &LlrQuantizer, llrs: &[f32], out: &mut [u8]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if available() {
+        // SAFETY: as in `cn_phase_simd`.
+        unsafe { x86::quantize_avx2(quantizer, llrs, out) };
+        return true;
+    }
+    false
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::super::{Lanes, MAX_BN_DEGREE, PACK_LANES};
+    use super::super::{quantize_into, MAX_BN_DEGREE, PACK_LANES};
     use super::*;
     use crate::decoder::kernels::Scaling;
     use std::arch::x86_64::*;
@@ -122,6 +136,13 @@ mod x86 {
                 _mm_storel_epi64(dst.cast(), v);
             }
         }
+    }
+
+    /// The portable channel load compiled for AVX2, which vectorizes it
+    /// eight LLRs per op.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn quantize_avx2(quantizer: &LlrQuantizer, llrs: &[f32], out: &mut [u8]) {
+        quantize_into(quantizer, llrs, out);
     }
 
     impl PackedFixedDecoder {
@@ -190,36 +211,24 @@ mod x86 {
             }
         }
 
-        /// Bit-node words, two words of a run per op, in plain i16
+        /// Bit-node words, sixteen bits of a run per op, in plain i16
         /// lanes: `|ch + Σ messages| ≤ 127 + 64·127` fits i16, so no bias
         /// is needed. Each edge's contribution is cached widened, the
         /// exclude-self output is one `vpsubw`, clamped to the message
-        /// range, and the hard decision is the sign of the total, stored
-        /// as each bit's lane mask. With node lanes the runs shorter than
-        /// a word are the caller's.
+        /// range, and the hard decision is the sign of the total, one
+        /// byte per bit. The runs shorter than a word are the caller's.
         #[target_feature(enable = "avx2")]
         pub(in crate::decoder::packed) fn bn_words_avx2(&mut self) {
-            match self.lanes {
-                Lanes::Frames => self.bn_words_lanes::<PACK_LANES>(),
-                Lanes::Nodes => self.bn_words_lanes::<1>(),
-            }
-        }
-
-        /// [`bn_words_avx2`](Self::bn_words_avx2) for `F` frames per
-        /// word, which must be the decoder's.
-        #[target_feature(enable = "avx2")]
-        fn bn_words_lanes<const F: usize>(&mut self) {
-            assert_eq!(F, self.lanes.frames(), "lane mapping mismatch");
-            let step = PACK_LANES / F;
-            let bytes = F * self.layout.words();
+            let step = PACK_LANES;
+            let bytes = self.layout.words();
             assert!(
                 self.planes.bc.len() == bytes
                     && self.planes.cb.len() == bytes
-                    && self.planes.ch.len() == F * self.code.n()
+                    && self.planes.ch.len() == self.code.n()
                     && self.planes.hard.len() >= self.code.n(),
                 "slot-major message memory out of shape"
             );
-            let planes = Pointers::<F> {
+            let planes = Pointers {
                 ch: self.planes.ch.as_ptr(),
                 cb: self.planes.cb.as_ptr(),
                 bc: self.planes.bc.as_mut_ptr(),
@@ -261,9 +270,9 @@ mod x86 {
     }
 
     /// The bit-node words' view of the decoder's byte planes, in which
-    /// position `p` owns the `F` bytes from byte `F·p`, except in the hard
-    /// plane, where bit `b` owns byte `b` (every access is unaligned).
-    struct Pointers<const F: usize> {
+    /// every position and every bit owns one byte (every access is
+    /// unaligned).
+    struct Pointers {
         ch: *const u8,
         cb: *const u8,
         bc: *mut u8,
@@ -274,17 +283,15 @@ mod x86 {
         lo: __m256i,
     }
 
-    impl<const F: usize> Pointers<F> {
-        /// Updates the `W` words from bit `b` of one run, whose edges sit
-        /// at positions `p + j ..` for each `p` in `pos`: `W` bits of
-        /// eight frames, or `8·W` bits of one frame.
+    impl Pointers {
+        /// Updates the `8·W` bits from bit `b` of one run, whose edges sit
+        /// at positions `p + j ..` for each `p` in `pos`.
         ///
         /// # Safety
         ///
-        /// `F·b + 8·W` must not exceed the channel plane (so `b + 8·W/F`
-        /// does not exceed the hard plane), `F·(p + j) + 8·W` must not
-        /// exceed the message planes for every `p` in `pos`, and
-        /// `pos.len() <= MAX_BN_DEGREE`.
+        /// `b + 8·W` must not exceed the channel and hard planes, `p + j +
+        /// 8·W` must not exceed the message planes for every `p` in
+        /// `pos`, and `pos.len() <= MAX_BN_DEGREE`.
         #[inline]
         #[target_feature(enable = "avx2")]
         unsafe fn update<const W: usize>(
@@ -294,40 +301,31 @@ mod x86 {
             j: usize,
             contrib: &mut [__m256i; MAX_BN_DEGREE],
         ) {
-            // SAFETY: F·b + 8·W is within the channel plane, and F·j <=
-            // F·(p + j) for any p, within the message planes (caller).
+            // SAFETY: b + 8·W is within the channel plane, and j <= p + j
+            // for any p, within the message planes (caller).
             let (mut t, cb, bc) = unsafe {
                 (
-                    load_widened::<W>(self.ch.add(F * b)),
-                    self.cb.add(F * j),
-                    self.bc.add(F * j),
+                    load_widened::<W>(self.ch.add(b)),
+                    self.cb.add(j),
+                    self.bc.add(j),
                 )
             };
             for (c, &p) in contrib.iter_mut().zip(pos) {
-                // SAFETY: F·(p + j) + 8·W is within cb (caller).
-                *c = unsafe { load_widened::<W>(cb.add(F * p as usize)) };
+                // SAFETY: p + j + 8·W is within cb (caller).
+                *c = unsafe { load_widened::<W>(cb.add(p as usize)) };
                 t = _mm256_add_epi16(t, *c);
             }
             for (c, &p) in contrib.iter().zip(pos) {
                 let v = _mm256_sub_epi16(t, *c);
                 let clamped = _mm256_max_epi16(_mm256_min_epi16(v, self.hi), self.lo);
-                // SAFETY: F·(p + j) + 8·W is within bc (caller).
-                unsafe { store_words::<W>(bc.add(F * p as usize), narrow(clamped)) };
+                // SAFETY: p + j + 8·W is within bc (caller).
+                unsafe { store_words::<W>(bc.add(p as usize), narrow(clamped)) };
             }
-            // Hard decision: posterior < 0. With frame lanes each of the W
-            // bits packs its eight frames into one lane-mask byte; with node
-            // lanes each of the 8·W bits keeps its own byte, bit 0.
+            // Hard decision: posterior < 0, bit 0 of each bit's byte.
             let hard = narrow(_mm256_cmpgt_epi16(_mm256_setzero_si256(), t));
-            if F == PACK_LANES {
-                let masks = (_mm_movemask_epi8(hard) as u16).to_le_bytes();
-                // SAFETY: b + W is within the hard plane (caller), and
-                // W <= 2 bytes are read from `masks`.
-                unsafe { std::ptr::copy_nonoverlapping(masks.as_ptr(), self.hard.add(b), W) };
-            } else {
-                let bits = _mm_and_si128(hard, _mm_set1_epi8(1));
-                // SAFETY: b + 8·W is within the hard plane (caller).
-                unsafe { store_words::<W>(self.hard.add(b), bits) };
-            }
+            let bits = _mm_and_si128(hard, _mm_set1_epi8(1));
+            // SAFETY: b + 8·W is within the hard plane (caller).
+            unsafe { store_words::<W>(self.hard.add(b), bits) };
         }
     }
 

@@ -15,7 +15,7 @@
 //! | `ms` | [`MinSumDecoder`] (plain) | — |
 //! | `nms:1.25` | [`MinSumDecoder`] (normalized) | α ≥ 1 (default 4/3) |
 //! | `oms:0.15` | [`MinSumDecoder`] (offset) | β ≥ 0 (default 0.15) |
-//! | `fixed` | [`PackedFixedDecoder`] with node lanes: one frame, bit-exact against [`FixedDecoder`](crate::FixedDecoder) | — (default datapath) |
+//! | `fixed` | [`PackedFixedDecoder`]: one frame, 8 adjacent nodes per SWAR word, bit-exact against [`FixedDecoder`](crate::FixedDecoder) | — (default datapath) |
 //! | `layered:1.25` | [`LayeredMinSumDecoder`] | α ≥ 1 (default 4/3) |
 //! | `qc-layered:1.25` | [`QcLayeredDecoder`] | α ≥ 1 (default 4/3) |
 //! | `self-corrected:1.25` | [`SelfCorrectedMinSumDecoder`] | α ≥ 1 (default 4/3) |
@@ -28,9 +28,9 @@
 //!
 //! | Modifier | Effect | Applies to |
 //! |----------|--------|------------|
-//! | `@batch=8` | lockstep frame batching ([`BatchMinSumDecoder`]; on `fixed`, [`PackedFixedDecoder`] in 8-frame words for any N) | `ms`, `nms`, `oms`, `fixed` |
+//! | `@batch=8` | lockstep frame batching ([`BatchMinSumDecoder`]; on `fixed`, an alias of plain `fixed` for any N) | `ms`, `nms`, `oms`, `fixed` |
 //! | `@bitslice` | 64 frames per `u64` word ([`BitsliceGallagerBDecoder`]) | `gallager-b` |
-//! | `@pack=8` | SWAR soft datapath: 8 frames' i8 messages per `u64` word ([`PackedFixedDecoder`]) | `fixed` |
+//! | `@pack=8` | an alias of plain `fixed`, whose SWAR words hold 8 i8 lanes ([`PackedFixedDecoder`]) | `fixed` |
 //!
 //! Parsing ([`FromStr`]) and rendering ([`Display`](fmt::Display)) round
 //! trip: `parse(display(spec)) == spec` for every valid spec (pinned by
@@ -148,8 +148,8 @@ impl DecoderFamily {
     }
 
     /// Whether `@pack=8` applies to this family. Only the fixed-point
-    /// datapath has a SWAR-packed mirror: packing relies on i8 message
-    /// lanes, so float-message families cannot support it.
+    /// datapath is SWAR-packed: packing relies on i8 message lanes, so
+    /// float-message families cannot support it.
     pub fn supports_pack(&self) -> bool {
         matches!(self, Self::Fixed)
     }
@@ -166,15 +166,15 @@ pub struct DecoderSpec {
     /// The decoder family and its parameters.
     pub family: DecoderFamily,
     /// `@batch=N`: decode N frames in lockstep (families with a batched
-    /// mirror only). `None` = scalar per-frame decoding. On `fixed` the
-    /// packed datapath runs in words of [`PACK_LANES`] frames whatever N
-    /// is; N stays part of the canonical string.
+    /// mirror only). `None` = scalar per-frame decoding. On `fixed` it is
+    /// an alias: the decoder is plain `fixed`'s, and N stays part of the
+    /// canonical string.
     pub batch: Option<usize>,
     /// `@bitslice`: 64 frames per `u64` word (`gallager-b` only).
     pub bitslice: bool,
-    /// `@pack=8`: SWAR soft datapath, 8 frames' i8 messages per `u64`
-    /// word (`fixed` only). The lane count is fixed by the word width,
-    /// so the only valid value is [`PACK_LANES`].
+    /// `@pack=8` (`fixed` only): an alias of plain `fixed`, whose SWAR
+    /// words hold [`PACK_LANES`] i8 lanes, the only valid value. It stays
+    /// part of the canonical string.
     pub pack: Option<usize>,
 }
 
@@ -221,8 +221,8 @@ impl DecoderSpec {
 
     /// One canonical spec per registered decoder family: the eleven scalar
     /// families of [`family_names`](Self::family_names) plus the four
-    /// packed mirrors (`nms@batch=8`, `fixed@batch=8`, `fixed@pack=8`,
-    /// `gallager-b@bitslice`).
+    /// modified specs (`nms@batch=8`, `gallager-b@bitslice`, and the
+    /// `fixed` aliases `fixed@batch=8` and `fixed@pack=8`).
     ///
     /// The conformance suite derives its decoder list from this registry,
     /// so a family registered here is automatically covered; one missing
@@ -390,13 +390,7 @@ impl DecoderSpec {
             };
             return Box::new(BitsliceGallagerBDecoder::new(code, threshold));
         }
-        if self.pack.is_some() || (self.batch.is_some() && self.family == DecoderFamily::Fixed) {
-            // Validation pinned `@pack` to `fixed` and PACK_LANES. The
-            // fixed-point datapath has one batched form, the packed
-            // mirror, so `fixed@batch=N` builds it too, in 8-frame words.
-            return Box::new(PackedFixedDecoder::new(code, FixedConfig::default()));
-        }
-        if let Some(batch) = self.batch {
+        if let Some(batch) = self.batch.filter(|_| self.family != DecoderFamily::Fixed) {
             return match self.family {
                 DecoderFamily::MinSum => {
                     Box::new(BatchMinSumDecoder::new(code, MinSumConfig::plain(), batch))
@@ -423,11 +417,11 @@ impl DecoderSpec {
             DecoderFamily::OffsetMinSum { beta } => {
                 Box::new(MinSumDecoder::new(code, MinSumConfig::offset(beta)))
             }
-            // The low-cost instance: one frame across the packed word's
-            // lanes, bit-exact against `FixedDecoder`.
-            DecoderFamily::Fixed => {
-                Box::new(PackedFixedDecoder::node_lanes(code, FixedConfig::default()))
-            }
+            // Validation pinned `@pack` to `fixed` and PACK_LANES, and
+            // `@pack=8` and `@batch=N` on `fixed` are aliases: every
+            // `fixed` spec builds the packed datapath, one frame across
+            // each word's lanes, bit-exact against `FixedDecoder`.
+            DecoderFamily::Fixed => Box::new(PackedFixedDecoder::new(code, FixedConfig::default())),
             DecoderFamily::Layered { alpha } => Box::new(LayeredMinSumDecoder::new(code, alpha)),
             DecoderFamily::QcLayered { alpha } => Box::new(QcLayeredDecoder::new(code, alpha)),
             DecoderFamily::SelfCorrected { alpha } => {
@@ -895,10 +889,14 @@ mod tests {
 
     #[test]
     fn pack_spec_builds_the_packed_mirror() {
+        // `@pack=8` and `@batch=N` on `fixed` are aliases: they keep their
+        // canonical strings and build plain `fixed`'s decoder.
         let code = demo_code();
+        let fixed = DecoderSpec::parse("fixed").unwrap().build(&code);
         for spec in ["fixed@pack=8", "fixed@batch=8", "fixed@batch=3"] {
             let mut dec = DecoderSpec::parse(spec).unwrap().build(&code);
-            assert_eq!(dec.block_frames(), PACK_LANES, "{spec}");
+            assert_eq!(dec.block_frames(), 1, "{spec}");
+            assert_eq!(dec.name(), fixed.name(), "{spec}");
             assert!(dec.name().contains("packed"), "{spec}: {}", dec.name());
             let out = dec.decode_block(&vec![3.0_f32; 2 * code.n()], 10);
             assert!(out.iter().all(|r| r.converged && r.hard_decision.is_zero()));

@@ -3,12 +3,11 @@
 //! 8 × `u16` lanes for the wide bit-node accumulator).
 //!
 //! These are the word-parallel mirrors of the scalar kernels in
-//! [`kernels`](crate::decoder::kernels): one call advances 8 frames'
-//! messages at once, which is how the paper's high-speed variant gets
-//! its throughput from packing 8 frames per memory word (Table 3). The
-//! packed decoder ([`PackedFixedDecoder`](crate::PackedFixedDecoder))
-//! composes them into check-node and bit-node phases that are **bit-exact
-//! lane by lane** against [`FixedDecoder`](crate::FixedDecoder); the
+//! [`kernels`](crate::decoder::kernels): one call advances 8 messages at
+//! once — in the packed decoder, 8 adjacent checks or bits of one frame.
+//! The packed decoder ([`PackedFixedDecoder`](crate::PackedFixedDecoder))
+//! composes them into check-node and bit-node phases that are
+//! **bit-exact** against [`FixedDecoder`](crate::FixedDecoder); the
 //! kernel-level contract (every primitive equals an 8-iteration scalar
 //! loop) is pinned by `swar_proptests`.
 //!
@@ -16,9 +15,8 @@
 //! byte `f` (`u64::to_le_bytes`). Two primitive tiers:
 //!
 //! * **General** primitives ([`add_wrap8`], [`abs_i8`], [`ltu_mask`],
-//!   [`clamp_i8`], [`sign_mask8`], [`sign_pack8`], [`bit_gather8`], …)
-//!   are defined for arbitrary `i8` lane patterns — the proptested public
-//!   contract.
+//!   [`sign_mask8`], [`bit_gather8`], …) are defined for arbitrary `i8`
+//!   lane patterns — the proptested public contract.
 //! * **Bounded** fast paths ([`ltu7_mask`], [`eq7_mask`],
 //!   [`scale_mag8`], the `u16` helpers) document a lane-domain
 //!   precondition (values already saturated below the `0x80` carry
@@ -32,7 +30,7 @@
 
 use crate::decoder::kernels::Scaling;
 
-/// Lanes per word (frames advanced per word op).
+/// Lanes per word (messages advanced per word op).
 pub const LANES: usize = 8;
 
 /// High (sign) bit of every i8 lane.
@@ -66,8 +64,9 @@ pub fn sign_mask8(a: u64) -> u64 {
 }
 
 /// Bit `b` of every byte lane, gathered into one byte: bit `f` of the
-/// result is bit `b` of lane `f`. Over eight lane-mask bytes (bit `b` =
-/// frame `b`) it picks frame `b`'s decisions on eight bits.
+/// result is bit `b` of lane `f`. Over eight hard-decision bytes (bit 0
+/// set where a bit decides 1) it packs eight bits' decisions into one
+/// byte.
 ///
 /// # Panics
 ///
@@ -80,13 +79,6 @@ pub fn bit_gather8(a: u64, b: u32) -> u8 {
     // j = f; the 64 partial products are distinct bits (no carries), and
     // every other one falls below bit 56 or past bit 63.
     (((a >> b) & L8).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
-}
-
-/// The sign bits of the 8 byte lanes packed into one byte: bit `f` is
-/// set where lane `f` is negative (the portable `vpmovmskb`).
-#[inline(always)]
-pub fn sign_pack8(a: u64) -> u8 {
-    bit_gather8(a, 7)
 }
 
 /// Lane-wise select: lane `f` of the result is `a[f]` where `mask`'s
@@ -129,26 +121,6 @@ pub fn ltu_mask(a: u64, b: u64) -> u64 {
 pub fn apply_sign8(mag: u64, mask: u64) -> u64 {
     // Conditional two's-complement negate: (mag ^ mask) + (mask & 1).
     add_wrap8(mag ^ mask, mask & L8)
-}
-
-/// Lane-wise rail clamp to the symmetric range `[-max, max]`: lane `f`
-/// is `a[f].clamp(-max, max)` — the word form of
-/// [`saturate`](crate::decoder::kernels::saturate).
-///
-/// # Panics
-///
-/// Panics in debug builds if `max < 0`.
-#[inline(always)]
-pub fn clamp_i8(a: u64, max: i8) -> u64 {
-    debug_assert!(max >= 0, "clamp rail must be non-negative");
-    // Bias by 0x80 so signed order becomes unsigned order, clamp there,
-    // and un-bias.
-    let ab = a ^ H8;
-    let hi = splat8(max) ^ H8;
-    let lo = splat8(max.wrapping_neg()) ^ H8;
-    let t = select8(ltu_mask(ab, lo), lo, ab);
-    let t = select8(ltu_mask(hi, t), hi, t);
-    t ^ H8
 }
 
 // ---------------------------------------------------------------------
@@ -319,27 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn sign_pack_and_bit_gather_match_scalar_lanes() {
+    fn bit_gather_matches_scalar_lanes() {
         for a in corpus() {
             let w = pack_lanes(a);
-            let signs = sign_pack8(w);
             for (f, &x) in a.iter().enumerate() {
-                assert_eq!(signs >> f & 1 == 1, x < 0, "sign lane {f}");
                 for b in 0..8 {
                     let got = bit_gather8(w, b) >> f & 1;
                     assert_eq!(got, (x as u8) >> b & 1, "bit {b} of lane {f}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn clamp_matches_scalar_lanes() {
-        for a in corpus() {
-            for max in [0i8, 1, 15, 31, 63, 127] {
-                let got = unpack_lanes(clamp_i8(pack_lanes(a), max));
-                for f in 0..8 {
-                    assert_eq!(got[f], a[f].clamp(-max, max), "lane {f} max {max}");
                 }
             }
         }

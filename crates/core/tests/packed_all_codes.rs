@@ -1,7 +1,6 @@
-//! Both lane mappings of the packed datapath — `fixed@pack=8` (eight
-//! frames per word) and plain `fixed` (one frame, adjacent nodes per
-//! word) — against the per-edge [`FixedDecoder`], lane by lane, on every
-//! code in the registry.
+//! The packed datapath that every `fixed` spec builds (one frame,
+//! adjacent nodes per word) against the per-edge [`FixedDecoder`], frame
+//! by frame, on every code in the registry.
 //!
 //! The packed decoder stores its messages slot-major: the `k`-th edge of
 //! check `m` at position `k·M′ + m`, with unused slots of low-degree
@@ -9,9 +8,9 @@
 //! bits whose positions advance together. Demo and C2 are check-regular,
 //! so only the AR4JA codes (check degrees 3 to 18) pad slots, and only
 //! codes without long circulant runs (demo, whose runs average 4 bits)
-//! send most bits through the node lanes' per-bit path for runs shorter
-//! than a word. Every registry code is therefore decoded here, in blocks
-//! of 1, 2, 7 and 8 frames whose lanes converge at different iterations.
+//! send most bits through the per-bit path for runs shorter than a word.
+//! Every registry code is therefore decoded here, in blocks of 1, 2, 7
+//! and 8 frames that converge at different iterations.
 //!
 //! On a CPU with AVX2 this pins the vector path, elsewhere the portable
 //! SWAR path; the packed unit test
@@ -26,8 +25,8 @@ use rand::{Rng, SeedableRng};
 
 const MAX_ITERATIONS: u32 = 12;
 
-/// Frame `f` of a word: clean lanes converge at once, lightly noisy ones
-/// after a few iterations, and random ones never. LLRs sit on a 0.25
+/// Frame `f` of a block: clean frames converge at once, lightly noisy
+/// ones after a few iterations, and random ones never. LLRs sit on a 0.25
 /// grid, so some land exactly on quantizer ties, and some are 0 (the
 /// value punctured positions carry).
 fn frame(n: usize, f: usize, rng: &mut StdRng) -> Vec<f32> {
@@ -49,28 +48,26 @@ fn frame(n: usize, f: usize, rng: &mut StdRng) -> Vec<f32> {
 
 #[test]
 fn packed_fixed_matches_scalar_fixed_on_every_registry_code() {
-    let mappings = ["fixed@pack=8", "fixed"].map(|s| DecoderSpec::parse(s).expect("registry spec"));
+    let fixed = DecoderSpec::parse("fixed").expect("registry spec");
     let mut rng = StdRng::seed_from_u64(0x51_07);
     for spec in CodeSpec::all_codes() {
         let code = spec.build().expect("registry code builds").code().clone();
         let n = code.n();
         let mut scalar = FixedDecoder::new(code.clone(), FixedConfig::default());
-        let mut packed = mappings.clone().map(|m| m.build(&code));
+        let mut packed = fixed.build(&code);
         for frames in [1, 2, 7, 8] {
             let llrs: Vec<f32> = (0..frames).flat_map(|f| frame(n, f, &mut rng)).collect();
             let want = scalar.decode_block(&llrs, MAX_ITERATIONS);
             if frames >= 7 {
                 assert!(
                     want.iter().any(|r| r.converged) && want.iter().any(|r| !r.converged),
-                    "{spec}: a {frames}-frame word must mix convergence"
+                    "{spec}: a {frames}-frame block must mix convergence"
                 );
             }
-            for (mapping, lanes) in mappings.iter().zip(&mut packed) {
-                let got = lanes.decode_block(&llrs, MAX_ITERATIONS);
-                assert_eq!(got.len(), frames, "{spec} / {mapping}: result count");
-                for (f, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert_eq!(g, w, "{spec} / {mapping}: frame {f} of {frames}");
-                }
+            let got = packed.decode_block(&llrs, MAX_ITERATIONS);
+            assert_eq!(got.len(), frames, "{spec}: result count");
+            for (f, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(g, w, "{spec}: frame {f} of {frames}");
             }
         }
     }
@@ -100,21 +97,10 @@ fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
         }
     );
     assert_eq!(PackedFixedDecoder::simd_active(), avx2);
-    // Both lane mappings take the vector path, not just the frame lanes.
     let code = ldpc_core::codes::ccsds_c2::code();
     let llrs = frame(code.n(), 1, &mut StdRng::seed_from_u64(7));
-    for (mapping, mut dec) in [
-        (
-            "frame lanes",
-            PackedFixedDecoder::new(code.clone(), FixedConfig::default()),
-        ),
-        (
-            "node lanes",
-            PackedFixedDecoder::node_lanes(code.clone(), FixedConfig::default()),
-        ),
-    ] {
-        let _ = dec.decode_batch(&llrs, 2);
-        println!("{mapping}: AVX2 path ran: {}", dec.ran_simd());
-        assert_eq!(dec.ran_simd(), avx2, "{mapping}");
-    }
+    let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+    let _ = dec.decode(&llrs, 2);
+    println!("AVX2 path ran: {}", dec.ran_simd());
+    assert_eq!(dec.ran_simd(), avx2);
 }

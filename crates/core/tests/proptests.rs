@@ -153,9 +153,9 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Packed fixed-point decoding, in frame lanes and in node lanes,
-    /// equals per-frame decoding bit for bit on mixed-convergence batches
-    /// of 1 to 8 frames (the hardware-exact datapath).
+    /// Packed fixed-point decoding equals per-frame decoding bit for bit
+    /// on mixed-convergence blocks of 1 to 8 frames (the hardware-exact
+    /// datapath).
     #[test]
     fn batch_fixed_equals_per_frame(
         qualities in prop::collection::vec(any::<u8>(), 1..9),
@@ -165,18 +165,14 @@ proptest! {
         let code = demo_code();
         let cfg = FixedConfig::default().with_early_stop(early_stop);
         let llrs = mixed_quality_batch(&qualities, &noise, code.n());
-        let mut batched = PackedFixedDecoder::new(code.clone(), cfg);
-        let mut nodes = PackedFixedDecoder::node_lanes(code.clone(), cfg);
+        let mut packed = PackedFixedDecoder::new(code.clone(), cfg);
         let mut single = FixedDecoder::new(code.clone(), cfg);
-        let got = batched.decode_batch(&llrs, 12);
         let want = single.decode_block(&llrs, 12);
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(nodes.decode_block(&llrs, 12), want);
+        prop_assert_eq!(packed.decode_block(&llrs, 12), want);
     }
 
-    /// The packed fixed decoder, in either lane mapping, accepts
-    /// quantized (hardware-format) input and matches `decode_quantized`
-    /// frame by frame.
+    /// The packed fixed decoder accepts quantized (hardware-format) input
+    /// and matches `decode_quantized` frame by frame.
     #[test]
     fn batch_fixed_quantized_equals_per_frame(
         frames in 1usize..6,
@@ -191,15 +187,11 @@ proptest! {
                 ((x >> 33) % 31) as i16 - 15 // uniform in the 5-bit range -15..=15
             })
             .collect();
-        let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
-        let mut nodes = PackedFixedDecoder::node_lanes(code.clone(), FixedConfig::default());
+        let mut packed = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
-        let got = batched.decode_quantized_batch(&channel, 10);
-        for (f, got_f) in got.iter().enumerate() {
-            let frame = &channel[f * n..(f + 1) * n];
+        for frame in channel.chunks(n) {
             let want = single.decode_quantized(frame, 10);
-            prop_assert_eq!(got_f, &want);
-            prop_assert_eq!(&nodes.decode_quantized_batch(frame, 10)[0], &want);
+            prop_assert_eq!(packed.decode_quantized(frame, 10), want);
         }
     }
 

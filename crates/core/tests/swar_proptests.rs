@@ -14,9 +14,8 @@
 use gf2::lanes::{pack_lanes, unpack_lanes};
 use ldpc_core::decoder::kernels::Scaling;
 use ldpc_core::decoder::swar::{
-    abs_i8, add_wrap8, apply_sign8, bit_gather8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask,
-    ltu_mask, min_u16, narrow_bytes, scale_mag8, select8, sign_mask8, sign_pack8, splat8,
-    widen_even, widen_odd,
+    abs_i8, add_wrap8, apply_sign8, bit_gather8, eq7_mask, ltu15_mask16, ltu7_mask, ltu_mask,
+    min_u16, narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
 };
 use proptest::prelude::*;
 
@@ -158,15 +157,6 @@ proptest! {
         }
     }
 
-    /// Sign-bit pack: bit `f` of the byte is lane `f`'s sign.
-    #[test]
-    fn sign_pack_matches_scalar(a in word()) {
-        let got = sign_pack8(pack_lanes(a));
-        for (f, &x) in a.iter().enumerate() {
-            prop_assert_eq!(got >> f & 1 == 1, x < 0, "lane {}", f);
-        }
-    }
-
     /// Bit gather: bit `f` of the byte is bit `b` of lane `f`, for every
     /// bit position of arbitrary lane patterns.
     #[test]
@@ -184,15 +174,6 @@ proptest! {
         let got = unpack_lanes(select8(mask, pack_lanes(a), pack_lanes(b)));
         for f in 0..8 {
             prop_assert_eq!(got[f], if c[f] < 0 { a[f] } else { b[f] }, "lane {}", f);
-        }
-    }
-
-    /// Rail clamp: every lane is `i8::clamp(-max, max)`.
-    #[test]
-    fn clamp_matches_scalar(a in word(), max in 0i8..=127) {
-        let got = unpack_lanes(clamp_i8(pack_lanes(a), max));
-        for f in 0..8 {
-            prop_assert_eq!(got[f], a[f].clamp(-max, max), "lane {} max {}", f, max);
         }
     }
 

@@ -219,6 +219,16 @@ impl BitVec {
         Ok(())
     }
 
+    /// XORs `other`'s words from word `from` on into `self`: the row
+    /// addition of a forward elimination, whose rows are zero below the
+    /// pivot's word.
+    pub(crate) fn xor_words_from(&mut self, other: &Self, from: usize) {
+        debug_assert_eq!(self.len, other.len, "BitVec xor length mismatch");
+        for (a, b) in self.words[from..].iter_mut().zip(&other.words[from..]) {
+            *a ^= *b;
+        }
+    }
+
     /// GF(2) dot product: parity of the bitwise AND of the two vectors.
     ///
     /// # Panics

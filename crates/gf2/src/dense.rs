@@ -335,9 +335,25 @@ impl DenseMatrix {
         }
     }
 
-    /// Rank of the matrix.
+    /// Rank of the matrix, by forward elimination on one copy of the
+    /// rows: each pivot clears its column from the rows below it only, and
+    /// only over the words from its own word on, since every row at or
+    /// below the pivot row is zero in the columns before it.
     pub fn rank(&self) -> usize {
-        self.rref().rank()
+        let mut rows = self.data.clone();
+        let mut rank = 0;
+        for col in 0..self.cols {
+            let Some(pr) = (rank..rows.len()).find(|&r| rows[r].get(col)) else {
+                continue;
+            };
+            rows.swap(rank, pr);
+            let (pivot, below) = rows[rank..].split_first_mut().expect("pivot row");
+            for row in below.iter_mut().filter(|row| row.get(col)) {
+                row.xor_words_from(pivot, col / 64);
+            }
+            rank += 1;
+        }
+        rank
     }
 
     /// A basis of the right null space `{x : A·x = 0}`.

@@ -49,6 +49,33 @@ proptest! {
         prop_assert_eq!(r, m.transpose().rank());
     }
 
+    /// Forward-elimination rank equals the reduced echelon form's pivot
+    /// count: on random matrices up to four words wide, with rows that are
+    /// sums of other rows appended (rank-deficient), and with no rows.
+    #[test]
+    fn rank_matches_rref_rank(
+        rows in 0usize..10,
+        cols in 1usize..250,
+        bits in prop::collection::vec(any::<u64>(), 40),
+        sums in prop::collection::vec((any::<usize>(), any::<usize>()), 0..4),
+    ) {
+        let bit = |i: usize| bits[i / 64 % bits.len()] >> (i % 64) & 1 == 1;
+        let mut data: Vec<BitVec> = (0..rows)
+            .map(|r| BitVec::from_bools(&(0..cols).map(|c| bit(r * cols + c)).collect::<Vec<_>>()))
+            .collect();
+        for (a, b) in sums.into_iter().filter(|_| rows > 0) {
+            let sum = &data[a % rows] ^ &data[b % rows];
+            data.push(sum);
+        }
+        let m = if data.is_empty() {
+            DenseMatrix::zeros(0, cols)
+        } else {
+            DenseMatrix::from_rows(data)
+        };
+        prop_assert_eq!(m.rank(), m.rref().rank());
+        prop_assert!(m.rank() <= rows.min(cols));
+    }
+
     #[test]
     fn nullspace_dimension_is_cols_minus_rank(m in arb_matrix(7, 10)) {
         let basis = m.nullspace_basis();

@@ -12,8 +12,9 @@
 //! either
 //!
 //! * a queue holds a full word — `block_frames()` of the key's decoder:
-//!   8 for `@pack=8`/`@batch=8`, 64 for `@bitslice`, 1 for scalar
-//!   specs — or
+//!   8 for `nms@batch=8` (and the other float min-sum batches), 64 for
+//!   `@bitslice`, 1 for scalar specs and every `fixed` spec, whose
+//!   aliases `@pack=8` and `@batch=N` decode one frame per word — or
 //! * the oldest queued frame has waited the configured latency budget
 //!   (`max_wait`), in which case a partial word ships (the engine's
 //!   partial-block path is lane-exact against scalar decoding), or
@@ -21,10 +22,11 @@
 //!   queued ships immediately.
 //!
 //! This is the software analogue of the paper's 8-frames-in-flight
-//! datapath: a packed decode costs the same wall clock whether 1 or 8
-//! lanes carry real frames, so throughput scales with fill, and fill
+//! datapath: a batched decode costs nearly the same wall clock whether 1
+//! or 8 lanes carry real frames, so throughput scales with fill, and fill
 //! comes from *independent* concurrent clients. One connection decoding
-//! alone degrades gracefully to batch-of-1 at `max_wait` latency.
+//! alone degrades gracefully to batch-of-1 at `max_wait` latency. A
+//! one-frame word never waits: it is full when it arrives.
 //!
 //! Queues are bounded (`queue_frames` per key): when full, the enqueue
 //! reports backpressure and the connection answers `BUSY` with a
@@ -316,6 +318,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
 
+    /// A decoder that still fills multi-frame words: `block_frames()` is
+    /// 8, so the coalescer waits for word-mates.
+    const WORD_SPEC: &str = "demo / nms:1.25@batch=8";
+
     fn coalescer(max_wait: Duration, queue_frames: usize) -> Arc<Coalescer> {
         Arc::new(Coalescer::new(
             max_wait,
@@ -323,6 +329,17 @@ mod tests {
             20,
             Arc::new(Metrics::new()),
         ))
+    }
+
+    /// Starts the drain when dropped, also while a failed assertion
+    /// unwinds, so a scoped worker always exits and the test fails
+    /// instead of hanging.
+    struct ShutdownOnDrop<'a>(&'a Coalescer);
+
+    impl Drop for ShutdownOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.begin_shutdown();
+        }
     }
 
     /// Clean all-zero demo frames: every LLR votes hard for bit 0.
@@ -334,7 +351,7 @@ mod tests {
     fn full_word_dispatches_without_waiting_for_the_deadline() {
         // Deadline far away: only the full-word trigger can fire.
         let c = coalescer(Duration::from_secs(30), 1024);
-        let (key, n) = c.ensure_key("demo / fixed@pack=8").unwrap();
+        let (key, n) = c.ensure_key(WORD_SPEC).unwrap();
         let receivers: Vec<_> = (0..8)
             .map(|_| match c.enqueue(&key, clean_frame(n)) {
                 Enqueue::Queued(rx) => rx,
@@ -342,10 +359,8 @@ mod tests {
             })
             .collect();
         std::thread::scope(|s| {
-            let worker = {
-                let c = Arc::clone(&c);
-                s.spawn(move || c.worker_loop())
-            };
+            let _shutdown = ShutdownOnDrop(&c);
+            s.spawn(|| c.worker_loop());
             for rx in receivers {
                 let frame = rx.recv_timeout(Duration::from_secs(10)).unwrap();
                 assert!(frame.converged);
@@ -354,28 +369,22 @@ mod tests {
             }
             assert_eq!(c.metrics.batches(), 1, "8 frames must ship as one word");
             assert_eq!(c.metrics.batch_fill_count(8), 1);
-            c.begin_shutdown();
-            worker.join().unwrap();
         });
     }
 
     #[test]
     fn deadline_ships_a_partial_word() {
         let c = coalescer(Duration::from_millis(30), 1024);
-        let (key, n) = c.ensure_key("demo / fixed@pack=8").unwrap();
+        let (key, n) = c.ensure_key(WORD_SPEC).unwrap();
         let Enqueue::Queued(rx) = c.enqueue(&key, clean_frame(n)) else {
             panic!("queue refused a frame");
         };
         std::thread::scope(|s| {
-            let worker = {
-                let c = Arc::clone(&c);
-                s.spawn(move || c.worker_loop())
-            };
+            let _shutdown = ShutdownOnDrop(&c);
+            s.spawn(|| c.worker_loop());
             let frame = rx.recv_timeout(Duration::from_secs(10)).unwrap();
             assert!(frame.converged);
             assert_eq!(c.metrics.batch_fill_count(1), 1, "partial word of 1");
-            c.begin_shutdown();
-            worker.join().unwrap();
         });
     }
 
@@ -404,7 +413,7 @@ mod tests {
         // 3 frames in an 8-lane word with a 30 s deadline: neither the
         // full-word nor the deadline trigger can fire — only the drain.
         let c = coalescer(Duration::from_secs(30), 1024);
-        let (key, n) = c.ensure_key("demo / fixed@pack=8").unwrap();
+        let (key, n) = c.ensure_key(WORD_SPEC).unwrap();
         let receivers: Vec<_> = (0..3)
             .map(|_| match c.enqueue(&key, clean_frame(n)) {
                 Enqueue::Queued(rx) => rx,
@@ -413,11 +422,10 @@ mod tests {
             .collect();
         let worker_exited = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let c2 = Arc::clone(&c);
-            let exited = &worker_exited;
-            s.spawn(move || {
-                c2.worker_loop();
-                exited.store(true, Ordering::SeqCst);
+            let _shutdown = ShutdownOnDrop(&c);
+            s.spawn(|| {
+                c.worker_loop();
+                worker_exited.store(true, Ordering::SeqCst);
             });
             c.begin_shutdown();
             for rx in receivers {

@@ -1,19 +1,21 @@
 //! Decode-as-a-service: a TCP front end that coalesces many clients'
 //! single frames into the full packed words the decoder kernels want.
 //!
-//! The paper's architecture (Demangel et al., DATE 2009) only reaches
-//! throughput when 8 independent frames share the datapath; the
-//! workspace's `@pack=8` / `@batch=8` / `@bitslice` kernels reproduce
-//! that in software, and this crate supplies the missing ingredient —
+//! The paper's high-speed architecture (Demangel et al., DATE 2009) only
+//! reaches throughput when 8 independent frames share the datapath; the
+//! workspace's `@batch=8` / `@bitslice` kernels reproduce that in
+//! software, and this crate supplies the missing ingredient —
 //! *independent concurrent frames* — by serving many connections and
-//! batching across them:
+//! batching across them. Every `fixed` spec (`@pack=8` and `@batch=N`
+//! are its aliases) fills its word's lanes with one frame, so its frames
+//! ship as soon as a worker is free:
 //!
 //! ```text
 //!   clients ──▶ connection threads ──▶ per-(code,decoder) queues
 //!                                          │  full word OR deadline
 //!                                          ▼
 //!                                    worker pool ──▶ BlockDecoder
-//!                                          │        (8/64-lane word)
+//!                                          │        (1/8/64-frame word)
 //!                                          ▼
 //!               connection threads ◀── per-frame replies
 //! ```

@@ -487,7 +487,7 @@ mod tests {
         let (handle, join) = demo_server(Duration::from_secs(30), 2);
         let n = ldpc_core::codes::small::demo_code().n();
         let addr = handle.addr();
-        let spec = "demo / fixed@pack=8";
+        let spec = "demo / nms:1.25@batch=8";
 
         let parked: Vec<_> = (0..2)
             .map(|_| {

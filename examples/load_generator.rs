@@ -2,15 +2,17 @@
 //! A12 (EXPERIMENTS.md): the throughput/latency/batch-fill curve of
 //! coalescing, 1 connection vs many.
 //!
-//! With one connection the server degrades to batch-of-1 words (the
-//! latency-budget fallback); with ≥ 64 concurrent in-flight frames the
-//! per-(code, decoder) queues fill whole 8-lane `@pack=8` words and
-//! frames/sec scales with lane fill — the serving mirror of the paper's
-//! 8-frames-in-flight datapath.
+//! With a decoder whose word holds several frames (`nms:1.25@batch=8`
+//! decodes 8 in lockstep) one connection degrades to batch-of-1 words
+//! (the latency-budget fallback), and with ≥ 64 concurrent in-flight
+//! frames the per-(code, decoder) queues fill whole 8-frame words, so
+//! frames/sec scales with fill — the serving mirror of the paper's
+//! 8-frames-in-flight datapath. Every `fixed` spec decodes one frame per
+//! word, which ships as soon as a worker is free.
 //!
 //! ```text
 //! cargo run --release --example load_generator -- \
-//!     --spec "c2 / fixed@pack=8" --frames 256 --connections 1,64 --stats
+//!     --spec "demo / nms:1.25@batch=8" --frames 256 --connections 1,64 --stats
 //! ```
 //!
 //! Without `--addr` an in-process server is started on a free port (and
@@ -40,7 +42,7 @@ struct Options {
 
 fn parse_options() -> Result<Options, String> {
     let mut opts = Options {
-        spec: "c2 / fixed@pack=8".to_string(),
+        spec: "demo / nms:1.25@batch=8".to_string(),
         frames: 256,
         connections: vec![1, 64],
         ebn0: 4.0,

@@ -84,8 +84,9 @@ fn registry_is_complete() {
             "family {name} is parseable but missing from DecoderSpec::all_families()"
         );
     }
-    // 11 scalar families + 4 packed mirrors. Update both the grammar and
-    // this count when registering a new family.
+    // 11 scalar families + 4 modified specs (two of them the `fixed`
+    // aliases). Update both the grammar and this count when registering
+    // a new family.
     assert_eq!(DecoderSpec::family_names().len(), 11);
     assert_eq!(all.len(), 15);
     // Canonical specs round trip through the grammar.
@@ -155,16 +156,15 @@ fn documented_bit_exact_pairs_agree() {
     let code = demo_code();
     let llrs = corpus();
     let spec = |s: &str| DecoderSpec::parse(s).unwrap().build(&code);
-    // The fixed-point mirrors answer to the per-edge `FixedDecoder`
-    // itself: plain `fixed` builds the node-lane packed datapath, which is
-    // one of the mirrors.
+    // The fixed-point specs answer to the per-edge `FixedDecoder` itself:
+    // plain `fixed` and its aliases build the packed datapath.
     let per_edge = || -> Box<dyn BlockDecoder> {
         Box::new(FixedDecoder::new(code.clone(), FixedConfig::default()))
     };
     // Every grammar-reachable packed mirror, not just the registry's
     // canonical four: ms@batch and oms@batch share the batched min-sum
     // datapath but exercise the plain/offset correction arms, and
-    // fixed@batch=N builds the packed datapath in 8-frame words for any N.
+    // fixed@batch=N is an alias of plain `fixed` for any N.
     let pairs = [
         ("ms", spec("ms"), "ms@batch=8"),
         ("nms", spec("nms"), "nms@batch=8"),
@@ -264,9 +264,8 @@ fn every_family_sound_and_deterministic_on_every_channel_family() {
 }
 
 /// Reorders a frame-major corpus so consecutive frames cycle through the
-/// operating points: every 8-frame word a packed decoder forms then
-/// mixes immediately-converging, late-converging, and never-converging
-/// lanes.
+/// operating points: every 8 consecutive frames then mix
+/// immediately-converging, late-converging, and never-converging ones.
 fn stripe_operating_points(llrs: &[f32], n: usize, points: usize) -> Vec<f32> {
     let frames = llrs.len() / n;
     let per_point = frames / points;
@@ -280,11 +279,11 @@ fn stripe_operating_points(llrs: &[f32], n: usize, points: usize) -> Vec<f32> {
     out
 }
 
-/// The SWAR-packed `fixed@pack=8` lanes, and the node lanes of plain
-/// `fixed`, against the per-edge `FixedDecoder`, under **mixed per-lane
+/// The SWAR-packed `fixed` datapath, through plain `fixed` and its alias
+/// `fixed@pack=8`, against the per-edge `FixedDecoder`, under **mixed
 /// convergence**: the corpora are striped across their operating points
-/// so every packed word holds lanes that retire at different iterations
-/// (and some that never do). Hard decisions, convergence flags, and
+/// so every run of 8 frames holds frames that converge at different
+/// iterations (and some that never do). Hard decisions, convergence flags, and
 /// iteration counts must be bit-exact per frame on every channel model —
 /// AWGN, BSC, and Rayleigh fading.
 #[test]

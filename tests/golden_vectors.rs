@@ -150,8 +150,11 @@ fn batch_fixed_decoder_golden_vectors() {
     let code = demo_code();
     let n = code.n();
     let channel = golden_quantized_batch(n, 6);
-    let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
-    let out = batched.decode_quantized_batch(&channel, 18);
+    let mut packed = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+    let out: Vec<_> = channel
+        .chunks(n)
+        .map(|frame| packed.decode_quantized(frame, 18))
+        .collect();
     let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
     for (f, r) in out.iter().enumerate() {
         let want = single.decode_quantized(&channel[f * n..(f + 1) * n], 18);
