@@ -510,9 +510,7 @@ impl PackedFixedDecoder {
             channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
             "channel value outside quantizer range"
         );
-        for (c, &level) in self.planes.ch.iter_mut().zip(channel) {
-            *c = level as u8;
-        }
+        self.load_levels(channel);
         self.decode_loaded(max_iterations)
     }
 
@@ -525,10 +523,23 @@ impl PackedFixedDecoder {
     /// Panics if `llrs.len()` differs from the code length.
     pub fn decode(&mut self, llrs: &[f32], max_iterations: u32) -> DecodeResult {
         assert_eq!(llrs.len(), self.code.n(), "channel LLR length mismatch");
+        self.load_channel(llrs);
+        self.decode_loaded(max_iterations)
+    }
+
+    /// Quantizes one frame of LLRs into the channel plane: the AVX2 loop
+    /// when the CPU has it, the portable one otherwise.
+    fn load_channel(&mut self, llrs: &[f32]) {
         if !avx2::quantize_simd(&self.quantizer, llrs, &mut self.planes.ch) {
             quantize_into(&self.quantizer, llrs, &mut self.planes.ch);
         }
-        self.decode_loaded(max_iterations)
+    }
+
+    /// Copies one frame of quantized levels into the channel plane.
+    fn load_levels(&mut self, levels: &[i16]) {
+        for (c, &level) in self.planes.ch.iter_mut().zip(levels) {
+            *c = level as u8;
+        }
     }
 
     /// Decodes the frame in the channel plane: seeds the messages, then
@@ -801,14 +812,6 @@ mod tests {
         ch.chunks(dec.n())
             .map(|frame| dec.decode_quantized(frame, iters))
             .collect()
-    }
-
-    /// Loads quantized levels into the channel plane, as
-    /// [`PackedFixedDecoder::decode_quantized`] does.
-    fn load_levels(dec: &mut PackedFixedDecoder, levels: &[i16]) {
-        for (c, &level) in dec.planes.ch.iter_mut().zip(levels) {
-            *c = level as u8;
-        }
     }
 
     /// Every frame of `ch` matches the scalar reference, on the demo
@@ -1179,7 +1182,7 @@ mod tests {
             let mut dec = PackedFixedDecoder::new(code.clone(), config);
             // A noisy frame, which converges over several iterations.
             let ch = mixed_levels(&code, 2, dec.quantizer.max_level(), 49);
-            load_levels(&mut dec, &ch[n..]);
+            dec.load_levels(&ch[n..]);
             dec.seed_messages();
             for iter in 0..8 {
                 let label = format!("{spec} / {config:?}, iteration {iter}");
@@ -1242,11 +1245,7 @@ mod tests {
         iters: u32,
         split: &mut StageSplit,
     ) {
-        timed(&mut split.load, || {
-            if !avx2::quantize_simd(&dec.quantizer, llrs, &mut dec.planes.ch) {
-                quantize_into(&dec.quantizer, llrs, &mut dec.planes.ch);
-            }
-        });
+        timed(&mut split.load, || dec.load_channel(llrs));
         timed(&mut split.seed, || dec.seed_messages());
         for _ in 0..iters {
             timed(&mut split.phases, || dec.phases());

@@ -78,6 +78,8 @@ pub(super) fn quantize_simd(quantizer: &LlrQuantizer, llrs: &[f32], out: &mut [u
         unsafe { x86::quantize_avx2(quantizer, llrs, out) };
         return true;
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (quantizer, llrs, out);
     false
 }
 

@@ -17,10 +17,10 @@
 //!   the bit-accurate fixed-point datapath of the paper's FPGA architecture
 //!   ([`FixedDecoder`]), and a serial-schedule variant
 //!   ([`LayeredMinSumDecoder`]).
-//! * [`PackedFixedDecoder`] — the same fixed-point datapath packed eight
-//!   byte lanes to a word, as the paper's memory words pack frames or
-//!   nodes: portable SWAR, or its AVX2 mirror on CPUs that have AVX2
-//!   (picked at run time, bit-identical).
+//! * [`PackedFixedDecoder`] — the same fixed-point datapath on one frame,
+//!   eight adjacent nodes' byte lanes to a word, as the paper's low-cost
+//!   instance packs nodes: portable SWAR, or its AVX2 mirror on CPUs that
+//!   have AVX2 (picked at run time, bit-identical).
 //!
 //! # Quickstart
 //!

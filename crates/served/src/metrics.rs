@@ -264,7 +264,7 @@ mod tests {
         m.record_batch(8);
         m.record_batch(3);
         m.record_frame_done(Duration::from_micros(100), true);
-        let body = m.render(&[("c2 / fixed@pack=8".into(), 2, 8)]);
+        let body = m.render(&[("c2 / nms:1.25@batch=8".into(), 2, 8)]);
         assert!(
             body.contains("ldpc_served_batch_fill{lanes=\"8\"} 1"),
             "{body}"
@@ -274,7 +274,7 @@ mod tests {
             "{body}"
         );
         assert!(
-            body.contains("ldpc_served_queue_depth{key=\"c2 / fixed@pack=8\",word=\"8\"} 2"),
+            body.contains("ldpc_served_queue_depth{key=\"c2 / nms:1.25@batch=8\",word=\"8\"} 2"),
             "{body}"
         );
         assert!(

@@ -459,7 +459,9 @@ pub fn to_csv(points: &[PointResult]) -> String {
 mod tests {
     use super::*;
     use ldpc_core::codes::small::demo_code;
-    use ldpc_core::{CodeSpec, DecoderSpec, MinSumConfig, MinSumDecoder};
+    use ldpc_core::{
+        CodeSpec, DecoderSpec, FixedConfig, FixedDecoder, MinSumConfig, MinSumDecoder,
+    };
     use proptest::prelude::*;
 
     /// The reference count: one `get` per position.
@@ -692,7 +694,7 @@ mod tests {
     #[test]
     fn claim_counter_never_overshoots_max_frames() {
         let units = sweep_grid(
-            &[Scenario::parse("demo / awgn / fixed@batch=8").unwrap()],
+            &[Scenario::parse("demo / awgn / nms:1.25@batch=8").unwrap()],
             &[4.0],
             7,
         );
@@ -767,7 +769,9 @@ mod tests {
     #[test]
     fn target_stop_overshoot_is_bounded() {
         let code = demo_code();
-        let block = 8u64;
+        let decoder = spec("nms:1.25@batch=8");
+        let block = decoder.build(&code).block_frames() as u64;
+        assert!(block > 1, "the bound needs a multi-frame block");
         let threads = 4u64;
         let target = 5u64;
         let cfg = MonteCarloConfig {
@@ -776,7 +780,7 @@ mod tests {
             threads: threads as usize,
             ..quick_cfg(-10.0) // every frame is a frame error down here
         };
-        let point = run_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let point = run_spec(&code, None, &cfg, &decoder);
         assert_eq!(
             point.frame_errors, point.frames,
             "the bound below assumes every frame errors at -10 dB"
@@ -824,6 +828,9 @@ mod tests {
         }
     }
 
+    /// `fixed@batch=8` is an alias of the packed `fixed` datapath, which
+    /// decodes one frame per block; its point must equal the scalar
+    /// per-edge `FixedDecoder`'s.
     #[test]
     fn batched_fixed_point_matches_per_frame_exactly_single_thread() {
         let code = demo_code();
@@ -831,7 +838,9 @@ mod tests {
             threads: 1,
             ..quick_cfg(2.5)
         };
-        let per_frame = run_spec(&code, None, &cfg, &spec("fixed"));
+        let per_frame = run_point_blocks(&code, None, &cfg, || {
+            FixedDecoder::new(code.clone(), FixedConfig::default())
+        });
         let batched = run_spec(&code, None, &cfg, &spec("fixed@batch=8"));
         assert_eq!(batched, per_frame);
     }
@@ -857,7 +866,7 @@ mod tests {
             threads: 3,
             ..quick_cfg(3.0)
         };
-        let point = run_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let point = run_spec(&code, None, &cfg, &spec("nms:1.25@batch=8"));
         assert_eq!(point.frames, 100);
     }
 
@@ -881,8 +890,8 @@ mod tests {
         let mut cfg = quick_cfg(2.5);
         cfg.transmission = Transmission::Random;
         cfg.threads = 1;
-        let batched = run_spec(&code, Some(&enc), &cfg, &spec("fixed@batch=8"));
-        let per_frame = run_spec(&code, Some(&enc), &cfg, &spec("fixed"));
+        let batched = run_spec(&code, Some(&enc), &cfg, &spec("nms:1.25@batch=8"));
+        let per_frame = run_spec(&code, Some(&enc), &cfg, &spec("nms:1.25"));
         assert_eq!(batched, per_frame);
     }
 

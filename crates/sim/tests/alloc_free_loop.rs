@@ -111,7 +111,8 @@ fn allocations_of_run(spec: &DecoderSpec, frames: u64) -> u64 {
 
 #[test]
 fn frame_loop_allocations_do_not_grow_with_frames() {
-    for s in ["fixed@pack=8", "fixed"] {
+    // A multi-frame block and a one-frame block.
+    for s in ["nms:1.25@batch=8", "fixed"] {
         let spec = DecoderSpec::parse(s).unwrap();
         // Process-wide lazy state (the noise tables) is built here, once.
         allocations_of_run(&spec, 8);
