@@ -116,8 +116,8 @@ DECODER SPECS (simulate --decoder / sweep --decoders):
   modifiers: @batch=N (lockstep frame batching: ms, nms, oms; on
              fixed an alias of plain fixed)
              @bitslice (64 frames per u64 word: gallager-b)
-             @pack=8 (an alias of plain fixed, whose SWAR i8 lanes
-             hold 8 adjacent nodes of one frame: fixed)
+             @pack=8 (an alias of plain fixed, whose i8 lanes hold
+             adjacent nodes of one frame: fixed)
 
 The full grammar and copy-pasteable recipes live in docs/scenarios.md.
 ",

@@ -49,6 +49,12 @@ use std::sync::Arc;
 /// size).
 pub const DEFAULT_AR4JA_K: usize = 1024;
 
+/// Largest AR4JA information block length, the largest CCSDS 131.0-B
+/// size. A code's memory grows linearly in `k`, and a decode request
+/// builds its code before its payload is checked, so the parser bounds
+/// it.
+const MAX_AR4JA_K: usize = 16_384;
+
 /// Seed of the deterministic AR4JA circulant lift (documented
 /// substitution, DESIGN.md §3.2: seeded selection replaces the blue
 /// book's shift tables).
@@ -307,9 +313,18 @@ impl CodeSpec {
         ]
     }
 
-    /// Validates parameters (AR4JA size divisibility, positive k).
+    /// Validates parameters (AR4JA size bound and divisibility, positive
+    /// k).
     fn validated(self) -> Result<Self, CodeSpecError> {
         match self {
+            CodeSpec::Ar4ja { k, .. } if k > MAX_AR4JA_K => {
+                return Err(CodeSpecError::InvalidParameter {
+                    family: "ar4ja",
+                    value: format!("k={k}"),
+                    expected: "k at most 16384, the largest CCSDS AR4JA information length \
+                               (e.g. ar4ja:r=1/2,k=16384)",
+                });
+            }
             CodeSpec::Ar4ja { rate, k } => {
                 let info_blocks = rate.var_blocks() - 3;
                 if k == 0 || k % info_blocks != 0 || k / info_blocks < 8 {
@@ -729,6 +744,18 @@ mod tests {
         assert!(err.to_string().contains("no modifiers"), "{err}");
 
         assert_eq!(CodeSpec::parse("").unwrap_err(), CodeSpecError::Empty);
+    }
+
+    #[test]
+    fn ar4ja_k_is_capped_at_the_largest_ccsds_length() {
+        for spec in ["ar4ja:r=1/2,k=16386", "ar4ja:r=4/5,k=67108864"] {
+            let err = CodeSpec::parse(spec).unwrap_err();
+            assert!(err.to_string().contains("at most 16384"), "{spec}: {err}");
+        }
+        for rate in ["1/2", "2/3", "4/5"] {
+            let spec = format!("ar4ja:r={rate},k={MAX_AR4JA_K}");
+            assert!(CodeSpec::parse(&spec).is_ok(), "{spec}");
+        }
     }
 
     #[test]

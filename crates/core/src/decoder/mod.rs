@@ -15,7 +15,7 @@
 //! | [`LayeredMinSumDecoder`] | `f32` | sign·min, serial schedule | ablation (A3) |
 //! | [`QcLayeredDecoder`] | `f32` | sign·min, block-layered over rotate-indexed circulant planes | the banked-memory datapath (Fig. 3) |
 //! | [`BatchMinSumDecoder`] | `f32`, ×F frames | lockstep over interleaved memory | frames-per-word packing (Table 3) |
-//! | [`PackedFixedDecoder`] | SWAR i8 lanes: 1 frame × 8 adjacent nodes per word | sign·min on byte lanes, one word op per 8 lanes | the paper's low-cost instance at register width: `fixed` (and its aliases `fixed@pack=8`, `fixed@batch=N`) |
+//! | [`PackedFixedDecoder`] | i8 lanes: 1 frame × 32 adjacent checks or 16 adjacent bits per block | sign·min on byte lanes, plain lane loops the compiler vectorizes (AVX2 mirror where the CPU has it) | the paper's low-cost instance at register width: `fixed` (and its aliases `fixed@pack=8`, `fixed@batch=N`) |
 //! | [`BitsliceGallagerBDecoder`] | boolean planes, ×64 frames | majority vote via carry-save counters | frames-per-word at the hard-decision limit |
 //! | [`PeelingDecoder`] | GF(2) | degree-1 erasure peeling + dense inactivation solve | fountain-code baseline for the packet-loss workload |
 //!
@@ -42,7 +42,6 @@ mod qc_layered;
 mod selfcorrect;
 mod spa;
 mod spec;
-pub mod swar;
 
 pub use alpha::{fine_alpha_schedule, mean_matching_alpha, nearest_hardware_scaling};
 pub use batch::BatchMinSumDecoder;

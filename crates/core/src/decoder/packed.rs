@@ -1,14 +1,11 @@
-//! SWAR-packed fixed-point decoder: one frame across the eight byte
-//! lanes of each `u64` word, so one word op updates eight adjacent checks
-//! or bits — the paper's low-cost instance of its datapath at register
-//! width. Bit-exact against [`FixedDecoder`](crate::decoder::FixedDecoder).
+//! Packed fixed-point decoder: one frame in flight and one signed byte
+//! per message position, so a block of lanes updates adjacent checks or
+//! adjacent bits of one frame side by side — the paper's low-cost
+//! instance of its datapath at register width. Bit-exact against
+//! [`FixedDecoder`](crate::decoder::FixedDecoder).
 
 use crate::decoder::block::runs;
-use crate::decoder::kernels::{bn_output, bn_posterior};
-use crate::decoder::swar::{
-    self, abs_i8, apply_sign8, bit_gather8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16,
-    narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
-};
+use crate::decoder::kernels::{bn_output, bn_posterior, Scaling};
 use crate::decoder::{BlockDecoder, DecodeResult, FixedConfig};
 use crate::{LdpcCode, LlrQuantizer, TannerGraph};
 use gf2::BitVec;
@@ -17,12 +14,16 @@ use std::sync::Arc;
 
 mod avx2;
 
-/// Byte lanes per packed word: the adjacent checks or bits one word op
-/// updates.
-pub const PACK_LANES: usize = swar::LANES;
+/// Adjacent bits of a bit-node block in a run of 8 to 15 bits, and the
+/// shortest run the blocks cover: shorter runs take the per-bit kernels.
+/// It is also the `@pack` modifier's only value.
+pub const PACK_LANES: usize = 8;
 
-/// Low byte of every u16 lane.
-const M16: u64 = 0x00FF_00FF_00FF_00FF;
+/// Adjacent bits of a bit-node block in a run of at least 16 bits.
+const BN_BLOCK: usize = 2 * PACK_LANES;
+
+/// Adjacent checks of a check-node block: one 256-bit vector of bytes.
+const CN_BLOCK: usize = 32;
 
 /// Largest bit-node degree the stack-resident per-edge caches cover.
 const MAX_BN_DEGREE: usize = 64;
@@ -34,32 +35,28 @@ const LINE_BYTES: usize = 64;
 /// full run-wise pass (see [`PackedFixedDecoder::syndrome_fails`]).
 const SETTLE_CHECKS: usize = 32;
 
-/// A word with `x` in all four u16 lanes.
-#[inline(always)]
-fn splat16(x: u16) -> u64 {
-    u64::from(x) * 0x0001_0001_0001_0001
+/// Start offsets of the `step`-bit blocks that cover a run of `len >=
+/// step` bits: whole steps, then, when `len` is not a multiple of `step`,
+/// one step moved back onto the last bit, overlapping the one before.
+/// The overlap is recomputed to the same values, because a bit-node
+/// update reads only the channel and check→bit planes.
+fn steps(len: usize, step: usize) -> impl Iterator<Item = usize> {
+    let whole = len / step * step;
+    (0..whole)
+        .step_by(step)
+        .chain((whole < len).then(|| len - step))
 }
 
-/// Splits signed byte lanes into non-negative magnitude planes: `(pos,
-/// neg)` with `pos[f] = max(v[f], 0)` and `neg[f] = max(-v[f], 0)`, for
-/// lanes in `-127..=127`.
+/// [`Scaling::apply`] on a block of magnitudes in `0..=127`.
 #[inline(always)]
-fn split_signed(v: u64) -> (u64, u64) {
-    let s = sign_mask8(v);
-    let mag = abs_i8(v);
-    (mag & !s, mag & s)
-}
-
-/// The little-endian word at byte `at` of a plane.
-#[inline(always)]
-fn word(plane: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(plane[at..at + 8].try_into().expect("eight bytes"))
-}
-
-/// Stores `w` at byte `at` of a plane.
-#[inline(always)]
-fn set_word(plane: &mut [u8], at: usize, w: u64) {
-    plane[at..at + 8].copy_from_slice(&w.to_le_bytes());
+fn scale(mut mags: [u8; CN_BLOCK], scaling: Scaling) -> [u8; CN_BLOCK] {
+    match scaling {
+        Scaling::Unity => {}
+        Scaling::SevenEighths => mags.iter_mut().for_each(|m| *m -= *m >> 3),
+        Scaling::ThreeQuarters => mags.iter_mut().for_each(|m| *m -= *m >> 2),
+        Scaling::Half => mags.iter_mut().for_each(|m| *m >>= 1),
+    }
+    mags
 }
 
 /// Quantizes LLRs into signed channel bytes, the portable channel load.
@@ -195,23 +192,17 @@ impl SlotLayout {
         self.slots * self.stride
     }
 
-    /// Calls `f(pos, bit, j)` for steps of `step` bits that cover every
-    /// run at least `step` bits long: step `j` is bits `bit + j .. bit +
-    /// j + step` of the run starting at `bit`, whose first bit has edge
-    /// positions `pos`. A run that does not end on a step boundary ends
-    /// with a step moved back onto its last bit, overlapping the one
-    /// before; the overlap is recomputed to the same values, because a
-    /// bit-node update reads only the channel and check→bit planes.
+    /// Calls `f(pos, bit, j)` for the [`steps`] of `step` bits that cover
+    /// every run at least `step` bits long: step `j` is bits `bit + j ..
+    /// bit + j + step` of the run starting at `bit`, whose first bit has
+    /// edge positions `pos`. The tests walk the blocks' coverage and the
+    /// owned positions with it.
+    #[cfg(test)]
     fn for_each_step(&self, step: usize, mut f: impl FnMut(&[u32], usize, usize)) {
         for run in self.runs.iter().filter(|run| run.len >= step) {
             let pos = &self.run_pos[run.pos.clone()];
-            let mut j = 0;
-            while j + step <= run.len {
+            for j in steps(run.len, step) {
                 f(pos, run.bit, j);
-                j += step;
-            }
-            if j < run.len {
-                f(pos, run.bit, run.len - step);
             }
         }
     }
@@ -230,8 +221,8 @@ impl SlotLayout {
 }
 
 /// The decoder's byte planes. Every position — an edge slot of the
-/// message memory, a bit, a check — owns one byte, so a word holds eight
-/// adjacent positions.
+/// message memory, a bit, a check — owns one byte, so a block of lanes
+/// holds adjacent positions.
 struct Planes {
     /// Bit→check messages, signed bytes in slot-major order; positions
     /// no edge owns hold `0x7F`.
@@ -241,84 +232,71 @@ struct Planes {
     /// Quantized channel LLRs as signed bytes, one position per bit.
     ch: Vec<u8>,
     /// Hard decisions, one byte per bit: 1 where the frame decides 1.
-    /// Zero bytes pad it to whole groups of eight bits.
     hard: Vec<u8>,
     /// The syndrome's check-major parity row, one byte per check: 1
     /// where the check fails.
     parity: Vec<u8>,
 }
 
-/// Per-edge contribution cache of one bit-node word: the positive and
-/// negative magnitude planes of each edge's check→bit word.
-type EdgeCache = [(u64, u64); MAX_BN_DEGREE];
+/// The `W` bytes of a plane from position `at`, as signed i16 lanes.
+#[inline(always)]
+fn widened<const W: usize>(plane: &[u8], at: usize) -> [i16; W] {
+    let bytes: &[u8; W] = plane[at..].first_chunk().expect("block inside its plane");
+    let mut lanes = [0; W];
+    for (l, &x) in lanes.iter_mut().zip(bytes) {
+        *l = i16::from(x as i8);
+    }
+    lanes
+}
 
 impl Planes {
-    /// Bit-node update of the eight adjacent bits from bit `b` of a run,
-    /// whose edges sit at bytes `p + j ..` for each `p` in `pos`: stores
-    /// their bit→check messages and hard decisions.
+    /// Bit-node update of the `W` adjacent bits from bit `b` of a run,
+    /// whose edges sit at positions `p + j ..` for each `p` in `pos`:
+    /// stores their bit→check messages and hard decisions. `cache` keeps
+    /// each edge's widened check→bit lanes between the sum and the
+    /// outputs.
     ///
-    /// The sum runs in biased u16 lanes (bias `B = ch_max +
-    /// max_bn_degree · msg_max`). Lane values stay in `[0, 2·bias]`
-    /// through every partial sum (the channel magnitude is at most
-    /// `ch_max`, each check→bit magnitude is at most `msg_max`, and at
-    /// most `max_bn_degree` of them are subtracted), so the plain `u64`
-    /// add/sub never borrows across lanes and the accumulator is exact —
-    /// the packed equivalent of the scalar datapath's i32 widening. The
-    /// per-edge output `bias + ch + total − own` then saturates to
-    /// `msg_max` exactly like
-    /// [`bn_output`](crate::decoder::kernels::bn_output), and the hard
-    /// decision `t < bias` is
+    /// The sum runs in i16 lanes and is exact: `|ch + Σ messages| ≤ 127
+    /// + 64·127`. Each output `total − own` saturates to `msg_max`
+    /// exactly like [`bn_output`](crate::decoder::kernels::bn_output),
+    /// and the hard decision `total < 0` is
     /// [`bn_posterior`](crate::decoder::kernels::bn_posterior)` < 0`.
     #[inline(always)]
-    fn bn_word(
+    fn bn_block<const W: usize>(
         &mut self,
         b: usize,
         pos: &[u32],
         j: usize,
-        bias: u16,
         msg_max: i16,
-        cache: &mut EdgeCache,
+        cache: &mut [[i16; W]; MAX_BN_DEGREE],
     ) {
-        let b16 = splat16(bias);
-        let m16 = splat16(msg_max as u16);
-        let (cp, cn) = split_signed(word(&self.ch, b));
-        let mut te = b16
-            .wrapping_add(widen_even(cp))
-            .wrapping_sub(widen_even(cn));
-        let mut to = b16.wrapping_add(widen_odd(cp)).wrapping_sub(widen_odd(cn));
-        for (c, &p) in cache.iter_mut().zip(pos) {
-            let (pm, nm) = split_signed(word(&self.cb, p as usize + j));
-            *c = (pm, nm);
-            te = te.wrapping_add(widen_even(pm)).wrapping_sub(widen_even(nm));
-            to = to.wrapping_add(widen_odd(pm)).wrapping_sub(widen_odd(nm));
+        let mut total = widened::<W>(&self.ch, b);
+        for (own, &p) in cache.iter_mut().zip(pos) {
+            *own = widened(&self.cb, p as usize + j);
+            for (t, &m) in total.iter_mut().zip(&*own) {
+                *t += m;
+            }
         }
-        for (&(pm, nm), &p) in cache.iter().zip(pos) {
-            let ue = te.wrapping_sub(widen_even(pm)).wrapping_add(widen_even(nm));
-            let uo = to.wrapping_sub(widen_odd(pm)).wrapping_add(widen_odd(nm));
-            // Sign: the extrinsic sum is negative iff u < bias.
-            let lte = ltu15_mask16(ue, b16);
-            let lto = ltu15_mask16(uo, b16);
-            // Magnitude: |u - bias| via max/min (xor recovers the other
-            // of the pair), saturated to the message width.
-            let mxe = select8(lte, b16, ue);
-            let mage = min_u16(mxe.wrapping_sub(ue ^ b16 ^ mxe), m16);
-            let mxo = select8(lto, b16, uo);
-            let mago = min_u16(mxo.wrapping_sub(uo ^ b16 ^ mxo), m16);
-            let sign = narrow_bytes(lte & M16, lto & M16);
-            let mag = narrow_bytes(mage, mago);
-            set_word(&mut self.bc, p as usize + j, apply_sign8(mag, sign));
+        for (own, &p) in cache.iter().zip(pos) {
+            let out: &mut [u8; W] = self.bc[p as usize + j..]
+                .first_chunk_mut()
+                .expect("block inside its plane");
+            for ((o, &t), &m) in out.iter_mut().zip(&total).zip(own) {
+                *o = (t - m).clamp(-msg_max, msg_max) as u8;
+            }
         }
-        // Hard decision: posterior < 0 iff the biased total < bias.
-        let he = ltu15_mask16(te, b16);
-        let ho = ltu15_mask16(to, b16);
-        let hard = narrow_bytes(he & M16, ho & M16) & splat8(1);
-        set_word(&mut self.hard, b, hard);
+        let hard: &mut [u8; W] = self.hard[b..]
+            .first_chunk_mut()
+            .expect("block inside its plane");
+        for (h, &t) in hard.iter_mut().zip(&total) {
+            *h = u8::from(t < 0);
+        }
     }
 
     /// Bit-node update of one bit through the scalar kernels, for a run
-    /// shorter than a word, where a whole word would store past the run.
-    /// The channel byte is `b`; the edge bytes are `p + j` for `p` in
-    /// `pos`.
+    /// shorter than a block, where a whole block would store past the
+    /// run. The channel byte is `b`; the edge bytes are `p + j` for `p`
+    /// in `pos`.
     fn bn_bit(&mut self, b: usize, pos: &[u32], j: usize, msg_max: i16) {
         let level = |plane: &[u8], at: usize| i16::from(plane[at] as i8);
         let ch = level(&self.ch, b);
@@ -337,19 +315,18 @@ impl Planes {
 /// Packed fixed-point normalized min-sum decoder.
 ///
 /// One frame is in flight, and every message position owns one signed
-/// byte, so a `u64` word holds eight adjacent positions: eight adjacent
-/// checks of one slot row in the check-node phase, eight adjacent bits
-/// of one bit run in the bit-node phase. Every update is a handful of
-/// SWAR word ops from [`swar`](crate::decoder::swar) that advance the
-/// eight byte lanes at once. This is the paper's low-cost instance of its
-/// generic datapath; its high-speed instance, eight frames per memory
-/// word, lives on only in the `ldpc-hwsim` model (DESIGN.md §4.4 says
-/// why).
+/// byte, so one block of lanes holds adjacent positions: 32 adjacent
+/// checks of one slot row in the check-node phase, 16 adjacent bits of
+/// one bit run in the bit-node phase (8 in a run of 8 to 15 bits). Each
+/// phase is a plain loop over the lanes of a block, which the compiler
+/// vectorizes. This is the paper's low-cost instance of its generic
+/// datapath; its high-speed instance, eight frames per memory word,
+/// lives on only in the `ldpc-hwsim` model (DESIGN.md §4.4 says why).
 ///
 /// Each direction keeps **one** signed byte per edge (not separate sign
 /// and magnitude planes), so an iteration streams exactly two bytes per
 /// edge visit — the check node splits sign from magnitude on the fly
-/// (the sign product is the XOR of the raw words: sign bits XOR in
+/// (the sign product is the XOR of the raw bytes: sign bits XOR in
 /// place) and the bit node re-signs on the way out.
 ///
 /// The messages are stored **slot-major**, like the paper's banked
@@ -359,8 +336,8 @@ impl Planes {
 /// same column of every row, and the bit nodes of a circulant walk each
 /// row one position per bit. Slots of checks with fewer edges than the
 /// widest check hold neutral `0x7F` lanes. A run that does not end on a
-/// word boundary ends with a word moved back onto its last bit, and a
-/// run shorter than a word takes the per-bit path of
+/// block boundary ends with a block moved back onto its last bit, and a
+/// run shorter than 8 bits takes the per-bit path of
 /// [`kernels`](crate::decoder::kernels), so no store ever leaves the
 /// run.
 ///
@@ -375,7 +352,8 @@ impl Planes {
 /// iteration counts — which the conformance and golden suites pin.
 ///
 /// On a CPU with AVX2 the channel load and the phases run on 256-bit
-/// vector instructions; the results are identical bit for bit.
+/// vector instructions instead (`packed/avx2.rs`); the results are
+/// identical bit for bit.
 ///
 /// # Example
 ///
@@ -398,9 +376,6 @@ pub struct PackedFixedDecoder {
     code: Arc<LdpcCode>,
     config: FixedConfig,
     quantizer: LlrQuantizer,
-    /// Bit-node bias of the portable path: u16 accumulator lanes hold
-    /// `bias + value`.
-    bias: u16,
     layout: SlotLayout,
     planes: Planes,
     /// Whether the last iteration ran on the AVX2 mirror.
@@ -413,12 +388,11 @@ impl PackedFixedDecoder {
     /// # Panics
     ///
     /// Panics if the configured widths do not fit the packed datapath
-    /// (`q_msg` or `q_ch` above 8 bits, or a bias that overflows the u16
-    /// bit-node lanes), if any check node has degree outside `2..=127`
-    /// (the two-minimum lane scan needs at least two absorbs to mirror
-    /// the scalar kernel, and slot indices must fit a lane), or if any
-    /// bit node has degree above 64 (the per-edge contribution caches
-    /// are stack-sized).
+    /// (`q_msg` or `q_ch` above 8 bits), if any check node has degree
+    /// outside `2..=127` (the two-minimum lane scan needs at least two
+    /// absorbs to mirror the scalar kernel, and slot indices must fit a
+    /// lane), or if any bit node has degree above 64 (the per-edge
+    /// contribution caches are stack-sized).
     pub fn new(code: Arc<LdpcCode>, config: FixedConfig) -> Self {
         assert!(
             config.q_msg <= 8,
@@ -444,25 +418,17 @@ impl PackedFixedDecoder {
             "packed datapath requires bit degrees <= {MAX_BN_DEGREE}, got {}",
             graph.max_bn_degree()
         );
-        let ch_max = quantizer.max_level() as u32;
-        let msg_max = config.msg_max() as u32;
-        let bias = ch_max + graph.max_bn_degree() as u32 * msg_max;
-        assert!(
-            2 * bias <= 0x7FFF,
-            "bit-node bias {bias} overflows the u16 accumulator lanes"
-        );
         let layout = SlotLayout::new(graph);
         let words = layout.words();
         Self {
             quantizer,
             config,
-            bias: bias as u16,
             layout,
             planes: Planes {
                 bc: vec![0x7F; words],
                 cb: vec![0; words],
                 ch: vec![0; code.n()],
-                hard: vec![0; code.n().next_multiple_of(8)],
+                hard: vec![0; code.n()],
                 parity: vec![0; graph.n_checks()],
             },
             ran_simd: false,
@@ -481,9 +447,9 @@ impl PackedFixedDecoder {
     }
 
     /// Whether the running CPU supports the 256-bit AVX2 mirror, which
-    /// every build compiles in on x86-64. When `false` the portable SWAR
-    /// kernels run on the same slot-major layout; the results are
-    /// identical either way.
+    /// every build compiles in on x86-64. When `false` the portable lane
+    /// loops run on the same slot-major layout; the results are identical
+    /// either way.
     pub fn simd_active() -> bool {
         avx2::available()
     }
@@ -596,16 +562,16 @@ impl PackedFixedDecoder {
         }
     }
 
-    /// Words per slot row.
+    /// Words of [`PACK_LANES`] positions per slot row.
     fn row_words(&self) -> usize {
         self.layout.stride / PACK_LANES
     }
 
-    /// Check-node phase, eight adjacent checks per word op, one column of
-    /// words at a time: sign product by XOR of the raw message words
-    /// (sign bits XOR in place; the low bits are masked off at output),
-    /// two-minimum magnitude scan via lane compares — the word form of
-    /// [`cn_scan`](crate::decoder::kernels::cn_scan) +
+    /// Check-node phase, [`CN_BLOCK`] adjacent checks per block of byte
+    /// lanes: each block scans every slot row for its sign product (the
+    /// XOR of the raw message bytes, whose sign bits XOR in place) and
+    /// its two smallest magnitudes, then writes every row's outputs — the
+    /// lane form of [`cn_scan`](crate::decoder::kernels::cn_scan) +
     /// [`CnState::output`](crate::decoder::kernels::CnState::output).
     ///
     /// The scan seeds `min1 = min2 = 127`, which coincides with the
@@ -613,61 +579,83 @@ impl PackedFixedDecoder {
     /// magnitudes never exceed 127: the first two absorbs pull both
     /// minima down to real message values either way, through the same
     /// strict-`<` first-wins tie rule. The argmin is the slot index,
-    /// which is the edge's rank within its check. Every column scans all
+    /// which is the edge's rank within its check. Every block scans all
     /// slot rows: unused slots hold `0x7F` lanes, which never beat the
     /// seed under the strict compare and carry sign bit 0, so they change
     /// no state. Their outputs (and those of the padding checks past the
     /// real ones) land in positions no bit node reads.
     fn cn_phase(&mut self) {
-        let row = self.row_words();
-        let slots = self.layout.slots;
+        let stride = self.layout.stride;
         let scaling = self.config.scaling;
         let Planes { bc, cb, .. } = &mut self.planes;
-        for col in 0..row {
-            let mut sp = 0u64;
-            let mut min1 = splat8(0x7F);
-            let mut min2 = splat8(0x7F);
-            let mut argmin = 0u64;
-            for k in 0..slots {
-                let v = word(bc, PACK_LANES * (k * row + col));
-                sp ^= v;
-                let mag = abs_i8(v);
-                let lt1 = ltu7_mask(mag, min1);
-                let lt2 = ltu7_mask(mag, min2);
-                min2 = select8(lt1, min1, select8(lt2, mag, min2));
-                min1 = select8(lt1, mag, min1);
-                argmin = select8(lt1, splat8(k as i8), argmin);
+        for block in 0..stride / CN_BLOCK {
+            let mut sp = [0u8; CN_BLOCK];
+            let mut min1 = [0x7F; CN_BLOCK];
+            let mut min2 = [0x7F; CN_BLOCK];
+            let mut argmin = [0u8; CN_BLOCK];
+            for (k, row) in bc.chunks_exact(stride).enumerate() {
+                let k = k as u8;
+                for (i, &v) in row.as_chunks::<CN_BLOCK>().0[block].iter().enumerate() {
+                    let mag = (v as i8).unsigned_abs();
+                    sp[i] ^= v;
+                    argmin[i] = if mag < min1[i] { k } else { argmin[i] };
+                    min2[i] = min2[i].min(min1[i].max(mag));
+                    min1[i] = min1[i].min(mag);
+                }
             }
             // Scaling commutes with the excluded-self select, so scale the
-            // two minima once per column instead of once per edge.
-            let s1 = scale_mag8(min1, scaling);
-            let s2 = scale_mag8(min2, scaling);
-            for k in 0..slots {
-                let at = PACK_LANES * (k * row + col);
-                let eq = eq7_mask(argmin, splat8(k as i8));
-                let smag = select8(eq, s2, s1);
-                // Output sign = sign product excluding self = sign bits
-                // of the XOR accumulator XOR this edge's own sign.
-                let sign = sign_mask8(sp ^ word(bc, at));
-                set_word(cb, at, apply_sign8(smag, sign));
+            // two minima once per block instead of once per edge.
+            let s1 = scale(min1, scaling);
+            let s2 = scale(min2, scaling);
+            let rows = bc.chunks_exact(stride).zip(cb.chunks_exact_mut(stride));
+            for (k, (row, out)) in rows.enumerate() {
+                let k = k as u8;
+                let row = &row.as_chunks::<CN_BLOCK>().0[block];
+                let out = &mut out.as_chunks_mut::<CN_BLOCK>().0[block];
+                for (i, (o, &v)) in out.iter_mut().zip(row).enumerate() {
+                    // Both magnitudes are read before the pick: picking
+                    // between `s1[i]` and `s2[i]` compiles to a pointer
+                    // select and a scalar load per lane, which keeps the
+                    // loop from vectorizing.
+                    let (m1, m2) = (s1[i], s2[i]);
+                    let mag = if argmin[i] == k { m2 } else { m1 };
+                    // Output sign = sign product excluding self = sign bit
+                    // of the XOR accumulator XOR this edge's own sign.
+                    *o = if ((sp[i] ^ v) as i8) < 0 {
+                        mag.wrapping_neg()
+                    } else {
+                        mag
+                    };
+                }
             }
         }
     }
 
-    /// Bit-node phase over the word steps of every run, eight adjacent
-    /// bits per word op (see [`Planes::bn_word`]). The runs shorter than
-    /// a word are left to [`bn_tails`](Self::bn_tails).
-    fn bn_words(&mut self) {
-        let (bias, msg_max) = (self.bias, self.config.msg_max());
-        let mut cache = [(0, 0); MAX_BN_DEGREE];
+    /// Bit-node phase over the runs of at least [`PACK_LANES`] bits, in
+    /// blocks of [`BN_BLOCK`] adjacent bits ([`PACK_LANES`] in a run
+    /// shorter than [`BN_BLOCK`]; see [`Planes::bn_block`]). The shorter
+    /// runs are left to [`bn_tails`](Self::bn_tails).
+    fn bn_blocks(&mut self) {
+        let msg_max = self.config.msg_max();
+        let mut wide = [[0; BN_BLOCK]; MAX_BN_DEGREE];
+        let mut narrow = [[0; PACK_LANES]; MAX_BN_DEGREE];
         let planes = &mut self.planes;
-        self.layout.for_each_step(PACK_LANES, |pos, bit, j| {
-            planes.bn_word(bit + j, pos, j, bias, msg_max, &mut cache);
-        });
+        for run in self.layout.runs.iter().filter(|run| run.len >= PACK_LANES) {
+            let pos = &self.layout.run_pos[run.pos.clone()];
+            if run.len >= BN_BLOCK {
+                for j in steps(run.len, BN_BLOCK) {
+                    planes.bn_block(run.bit + j, pos, j, msg_max, &mut wide);
+                }
+            } else {
+                for j in steps(run.len, PACK_LANES) {
+                    planes.bn_block(run.bit + j, pos, j, msg_max, &mut narrow);
+                }
+            }
+        }
     }
 
-    /// Bit-node update of the runs shorter than a word, one bit at a
-    /// time through the scalar kernels.
+    /// Bit-node update of the runs shorter than [`PACK_LANES`] bits, one
+    /// bit at a time through the scalar kernels.
     fn bn_tails(&mut self) {
         let msg_max = self.config.msg_max();
         let planes = &mut self.planes;
@@ -717,24 +705,13 @@ impl PackedFixedDecoder {
         parity.iter().fold(0, |unsat, &p| unsat | p) != 0
     }
 
-    /// The hard-decision plane as a bit vector: bit 0 of eight
-    /// consecutive bytes gathers into one output byte, and eight bytes
-    /// make a word.
+    /// The hard-decision plane as a bit vector.
     fn hard_decision(&self) -> BitVec {
-        let (groups, _) = self.planes.hard.as_chunks::<8>();
-        let words = groups
-            .chunks(8)
-            .map(|word| {
-                word.iter().rev().fold(0, |w, group| {
-                    w << 8 | u64::from(bit_gather8(u64::from_le_bytes(*group), 0))
-                })
-            })
-            .collect();
-        BitVec::from_words(self.code.n(), words)
+        BitVec::from_bits(&self.planes.hard)
     }
 
     /// One check-node + bit-node iteration: the AVX2 mirror when the CPU
-    /// has it, the portable SWAR kernels otherwise.
+    /// has it, the portable lane loops otherwise.
     fn phases(&mut self) {
         if self.cn_phase_simd() && self.bn_words_simd() {
             self.bn_tails();
@@ -743,7 +720,7 @@ impl PackedFixedDecoder {
         }
         self.ran_simd = false;
         self.cn_phase();
-        self.bn_words();
+        self.bn_blocks();
         self.bn_tails();
     }
 }
@@ -773,8 +750,10 @@ mod tests {
     use crate::codes::small::demo_code;
     use crate::decoder::kernels::Scaling;
     use crate::FixedDecoder;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::OnceLock;
     use std::time::{Duration, Instant};
 
     /// Frames spanning the convergence spectrum: clean frames that
@@ -1027,7 +1006,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_padding_stays_neutral_in_both_mappings() {
+    fn slot_padding_stays_neutral() {
         // AR4JA pads the slots of its low-degree checks, and every code
         // pads the checks past its real ones. No store may reach either.
         let ar4ja = crate::CodeSpec::parse("ar4ja:r=1/2,k=1024")
@@ -1146,58 +1125,94 @@ mod tests {
         }
     }
 
-    /// The AVX2 mirror and the portable SWAR kernels, run from the same
-    /// planes, write the same planes: the check-node phase its check→bit
-    /// plane, the bit-node words their bit→check and hard planes. The
-    /// decoder takes the AVX2 path wherever the CPU has it, so this keeps
-    /// the portable path pinned on those machines, phase by phase.
-    #[test]
-    fn portable_and_avx2_phases_write_identical_planes() {
-        if !avx2::available() {
-            assert!(!PackedFixedDecoder::simd_active());
-            return;
-        }
-        let base = FixedConfig::default();
-        let mut cases: Vec<(String, Arc<LdpcCode>, FixedConfig)> = crate::CodeSpec::all_codes()
-            .into_iter()
-            .map(|spec| {
-                let code = spec.build().expect("registry code builds").code().clone();
-                (spec.to_string(), code, base)
-            })
-            .collect();
-        let scalings = [
-            Scaling::Unity,
-            Scaling::SevenEighths,
-            Scaling::ThreeQuarters,
-            Scaling::Half,
-        ];
-        for config in scalings.map(|s| base.with_scaling(s)).into_iter().chain([
-            base.with_q_msg(4).with_q_ch(3),
-            base.with_q_msg(8).with_q_ch(8),
-        ]) {
-            cases.push(("demo".into(), demo_code(), config));
-        }
-        for (spec, code, config) in cases {
-            let n = code.n();
+    /// Case count of the phase proptest: the `PROPTEST_CASES`
+    /// environment variable, else 64.
+    fn phase_cases() -> ProptestConfig {
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig::with_cases(cases)
+    }
+
+    /// Every registry code with its spec, built once.
+    fn registry_codes() -> &'static [(String, Arc<LdpcCode>)] {
+        static CODES: OnceLock<Vec<(String, Arc<LdpcCode>)>> = OnceLock::new();
+        CODES.get_or_init(|| {
+            crate::CodeSpec::all_codes()
+                .into_iter()
+                .map(|spec| {
+                    let code = spec.build().expect("registry code builds").code().clone();
+                    (spec.to_string(), code)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(phase_cases())]
+
+        /// The AVX2 mirror and the portable lane loops, run from the same
+        /// planes, write the same planes: the check-node phase its
+        /// check→bit plane, the bit-node blocks their bit→check and hard
+        /// planes. The decoder takes the AVX2 path wherever the CPU has
+        /// it, so this keeps the portable path pinned on those machines,
+        /// phase by phase, for 8 iterations of a random frame on a random
+        /// registry code under random datapath widths and scaling.
+        #[test]
+        fn portable_and_avx2_phases_write_identical_planes(
+            code in 0..registry_codes().len(),
+            q_msg in 2u32..=8,
+            q_ch in 2u32..=8,
+            scaling in prop::sample::select(vec![
+                Scaling::Unity,
+                Scaling::SevenEighths,
+                Scaling::ThreeQuarters,
+                Scaling::Half,
+            ]),
+            flips in 0.0..0.5f64,
+            seed in any::<u64>(),
+        ) {
+            if !avx2::available() {
+                prop_assert!(!PackedFixedDecoder::simd_active());
+                return;
+            }
+            let (spec, code) = &registry_codes()[code];
+            let config = FixedConfig::default()
+                .with_q_msg(q_msg)
+                .with_q_ch(q_ch)
+                .with_scaling(scaling);
             let mut dec = PackedFixedDecoder::new(code.clone(), config);
-            // A noisy frame, which converges over several iterations.
-            let ch = mixed_levels(&code, 2, dec.quantizer.max_level(), 49);
-            dec.load_levels(&ch[n..]);
+            // A noisy all-zero codeword: each level points the wrong way
+            // with probability `flips`.
+            let ch_max = dec.quantizer.max_level();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let levels: Vec<i16> = (0..code.n())
+                .map(|_| {
+                    let v = rng.gen_range(0..=ch_max);
+                    if rng.gen_bool(flips) {
+                        -v
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            dec.load_levels(&levels);
             dec.seed_messages();
             for iter in 0..8 {
-                let label = format!("{spec} / {config:?}, iteration {iter}");
+                let label = format!("{spec} / {config:?}, flips {flips}, seed {seed}, iteration {iter}");
                 let cb = dec.planes.cb.clone();
                 dec.cn_phase();
                 let portable = std::mem::replace(&mut dec.planes.cb, cb);
-                assert!(dec.cn_phase_simd());
-                assert!(dec.planes.cb == portable, "check-node phase: {label}");
+                prop_assert!(dec.cn_phase_simd());
+                prop_assert!(dec.planes.cb == portable, "check-node phase: {label}");
                 let (bc, hard) = (dec.planes.bc.clone(), dec.planes.hard.clone());
-                dec.bn_words();
+                dec.bn_blocks();
                 let portable_bc = std::mem::replace(&mut dec.planes.bc, bc);
                 let portable_hard = std::mem::replace(&mut dec.planes.hard, hard);
-                assert!(dec.bn_words_simd());
-                assert!(dec.planes.bc == portable_bc, "bit-node messages: {label}");
-                assert!(dec.planes.hard == portable_hard, "hard decisions: {label}");
+                prop_assert!(dec.bn_words_simd());
+                prop_assert!(dec.planes.bc == portable_bc, "bit-node messages: {label}");
+                prop_assert!(dec.planes.hard == portable_hard, "hard decisions: {label}");
                 dec.bn_tails();
             }
         }
@@ -1297,7 +1312,7 @@ mod tests {
         let mut tails = 0;
         dec.layout.for_each_tail(PACK_LANES, |_, _, _| tails += 1);
         println!(
-            "C2: {} runs, {tails} of {n} bits in runs shorter than a word, stride {} positions, {} slots",
+            "C2: {} runs, {tails} of {n} bits in runs shorter than {PACK_LANES}, stride {} positions, {} slots",
             dec.layout.runs.len(),
             dec.layout.stride,
             dec.layout.slots,
@@ -1307,12 +1322,12 @@ mod tests {
             time("cn (avx2)             ", &mut || {
                 assert!(dec.cn_phase_simd())
             });
-            time("bn words (avx2)       ", &mut || {
+            time("bn blocks (avx2)      ", &mut || {
                 assert!(dec.bn_words_simd())
             });
         }
-        time("cn (swar)             ", &mut || dec.cn_phase());
-        time("bn words (swar)       ", &mut || dec.bn_words());
+        time("cn (portable)         ", &mut || dec.cn_phase());
+        time("bn blocks (portable)  ", &mut || dec.bn_blocks());
         time("bn tails (kernels)    ", &mut || dec.bn_tails());
         // Each frame is copied into one buffer before its decode, so that
         // the load reads it from cache, as it does in the engine, where

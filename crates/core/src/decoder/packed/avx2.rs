@@ -1,20 +1,23 @@
-//! AVX2 mirror of the packed SWAR phases and of the channel load,
-//! compiled into every build.
+//! AVX2 mirror of the packed phases and of the channel load, compiled
+//! into every build.
 //!
-//! Same slot-major byte planes, same algorithm, same results bit for bit
-//! — but on 256-bit vectors. The check-node scan covers **four word
-//! columns per op**: a slot row holds slot `k` of every check side by
-//! side, so one load brings slot `k` of 32 adjacent checks, and native
-//! byte-lane ops (`vpabsb`/`vpminub`/`vpmaxub`/`vpblendvb`) replace the
-//! multi-op SWAR emulations. The bit-node phase covers **two words of a
-//! run per op**: adjacent bits of a run own adjacent positions in every
+//! Same slot-major byte planes, same blocks, same arithmetic, same
+//! results bit for bit as the portable lane loops — but on explicit
+//! 256-bit vectors. The check-node scan covers **32 adjacent checks per
+//! op**: a slot row holds slot `k` of every check side by side, so one
+//! load brings slot `k` of 32 adjacent checks, and native byte-lane ops
+//! (`vpabsb`/`vpminub`/`vpmaxub`/`vpblendvb`) run the two-minimum scan.
+//! The bit-node phase covers **16 bits of a run per op** (8 in a run of
+//! 8 to 15 bits): adjacent bits of a run own adjacent positions in every
 //! row, so one 128-bit load sign-extends (`vpmovsxbw`) sixteen bits'
 //! bytes into sixteen i16 lanes, and `vpacksswb` + `vpermq` narrow them
 //! back for one 128-bit store; the hard decisions leave as one byte per
 //! bit. The channel load is the portable branch-free quantizer loop,
 //! which the x86-64 baseline leaves scalar, compiled for AVX2.
 //! Selected at runtime via `is_x86_feature_detected!`: a CPU without
-//! AVX2, or a target other than x86-64, runs the portable kernels.
+//! AVX2, or a target other than x86-64, runs the portable lane loops.
+//! Compiled under `#[target_feature(enable = "avx2")]`, those plain loops
+//! ran slower than this mirror (DESIGN.md §4.4), so it stays.
 //!
 //! This is the one module in the crate allowed to contain `unsafe`: the
 //! entry points below run the `#[target_feature]` code only after the
@@ -41,7 +44,7 @@ pub(super) fn available() -> bool {
 impl PackedFixedDecoder {
     /// Runs the check-node phase on the AVX2 path. Returns `false`
     /// (having done nothing) when the CPU lacks AVX2, so the caller falls
-    /// back to portable SWAR.
+    /// back to the portable lane loops.
     pub(super) fn cn_phase_simd(&mut self) -> bool {
         #[cfg(target_arch = "x86_64")]
         if available() {

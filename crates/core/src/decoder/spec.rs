@@ -15,7 +15,7 @@
 //! | `ms` | [`MinSumDecoder`] (plain) | — |
 //! | `nms:1.25` | [`MinSumDecoder`] (normalized) | α ≥ 1 (default 4/3) |
 //! | `oms:0.15` | [`MinSumDecoder`] (offset) | β ≥ 0 (default 0.15) |
-//! | `fixed` | [`PackedFixedDecoder`]: one frame, 8 adjacent nodes per SWAR word, bit-exact against [`FixedDecoder`](crate::FixedDecoder) | — (default datapath) |
+//! | `fixed` | [`PackedFixedDecoder`]: one frame, adjacent nodes in i8 lanes, bit-exact against [`FixedDecoder`](crate::FixedDecoder) | — (default datapath) |
 //! | `layered:1.25` | [`LayeredMinSumDecoder`] | α ≥ 1 (default 4/3) |
 //! | `qc-layered:1.25` | [`QcLayeredDecoder`] | α ≥ 1 (default 4/3) |
 //! | `self-corrected:1.25` | [`SelfCorrectedMinSumDecoder`] | α ≥ 1 (default 4/3) |
@@ -30,7 +30,7 @@
 //! |----------|--------|------------|
 //! | `@batch=8` | lockstep frame batching ([`BatchMinSumDecoder`]; on `fixed`, an alias of plain `fixed` for any N) | `ms`, `nms`, `oms`, `fixed` |
 //! | `@bitslice` | 64 frames per `u64` word ([`BitsliceGallagerBDecoder`]) | `gallager-b` |
-//! | `@pack=8` | an alias of plain `fixed`, whose SWAR words hold 8 i8 lanes ([`PackedFixedDecoder`]) | `fixed` |
+//! | `@pack=8` | an alias of plain `fixed`, whose i8 lanes hold adjacent nodes ([`PackedFixedDecoder`]) | `fixed` |
 //!
 //! Parsing ([`FromStr`]) and rendering ([`Display`](fmt::Display)) round
 //! trip: `parse(display(spec)) == spec` for every valid spec (pinned by
@@ -148,7 +148,7 @@ impl DecoderFamily {
     }
 
     /// Whether `@pack=8` applies to this family. Only the fixed-point
-    /// datapath is SWAR-packed: packing relies on i8 message lanes, so
+    /// datapath is packed: packing relies on i8 message lanes, so
     /// float-message families cannot support it.
     pub fn supports_pack(&self) -> bool {
         matches!(self, Self::Fixed)
@@ -172,9 +172,9 @@ pub struct DecoderSpec {
     pub batch: Option<usize>,
     /// `@bitslice`: 64 frames per `u64` word (`gallager-b` only).
     pub bitslice: bool,
-    /// `@pack=8` (`fixed` only): an alias of plain `fixed`, whose SWAR
-    /// words hold [`PACK_LANES`] i8 lanes, the only valid value. It stays
-    /// part of the canonical string.
+    /// `@pack=8` (`fixed` only): an alias of plain `fixed`, whose only
+    /// valid value is [`PACK_LANES`]. It stays part of the canonical
+    /// string.
     pub pack: Option<usize>,
 }
 
@@ -281,7 +281,7 @@ impl DecoderSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] if the family has no SWAR-packed mirror,
+    /// Returns [`SpecError`] if the family has no packed mirror,
     /// `n` is not [`PACK_LANES`], or another packing modifier is already
     /// present.
     pub fn with_pack(mut self, n: usize) -> Result<Self, SpecError> {
@@ -348,7 +348,8 @@ impl DecoderSpec {
                 return Err(SpecError::UnsupportedModifier {
                     modifier: "@pack",
                     family: self.family.keyword(),
-                    supported: "fixed (SWAR packing needs i8 message lanes; float-message families have none)",
+                    supported:
+                        "fixed (packing needs i8 message lanes; float-message families have none)",
                 });
             }
             if pack != PACK_LANES {

@@ -18,9 +18,9 @@
 //!   ([`FixedDecoder`]), and a serial-schedule variant
 //!   ([`LayeredMinSumDecoder`]).
 //! * [`PackedFixedDecoder`] — the same fixed-point datapath on one frame,
-//!   eight adjacent nodes' byte lanes to a word, as the paper's low-cost
-//!   instance packs nodes: portable SWAR, or its AVX2 mirror on CPUs that
-//!   have AVX2 (picked at run time, bit-identical).
+//!   adjacent nodes in byte lanes, as the paper's low-cost instance packs
+//!   nodes: plain lane loops the compiler vectorizes, or their AVX2
+//!   mirror on CPUs that have AVX2 (picked at run time, bit-identical).
 //!
 //! # Quickstart
 //!
@@ -38,7 +38,7 @@
 //! ```
 
 // The crate is `unsafe`-free except for the AVX2 mirror of the packed
-// SWAR datapath, whose intrinsics module carries the one scoped `allow`.
+// datapath, whose intrinsics module carries the one scoped `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -13,7 +13,7 @@
 //! and 8 frames that converge at different iterations.
 //!
 //! On a CPU with AVX2 this pins the vector path, elsewhere the portable
-//! SWAR path; the packed unit test
+//! lane loops; the packed unit test
 //! `portable_and_avx2_phases_write_identical_planes` keeps the portable
 //! path pinned on AVX2 machines too.
 
@@ -76,14 +76,14 @@ fn packed_fixed_matches_scalar_fixed_on_every_registry_code() {
         if PackedFixedDecoder::simd_active() {
             "AVX2 mirror"
         } else {
-            "portable SWAR"
+            "portable lane loops"
         }
     );
 }
 
 /// The vector path must actually run wherever it can: every x86-64 build
-/// compiles it, and one that silently fell back to SWAR on a CPU with
-/// AVX2 would still pass every bit-exactness test.
+/// compiles it, and one that silently fell back to the portable loops on
+/// a CPU with AVX2 would still pass every bit-exactness test.
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
@@ -93,7 +93,7 @@ fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
         if PackedFixedDecoder::simd_active() {
             "AVX2 mirror"
         } else {
-            "portable SWAR"
+            "portable lane loops"
         }
     );
     assert_eq!(PackedFixedDecoder::simd_active(), avx2);

@@ -6,6 +6,25 @@ use std::ops::{BitAnd, BitXor, BitXorAssign};
 
 const WORD_BITS: usize = 64;
 
+/// Packs 64 bytes into one word: bit `j` is set where byte `j` is not
+/// zero. The bytes are first tested lane by lane, which the compiler
+/// vectorizes; then each 8 of the resulting 0/1 bytes gather into one
+/// byte with a multiply. Byte `f` of a group holds its flag at bit `8f`,
+/// and the multiplier's ones sit at bits `56 − 7i` (`i` = 0..8), so the
+/// product carries flag `f` to bit `56 + f` (at `i = f`). The 64 partial
+/// products are distinct bits, so nothing carries, and every other one
+/// lands below bit 56 or past bit 63.
+fn pack_word(bytes: &[u8; WORD_BITS]) -> u64 {
+    let mut flags = [0u8; WORD_BITS];
+    for (f, &b) in flags.iter_mut().zip(bytes) {
+        *f = u8::from(b != 0);
+    }
+    let (groups, _) = flags.as_chunks::<8>();
+    groups.iter().rev().fold(0, |w, group| {
+        w << 8 | u64::from_le_bytes(*group).wrapping_mul(0x0102_0408_1020_4080) >> 56
+    })
+}
+
 /// A fixed-length vector of bits packed into `u64` words.
 ///
 /// Arithmetic follows GF(2) conventions: addition is XOR and the dot product
@@ -58,30 +77,37 @@ impl BitVec {
 
     /// Builds a vector from a slice of booleans.
     pub fn from_bools(bits: &[bool]) -> Self {
-        Self::from_flags(bits, |&b| b)
-    }
-
-    /// Builds a vector from 0/1 bytes.
-    ///
-    /// Any non-zero byte is treated as a one bit.
-    pub fn from_bits(bits: &[u8]) -> Self {
-        Self::from_flags(bits, |&b| b != 0)
-    }
-
-    /// Packs one flag per element, a word at a time; the last word's
-    /// tail stays zero, so the result is canonical.
-    fn from_flags<T>(flags: &[T], is_one: impl Fn(&T) -> bool) -> Self {
-        let words = flags
+        let words = bits
             .chunks(WORD_BITS)
             .map(|chunk| {
                 chunk
                     .iter()
                     .enumerate()
-                    .fold(0u64, |w, (j, x)| w | (u64::from(is_one(x)) << j))
+                    .fold(0u64, |w, (j, &b)| w | (u64::from(b) << j))
             })
             .collect();
         Self {
-            len: flags.len(),
+            len: bits.len(),
+            words,
+        }
+    }
+
+    /// Builds a vector from 0/1 bytes.
+    ///
+    /// Any non-zero byte is treated as a one bit. The bytes pack 64 at a
+    /// time into a word; a last partial word is padded with zero bytes,
+    /// so its tail stays zero and the result is canonical.
+    pub fn from_bits(bits: &[u8]) -> Self {
+        let (chunks, tail) = bits.as_chunks::<WORD_BITS>();
+        let mut words = Vec::with_capacity(bits.len().div_ceil(WORD_BITS));
+        words.extend(chunks.iter().map(pack_word));
+        if !tail.is_empty() {
+            let mut last = [0; WORD_BITS];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(pack_word(&last));
+        }
+        Self {
+            len: bits.len(),
             words,
         }
     }

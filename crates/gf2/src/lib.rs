@@ -15,8 +15,6 @@
 //!   the ones in its first row, as used by quasi-cyclic LDPC codes.
 //! * [`BitSlices`] — the frame-major ⇄ word-sliced (bit-plane) transpose
 //!   used by bit-sliced decoding: 64 frames per `u64` lane word.
-//! * [`lanes`] — byte-lane words: 8 `i8` lanes per `u64`, in the lane
-//!   order of the packed soft datapath's SWAR kernels.
 //!
 //! # Example
 //!
@@ -38,14 +36,12 @@
 mod bitvec;
 mod circulant;
 mod dense;
-pub mod lanes;
 mod slices;
 mod sparse;
 
 pub use bitvec::BitVec;
 pub use circulant::Circulant;
 pub use dense::{DenseMatrix, Rref};
-pub use lanes::BYTE_LANES;
 pub use slices::{BitSlices, WORD_LANES};
 pub use sparse::SparseMatrix;
 

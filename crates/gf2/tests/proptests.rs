@@ -14,6 +14,27 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = DenseMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `from_bits` packs a word at a time, yet every bit still follows
+    /// the per-bit definition, "any non-zero byte is a one bit": on
+    /// arbitrary byte values (zeros drawn often) and on lengths off the 8-
+    /// and 64-byte grids, with a canonical zero tail.
+    #[test]
+    fn from_bits_matches_the_per_bit_definition(
+        bytes in prop::collection::vec(
+            (any::<bool>(), any::<u8>()).prop_map(|(zero, b)| if zero { 0 } else { b }),
+            0..300,
+        ),
+    ) {
+        let v = BitVec::from_bits(&bytes);
+        prop_assert_eq!(v.len(), bytes.len());
+        for (i, &b) in bytes.iter().enumerate() {
+            prop_assert_eq!(v.get(i), b != 0, "bit {} of {}", i, bytes.len());
+        }
+        let flags: Vec<bool> = bytes.iter().map(|&b| b != 0).collect();
+        prop_assert_eq!(&v, &BitVec::from_bools(&flags));
+        prop_assert_eq!(&v, &BitVec::from_words(bytes.len(), v.words().to_vec()));
+    }
+
     #[test]
     fn xor_commutes(a in arb_bitvec(97), b in arb_bitvec(97)) {
         prop_assert_eq!(&a ^ &b, &b ^ &a);

@@ -481,6 +481,28 @@ mod tests {
     }
 
     #[test]
+    fn oversized_ar4ja_code_is_refused_and_the_next_request_served() {
+        let (handle, join) = demo_server(Duration::from_millis(1), 64);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        // Built, this code would ask for about 17 GB; the spec parser
+        // refuses it before the coalescer builds anything.
+        let line = "DECODE|ar4ja:r=1/2,k=67108864 / fixed|llr8-hex|00";
+        match client.raw_request(line).unwrap() {
+            Response::Error { message, .. } => {
+                assert!(message.contains("at most 16384"), "{line} -> {message}");
+            }
+            other => panic!("{line} -> {other:?}"),
+        }
+        let n = ldpc_core::codes::small::demo_code().n();
+        let frame = client
+            .decode_llr8("demo / fixed", &clean_llr8(n), Encoding::Hex)
+            .unwrap();
+        assert!(frame.converged);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
     fn full_queue_answers_busy() {
         // One worker, 30 s deadline, 8-lane word, 2-frame bound: two
         // connections park frames in the queue, the third bounces.

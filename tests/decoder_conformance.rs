@@ -279,7 +279,7 @@ fn stripe_operating_points(llrs: &[f32], n: usize, points: usize) -> Vec<f32> {
     out
 }
 
-/// The SWAR-packed `fixed` datapath, through plain `fixed` and its alias
+/// The packed `fixed` datapath, through plain `fixed` and its alias
 /// `fixed@pack=8`, against the per-edge `FixedDecoder`, under **mixed
 /// convergence**: the corpora are striped across their operating points
 /// so every run of 8 frames holds frames that converge at different

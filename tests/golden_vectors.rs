@@ -270,7 +270,7 @@ const GOLDEN_REGISTRY: &[(&str, u64)] = &[
 
 /// The packed-mirror promise, stated on the frozen constants themselves:
 /// `fixed@pack=8`'s fingerprint IS scalar `fixed`'s (and `fixed@batch=8`'s)
-/// — the SWAR datapath changes the execution, never the results. A
+/// — the packed datapath changes the execution, never the results. A
 /// divergence here means the packed decoder stopped being bit-exact.
 #[test]
 fn packed_fixed_fingerprint_coincides_with_scalar_fixed() {
