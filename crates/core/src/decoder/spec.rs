@@ -356,7 +356,7 @@ impl DecoderSpec {
                 return Err(SpecError::InvalidParameter {
                     family: self.family.keyword(),
                     value: format!("pack={pack}"),
-                    expected: "the word-width lane count @pack=8 (8 i8 lanes per u64)",
+                    expected: "@pack=8, an alias of plain fixed (its only value)",
                 });
             }
         }
@@ -526,7 +526,7 @@ impl FromStr for DecoderSpec {
                 let pack: usize = value.parse().map_err(|_| SpecError::InvalidParameter {
                     family: family.keyword(),
                     value: format!("pack={value}"),
-                    expected: "the word-width lane count @pack=8 (8 i8 lanes per u64)",
+                    expected: "@pack=8, an alias of plain fixed (its only value)",
                 })?;
                 spec.pack = Some(pack);
             } else {
@@ -860,11 +860,11 @@ mod tests {
 
     #[test]
     fn pack_modifier_rejections_are_actionable() {
-        // Only the word-width lane count exists.
+        // The alias has one value.
         let err = DecoderSpec::parse("fixed@pack=7").unwrap_err();
         assert!(err.to_string().contains("@pack=8"), "{err}");
         let err = DecoderSpec::parse("fixed@pack=16").unwrap_err();
-        assert!(err.to_string().contains("8 i8 lanes per u64"), "{err}");
+        assert!(err.to_string().contains("alias of plain fixed"), "{err}");
         let err = DecoderSpec::parse("fixed@pack=fast").unwrap_err();
         assert!(err.to_string().contains("@pack=8"), "{err}");
 

@@ -19,8 +19,9 @@
 //!   ([`LayeredMinSumDecoder`]).
 //! * [`PackedFixedDecoder`] — the same fixed-point datapath on one frame,
 //!   adjacent nodes in byte lanes, as the paper's low-cost instance packs
-//!   nodes: plain lane loops the compiler vectorizes, or their AVX2
-//!   mirror on CPUs that have AVX2 (picked at run time, bit-identical).
+//!   nodes: plain lane loops the compiler vectorizes, one source compiled
+//!   for the target's baseline and again for AVX2 (the CPU picks at run
+//!   time; the two are bit-identical).
 //!
 //! # Quickstart
 //!
@@ -37,8 +38,9 @@
 //! assert!(out.hard_decision.is_zero());
 //! ```
 
-// The crate is `unsafe`-free except for the AVX2 mirror of the packed
-// datapath, whose intrinsics module carries the one scoped `allow`.
+// The crate is `unsafe`-free except for the calls into the packed
+// datapath's AVX2 compile, made after the runtime CPU check in the one
+// module that carries a scoped `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
 //! The packed datapath that every `fixed` spec builds (one frame,
-//! adjacent nodes per word) against the per-edge [`FixedDecoder`], frame
-//! by frame, on every code in the registry.
+//! adjacent nodes in byte lanes) against the per-edge [`FixedDecoder`],
+//! frame by frame, on every code in the registry.
 //!
 //! The packed decoder stores its messages slot-major: the `k`-th edge of
 //! check `m` at position `k·M′ + m`, with unused slots of low-degree
@@ -8,14 +8,14 @@
 //! bits whose positions advance together. Demo and C2 are check-regular,
 //! so only the AR4JA codes (check degrees 3 to 18) pad slots, and only
 //! codes without long circulant runs (demo, whose runs average 4 bits)
-//! send most bits through the per-bit path for runs shorter than a word.
+//! send most bits through the per-bit path for runs shorter than a block.
 //! Every registry code is therefore decoded here, in blocks of 1, 2, 7
 //! and 8 frames that converge at different iterations.
 //!
-//! On a CPU with AVX2 this pins the vector path, elsewhere the portable
-//! lane loops; the packed unit test
-//! `portable_and_avx2_phases_write_identical_planes` keeps the portable
-//! path pinned on AVX2 machines too.
+//! On a CPU with AVX2 this pins the lane loops' AVX2 compile, elsewhere
+//! their baseline compile; the packed unit test
+//! `portable_and_avx2_phases_write_identical_planes` keeps the baseline
+//! compile pinned on AVX2 machines too.
 
 use ldpc_core::{
     BlockDecoder, CodeSpec, DecoderSpec, FixedConfig, FixedDecoder, PackedFixedDecoder,
@@ -74,16 +74,17 @@ fn packed_fixed_matches_scalar_fixed_on_every_registry_code() {
     println!(
         "packed path: {}",
         if PackedFixedDecoder::simd_active() {
-            "AVX2 mirror"
+            "AVX2 compile"
         } else {
-            "portable lane loops"
+            "baseline compile"
         }
     );
 }
 
-/// The vector path must actually run wherever it can: every x86-64 build
-/// compiles it, and one that silently fell back to the portable loops on
-/// a CPU with AVX2 would still pass every bit-exactness test.
+/// The AVX2 compile of the lane loops must actually run wherever it can:
+/// every x86-64 build compiles it, and one that silently fell back to the
+/// baseline compile on a CPU with AVX2 would still pass every
+/// bit-exactness test.
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
@@ -91,9 +92,9 @@ fn simd_build_runs_the_avx2_mirror_when_the_cpu_has_it() {
     println!(
         "CPU AVX2: {avx2}; packed path: {}",
         if PackedFixedDecoder::simd_active() {
-            "AVX2 mirror"
+            "AVX2 compile"
         } else {
-            "portable lane loops"
+            "baseline compile"
         }
     );
     assert_eq!(PackedFixedDecoder::simd_active(), avx2);
